@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import (
-    LabeledSentence, build_corpus, dp_align_label, generate_synthetic_pairs,
-    merge_annotator_labels, read_corpus_sentences, read_pair_file,
-    read_vocab_file, write_corpus, write_pair_file, write_vocab_file,
+    LABEL_ERR, LABEL_OK, LabeledSentence, TokenizedSentence, build_corpus,
+    dp_align_label, generate_synthetic_pairs, merge_annotator_labels,
+    read_corpus_sentences, read_pair_file, read_vocab_file, write_corpus,
+    write_pair_file, write_vocab_file,
 )
 from .encoder import ModelConfig
 from .evaluation import attention_summary, evaluate, summary_to_csv
@@ -301,26 +302,19 @@ def cmd_attn(args) -> int:
     return 0
 
 
-class _ProbeSentence:
-    """Duck-typed stand-in for TokenizedSentence built from raw ids."""
-
-    def __init__(self, sub_ids, first_sub_index, targets):
-        self.sub_ids = sub_ids
-        self.first_sub_index = first_sub_index
-        self.words = ["w"] * len(first_sub_index)
-        self.labels = ["i" if t else "c" for t in targets]
-
-
 def random_probe_batch(config: ModelConfig, n_sentences: int,
-                       rng: np.random.Generator) -> list[_ProbeSentence]:
+                       rng: np.random.Generator) -> list[TokenizedSentence]:
     batch = []
     for _ in range(n_sentences):
         length = int(rng.integers(config.max_len // 2, config.max_len + 1))
         ids = rng.integers(4, config.vocab_size, size=length)
-        words = sorted(rng.choice(length, size=max(1, length // 2),
+        first = sorted(rng.choice(length, size=max(1, length // 2),
                                   replace=False).tolist())
-        labels = rng.integers(0, config.n_classes, size=len(words)).tolist()
-        batch.append(_ProbeSentence(ids.tolist(), words, labels))
+        targets = rng.integers(0, config.n_classes, size=len(first)).tolist()
+        batch.append(TokenizedSentence(
+            words=["w"] * len(first),
+            labels=[LABEL_ERR if t else LABEL_OK for t in targets],
+            sub_ids=ids.tolist(), first_sub_index=first))
     return batch
 
 

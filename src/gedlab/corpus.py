@@ -287,8 +287,7 @@ def pairs_to_labeled(pairs: Iterable[SentencePair]) -> list[LabeledSentence]:
 
 @dataclass
 class Vocabulary:
-    """Dense ids; 0..3 are reserved (PAD, UNK, BOS, EOS) in both maps."""
-    word_to_id: dict[str, int]
+    """Dense ids; 0..3 are reserved (PAD, UNK, BOS, EOS)."""
     piece_to_id: dict[str, int]
 
     @property
@@ -312,10 +311,7 @@ def build_vocabulary(sentences: Iterable[Sequence[str]]) -> Vocabulary:
     piece_to_id = {p: k for k, p in enumerate(RESERVED_PIECES)}
     for k, p in enumerate(sorted(pieces)):
         piece_to_id[p] = 4 + k
-    word_to_id = {p: k for k, p in enumerate(RESERVED_PIECES)}
-    for k, w in enumerate(sorted(set(counts) - set(RESERVED_PIECES))):
-        word_to_id[w] = 4 + k
-    return Vocabulary(word_to_id=word_to_id, piece_to_id=piece_to_id)
+    return Vocabulary(piece_to_id=piece_to_id)
 
 
 def subtokenize(word: str, piece_to_id: dict[str, int]) -> list[str]:
@@ -529,4 +525,4 @@ def read_vocab_file(path) -> Vocabulary:
         if piece_to_id.get(p) != k:
             raise CorpusFormatError(
                 f"{path}: reserved piece {p!r} must sit at id {k}")
-    return Vocabulary(word_to_id=dict(piece_to_id), piece_to_id=piece_to_id)
+    return Vocabulary(piece_to_id=piece_to_id)

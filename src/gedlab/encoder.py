@@ -177,59 +177,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return add_rowvec(mul_rowvec(row_norm(x), gain), bias)
 
 
-def _validate_ids(token_ids: np.ndarray, config: ModelConfig) -> None:
-    if token_ids.ndim != 1 or token_ids.size == 0:
-        raise ValueError("token_ids must be a non-empty 1-D sequence")
-    if token_ids.size > config.max_len:
-        raise ValueError(
-            f"sequence of {token_ids.size} tokens exceeds max_len "
-            f"{config.max_len}; truncate before encoding")
-    if token_ids.min() < 0 or token_ids.max() >= config.vocab_size:
-        raise ValueError(
-            f"token id out of range [0, {config.vocab_size}): "
-            f"{token_ids.min()}..{token_ids.max()}")
-
-
-def _embed_rows(ids: np.ndarray, positions: np.ndarray, params: EncoderParams,
-                config: ModelConfig, train_mode: bool,
-                rng: np.random.Generator | None) -> Tensor:
-    h0 = add(gather_rows(params.token_embedding, ids),
-             gather_rows(params.position_embedding, positions))
-    if train_mode and config.dropout > 0.0:
-        h0 = dropout(h0, config.dropout, rng)
-    return h0
-
-
-def embed_input(token_ids, params: EncoderParams, config: ModelConfig,
-                train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-    """Token + position lookup for one sentence: rows h0[n]."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    _validate_ids(ids, config)
-    return _embed_rows(ids, np.arange(ids.size), params, config, train_mode, rng)
-
-
-def _attention_bias(allowed: np.ndarray) -> Tensor:
-    """Additive score matrix: 0 where key is visible, MASK_LOGIT where not.
-    exp() of masked entries underflows to exactly 0, so masked keys get
-    exactly zero weight and every stored value stays finite."""
-    return Tensor(np.where(allowed, 0.0, MASK_LOGIT))
-
-
-def transformer_block(h_prev: Tensor, layer_params: LayerParams,
-                      config: ModelConfig, mask,
-                      train_mode: bool = False,
-                      rng: np.random.Generator | None = None) -> Tensor:
-    """One block over a single sentence.  mask[k] False excludes token k
-    as an attention key (pads); queries are never excluded."""
-    mask = np.asarray(mask, dtype=bool)
-    n = h_prev.shape[0]
-    if mask.shape != (n,):
-        raise ValueError(f"mask shape {mask.shape} does not match {n} tokens")
-    bias = _attention_bias(np.broadcast_to(mask, (n, n)))
-    return _block(h_prev, layer_params, config, bias, train_mode, rng)
-
-
 def _block(h: Tensor, lp: LayerParams, config: ModelConfig, bias: Tensor,
            train_mode: bool, rng: np.random.Generator | None) -> Tensor:
     a_heads = config.self_attn_heads
@@ -264,26 +211,28 @@ def encode(token_ids, params: EncoderParams, config: ModelConfig,
            train_mode: bool = False,
            rng: np.random.Generator | None = None) -> list[Tensor]:
     """All layer states of one sentence: [h0, h1, ..., hL], each
-    [n_tokens x hidden].  Positions holding PAD_ID are masked out as
-    attention keys automatically."""
+    [n_tokens x hidden].  This is encode_batch on a batch of one, so
+    positions holding PAD_ID are masked out as attention keys."""
     ids = np.asarray(token_ids, dtype=np.int64)
-    _validate_ids(ids, config)
-    states, _ = _encode_flat(ids, np.arange(ids.size), ids != PAD_ID,
-                             np.zeros(ids.size, dtype=np.int64),
-                             params, config, train_mode, rng)
-    return states
+    if ids.ndim != 1:
+        raise ValueError("token_ids must be a 1-D sequence")
+    return encode_batch([ids], params, config, train_mode, rng)[0]
 
 
 def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
                  train_mode: bool = False,
                  rng: np.random.Generator | None = None):
-    """Forward several sentences as one matrix.
+    """Forward several sentences as one matrix; the encoder's only
+    forward.
 
     Each sentence is padded with PAD_ID to the longest length in the
     batch and the rows are stacked:  row b * T + n is token n of
-    sentence b.  The attention bias is block-diagonal, so a token only
-    sees real keys of its own sentence and the result on real rows
-    equals the per-sentence forward.
+    sentence b.  The additive attention bias is block-diagonal: 0 where
+    the key is a real token of the query's own sentence, MASK_LOGIT
+    elsewhere.  exp() of masked entries underflows to exactly 0, so
+    masked keys get exactly zero weight, every stored value stays
+    finite, and the result on real rows equals the per-sentence
+    forward.
 
     Returns (states, real): L+1 tensors of shape [B*T x hidden] and a
     bool vector marking real rows.
@@ -307,18 +256,14 @@ def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
             f"token id out of range [0, {config.vocab_size}): "
             f"{flat.min()}..{flat.max()}")
     positions = np.tile(np.arange(t_max), len(sentences))
-    sent_of = np.repeat(np.arange(len(sentences)), t_max)
+    h = add(gather_rows(params.token_embedding, flat),
+            gather_rows(params.position_embedding, positions))
+    if train_mode and config.dropout > 0.0:
+        h = dropout(h, config.dropout, rng)
     real = flat != PAD_ID
-    states, real_out = _encode_flat(flat, positions, real, sent_of,
-                                    params, config, train_mode, rng)
-    return states, real_out
-
-
-def _encode_flat(ids, positions, real, sent_of, params, config,
-                 train_mode, rng):
-    h = _embed_rows(ids, positions, params, config, train_mode, rng)
+    sent_of = np.repeat(np.arange(len(sentences)), t_max)
     allowed = (sent_of[:, None] == sent_of[None, :]) & real[None, :]
-    bias = _attention_bias(allowed)
+    bias = Tensor(np.where(allowed, 0.0, MASK_LOGIT))
     states = [h]
     for lp in params.layers:
         h = _block(h, lp, config, bias, train_mode, rng)

@@ -14,7 +14,7 @@ from .heads import (
     AttentionRecord, HeadParams, avgl_forward, final_layer_forward,
     init_head_params, layer_attention_weights, mhmla_forward,
 )
-from .tensor import Tensor, gather_rows
+from .tensor import Tensor, gather_rows, no_grad
 
 
 @dataclass
@@ -51,16 +51,9 @@ def select_first_subtoken_states(state: Tensor, first_sub_index) -> Tensor:
     return gather_rows(state, idx)
 
 
-def select_word_states(states: list[Tensor],
-                       first_sub_index) -> list[Tensor]:
-    """select_first_subtoken_states applied to every layer state."""
-    return [select_first_subtoken_states(s, first_sub_index) for s in states]
-
-
 def head_forward(states: list[Tensor], model: Model,
                  train_mode: bool = False,
-                 rng: np.random.Generator | None = None,
-                 attention_override: np.ndarray | None = None):
+                 rng: np.random.Generator | None = None):
     """Class probabilities from a stack of layer states.
 
     Returns (probs, record); record is None for head types that do not
@@ -68,17 +61,13 @@ def head_forward(states: list[Tensor], model: Model,
     """
     cfg = model.config
     if cfg.head_type == "final":
-        if attention_override is not None:
-            raise ValueError("final head has no attention to override")
         return final_layer_forward(states, model.head, cfg,
                                    train_mode=train_mode, rng=rng), None
     if cfg.head_type == "avgl":
-        if attention_override is not None:
-            raise ValueError("avgl head has no attention to override")
         return avgl_forward(states, model.head, cfg,
                             train_mode=train_mode, rng=rng), None
     return mhmla_forward(states, model.head, cfg, train_mode=train_mode,
-                         rng=rng, attention_override=attention_override)
+                         rng=rng)
 
 
 def predict_word_probs(model: Model, sub_ids, first_sub_index,
@@ -91,15 +80,20 @@ def predict_word_probs(model: Model, sub_ids, first_sub_index,
     """
     states = encode(sub_ids, model.encoder, model.config,
                     train_mode=train_mode, rng=rng)
-    word_states = select_word_states(states, first_sub_index)
+    word_states = [select_first_subtoken_states(s, first_sub_index)
+                   for s in states]
     return head_forward(word_states, model, train_mode=train_mode, rng=rng)
 
 
 def word_attention(model: Model, sub_ids, first_sub_index) -> AttentionRecord:
-    """Depth-attention weights at the word positions, eval mode."""
+    """Depth-attention weights at the word positions, eval mode.  Runs
+    under no_grad: the record holds plain arrays, so a recorded tape
+    would only grow with every call."""
     if model.config.head_type != "mhmla":
         raise ValueError(
             f"head type {model.config.head_type!r} has no depth attention")
-    states = encode(sub_ids, model.encoder, model.config)
-    word_states = select_word_states(states, first_sub_index)
-    return layer_attention_weights(word_states, model.head, model.config)
+    with no_grad():
+        states = encode(sub_ids, model.encoder, model.config)
+        word_states = [select_first_subtoken_states(s, first_sub_index)
+                       for s in states]
+        return layer_attention_weights(word_states, model.head, model.config)

@@ -256,9 +256,19 @@ def load_checkpoint(path) -> Model:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(blob[fixed:fixed + head_len].decode("utf-8"))
+        if not isinstance(header, dict) or not isinstance(
+                header.get("config"), dict):
+            raise ValueError("config is not an object")
         config = ModelConfig.from_dict(header["config"])
-        manifest = header["manifest"]
-    except (ValueError, KeyError, TypeError) as exc:
+        manifest = header.get("manifest")
+        if not isinstance(manifest, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in e["shape"])
+                and type(e.get("offset")) is int for e in manifest):
+            raise ValueError("manifest is not a list of {name: string, "
+                             "shape: [int >= 0], offset: int} objects")
+    except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from exc
     payload = blob[fixed + head_len:]
     model = init_model(config, np.random.default_rng(0))

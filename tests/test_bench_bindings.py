@@ -1,0 +1,37 @@
+"""The benchmark under perfbench/ binds to gedlab by name: checks.py
+imports functions at load time and the tracer wraps the module
+attributes listed in spans.WRAPS.  A refactor of src/ that renames or
+moves one of them breaks the benchmark; these tests catch it without
+running the benchmark."""
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def load(name: str):
+    """A perfbench module, loaded from its file without touching
+    sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WRAPS = load("spans").WRAPS
+
+
+def test_checks_imports_resolve():
+    # checks.py imports every gedlab name its output checks call
+    load("checks")
+
+
+@pytest.mark.parametrize("module_name,attr", [(m, a) for m, a, _ in WRAPS],
+                         ids=[f"{m}.{a}" for m, a, _ in WRAPS])
+def test_traced_name_resolves(module_name, attr):
+    assert callable(getattr(importlib.import_module(module_name), attr))

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, manifests, config precedence, and
 the gen/label/train/eval pipeline invariants."""
 import json
+import struct
 
 import pytest
 
@@ -9,7 +10,8 @@ from gedlab.corpus import (
     SentencePair, dp_align_label, read_corpus_sentences, read_pair_file,
     write_pair_file,
 )
-from gedlab.tensor import reset_graph
+from gedlab.tensor import active_graph, reset_graph
+from gedlab.training import CHECKPOINT_MAGIC
 
 
 @pytest.fixture(autouse=True)
@@ -91,6 +93,26 @@ class TestExitCodes:
         assert run("eval", "--checkpoint", str(clipped),
                    "--vocab", str(trained) + ".vocab",
                    "--corpus", str(tmp_path / "unused.tsv")) == 2
+
+    def test_malformed_checkpoint_header_is_data_error(self, tmp_path,
+                                                       trained, capsys):
+        blob = trained.read_bytes()
+        fixed = len(CHECKPOINT_MAGIC) + 4
+        (head_len,) = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):fixed])
+        header = json.loads(blob[fixed:fixed + head_len])
+        header["manifest"][0]["shape"] = None
+        head = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(head))
+                        + head + blob[fixed + head_len:])
+        assert run("eval", "--checkpoint", str(bad),
+                   "--vocab", str(trained) + ".vocab",
+                   "--corpus", str(tmp_path / "unused.tsv")) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and "bad header" in errors[0]
 
 
 class TestGenLabel:
@@ -230,6 +252,12 @@ class TestAttn:
         assert run(*common, "--out", str(out)) == 0
         assert out.read_text() == stdout_csv
         assert (tmp_path / "attn.csv.manifest.json").exists()
+
+    def test_leaves_the_tape_empty(self, workdir, trained):
+        assert run("attn", "--checkpoint", str(trained),
+                   "--vocab", str(trained) + ".vocab",
+                   "--corpus", str(workdir / "dev.tsv")) == 0
+        assert active_graph().nodes == []
 
 
 class TestGradcheck:

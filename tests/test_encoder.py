@@ -5,8 +5,7 @@ import pytest
 
 from gedlab.corpus import PAD_ID
 from gedlab.encoder import (
-    EncoderParams, ModelConfig, embed_input, encode, encode_batch,
-    init_encoder_params, transformer_block,
+    EncoderParams, ModelConfig, encode, encode_batch, init_encoder_params,
 )
 from gedlab.tensor import (
     Tensor, cross_entropy, finite_diff_check, no_grad, reset_graph, softmax,
@@ -98,7 +97,7 @@ class TestEmbed:
         cfg = tiny_config()
         params = init_encoder_params(cfg, rng)
         ids = [5, 9, 5]
-        h0 = embed_input(ids, params, cfg)
+        h0 = encode(ids, params, cfg)[0]
         tok = params.token_embedding.data
         pos = params.position_embedding.data
         expect = tok[ids] + pos[:3]
@@ -108,13 +107,13 @@ class TestEmbed:
         cfg = tiny_config(max_len=4)
         params = init_encoder_params(cfg, rng)
         with pytest.raises(ValueError, match="max_len"):
-            embed_input([4] * 5, params, cfg)
+            encode([4] * 5, params, cfg)
 
     def test_rejects_bad_id(self, rng):
         cfg = tiny_config()
         params = init_encoder_params(cfg, rng)
         with pytest.raises(ValueError, match="out of range"):
-            embed_input([0, 25], params, cfg)
+            encode([0, 25], params, cfg)
 
 
 class TestEncode:
@@ -167,21 +166,17 @@ class TestEncode:
         assert np.array_equal(real, expect_real)
 
     def test_lonely_real_position_sees_only_itself(self, rng):
-        # all keys masked except position 2: row 2 of the block output
-        # must not change when every other row of the input changes
+        # every key but position 2 is a pad: row 2 of the block output
+        # must not change when the pad rows of the input change
         cfg = tiny_config(n_layers=1)
         params = init_encoder_params(cfg, rng)
-        lp = params.layers[0]
-        mask = np.zeros(5, dtype=bool)
-        mask[2] = True
-        base = rng.normal(size=(5, cfg.hidden))
-        other = rng.normal(size=(5, cfg.hidden))
-        other[2] = base[2]
+        ids = [PAD_ID, PAD_ID, 7, PAD_ID, PAD_ID]
         with no_grad():
-            out_a = transformer_block(Tensor(base), lp, cfg, mask)
-            out_b = transformer_block(Tensor(other), lp, cfg, mask)
-        assert np.array_equal(out_a.data[2], out_b.data[2])
-        assert not np.array_equal(out_a.data[1], out_b.data[1])
+            out_a = encode(ids, params, cfg)[1].data
+            params.token_embedding.data[PAD_ID] += rng.normal(size=cfg.hidden)
+            out_b = encode(ids, params, cfg)[1].data
+        assert np.array_equal(out_a[2], out_b[2])
+        assert not np.array_equal(out_a[1], out_b[1])
 
     def test_outputs_stay_finite(self, rng):
         cfg = tiny_config()

@@ -15,7 +15,7 @@ from gedlab.evaluation import (
     evaluate, f_beta, predict_labels, report_from_counts, summary_to_csv,
 )
 from gedlab.model import init_model, word_attention
-from gedlab.tensor import reset_graph
+from gedlab.tensor import active_graph, reset_graph
 
 
 @pytest.fixture(autouse=True)
@@ -152,6 +152,11 @@ class TestEvaluate:
         model, corpus = small_setup()
         assert evaluate(model, corpus) == evaluate(model, corpus)
 
+    def test_leaves_the_tape_empty(self):
+        model, corpus = small_setup()
+        evaluate(model, corpus)
+        assert active_graph().nodes == []
+
     def test_perfect_predictor_scores_one(self):
         model, corpus = small_setup(seed=6)
         relabeled = []
@@ -210,6 +215,13 @@ class TestAttentionSummary:
         summary = attention_summary(model, corpus)
         assert summary.n_tokens == sum(len(t.words) for t in corpus.tokenized)
         assert np.abs(summary.matrix - want).max() < 1e-12
+
+    def test_leaves_the_tape_empty(self):
+        # the records hold plain arrays; a recorded tape would grow with
+        # every sentence of the corpus
+        model, corpus = small_setup()
+        attention_summary(model, corpus)
+        assert active_graph().nodes == []
 
     def test_rejects_non_mhmla_head(self):
         model, corpus = small_setup(head_type="final")

@@ -349,6 +349,28 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="mismatch"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("case", [
+        "entry-not-object", "shape-null", "manifest-not-list",
+        "offset-string", "offset-missing"])
+    def test_malformed_header_rejected(self, tmp_path, case):
+        model, _ = self.trained_model()
+        header, payload = self._split(checkpoint_bytes(model))
+        entry = header["manifest"][0]
+        if case == "entry-not-object":
+            header["manifest"][0] = entry["name"]
+        elif case == "shape-null":
+            entry["shape"] = None
+        elif case == "manifest-not-list":
+            header["manifest"] = 7
+        elif case == "offset-string":
+            entry["offset"] = "0"
+        else:
+            del entry["offset"]
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(self._join(header, payload))
+        with pytest.raises(CheckpointError, match="bad header"):
+            load_checkpoint(path)
+
     def test_trained_model_survives_round_trip(self, tmp_path):
         corpus = small_corpus(n=6)
         cfg = config_for(corpus)
