@@ -36,25 +36,17 @@ from .training import (
 
 log = logging.getLogger(__name__)
 
-# from-scratch desk-scale defaults; the library defaults target
-# fine-tuning a pretrained encoder and are both too slow and too
-# regularized for a synthetic corpus the generator can extend at will
-DESK_MODEL = dict(n_layers=4, hidden=64, self_attn_heads=4, ffn_dim=128,
-                  layer_attn_heads=4, key_dim=16, max_len=32, n_classes=2,
-                  dropout=0.0, attn_dropout=0.0, head_type="mhmla")
-DESK_TRAIN = dict(learning_rate=1e-3, batch_size=16, epochs=10,
-                  beta1=0.9, beta2=0.999, adam_eps=1e-8,
-                  dropout=0.0, attn_dropout=0.0)
-
-_MODEL_FLAGS = {"layers": "n_layers", "hidden": "hidden",
-                "self_attn_heads": "self_attn_heads",
-                "heads": "layer_attn_heads", "key_dim": "key_dim",
-                "ffn_dim": "ffn_dim", "max_len": "max_len",
-                "head": "head_type", "dropout": "dropout",
-                "attn_dropout": "attn_dropout"}
-_TRAIN_FLAGS = {"learning_rate": "learning_rate", "batch_size": "batch_size",
-                "epochs": "epochs", "seed": "seed", "dropout": "dropout",
-                "attn_dropout": "attn_dropout"}
+# from-scratch desk-scale defaults of both configs, by field name; the
+# library defaults target fine-tuning a pretrained encoder: too slow and
+# too regularized for a synthetic corpus the generator can extend at will
+DESK = dict(n_layers=4, hidden=64, self_attn_heads=4, ffn_dim=128,
+            layer_attn_heads=4, key_dim=16, max_len=32, n_classes=2,
+            dropout=0.0, attn_dropout=0.0, head_type="mhmla",
+            learning_rate=1e-3, batch_size=16, epochs=10,
+            beta1=0.9, beta2=0.999, adam_eps=1e-8)
+_MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)}
+_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+_FIELDS = _MODEL_FIELDS | _TRAIN_FIELDS
 
 
 class UsageError(Exception):
@@ -107,42 +99,31 @@ def _write_manifest(manifest: RunManifest, out_path: str) -> str:
     return path
 
 
-def _load_config_file(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        loaded = json.load(fh)
-    if not isinstance(loaded, dict):
-        raise ValueError(f"{path}: config file must hold a JSON object")
-    return loaded
-
-
 def resolve_configs(args, vocab_size: int) -> tuple[ModelConfig, TrainConfig]:
-    """defaults < config file < explicit flags, shared field names."""
-    model_d = dict(DESK_MODEL)
-    train_d = dict(DESK_TRAIN)
-    model_fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    if getattr(args, "config", None):
-        for key, value in _load_config_file(args.config).items():
-            known = False
-            if key in model_fields:
-                model_d[key] = value
-                known = True
-            if key in train_fields:
-                train_d[key] = value
-                known = True
-            if not known:
+    """defaults < config file < explicit flags.  Each flag's dest is the
+    field it sets, and a name sets that field in every config that has
+    it (dropout and attn_dropout are in both)."""
+    values = dict(DESK)
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: config file must hold a JSON "
+                             f"object")
+        for key, value in loaded.items():
+            if key not in _FIELDS:
                 raise ValueError(f"config file field {key!r} matches no "
                                  f"ModelConfig or TrainConfig field")
-    for dest, fname in _MODEL_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            model_d[fname] = value
-    for dest, fname in _TRAIN_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            train_d[fname] = value
-    model_d["vocab_size"] = vocab_size
-    return ModelConfig(**model_d), TrainConfig(**train_d)
+            values[key] = value
+    for name in _FIELDS:
+        flag = getattr(args, name, None)
+        if flag is not None:
+            values[name] = flag
+    values["vocab_size"] = vocab_size
+    return (ModelConfig(**{k: v for k, v in values.items()
+                           if k in _MODEL_FIELDS}),
+            TrainConfig(**{k: v for k, v in values.items()
+                           if k in _TRAIN_FIELDS}))
 
 
 # ------------------------------------------------------------- subcommands
@@ -199,38 +180,50 @@ def cmd_label(args) -> int:
     return 0
 
 
-def _read_training_corpus(path, max_len):
-    sentences = read_corpus_sentences(path)
+def _load_training_data(args):
+    """Resolve the configs once, read the corpus and build --dev (or None)
+    on its vocabulary, so a bad dev file fails before any training; the
+    model config is sized to that vocabulary."""
+    model_config, train_config = resolve_configs(args, vocab_size=4)
+    sentences = read_corpus_sentences(args.corpus)
     if not sentences:
-        raise ValueError(f"{path}: corpus is empty")
-    return build_corpus(sentences, max_len=max_len)
+        raise ValueError(f"{args.corpus}: corpus is empty")
+    corpus = build_corpus(sentences, max_len=model_config.max_len)
+    dev = None
+    if args.dev:
+        dev = build_corpus(read_corpus_sentences(args.dev),
+                           vocab=corpus.vocab, max_len=model_config.max_len)
+    model_config = dataclasses.replace(model_config,
+                                       vocab_size=corpus.vocab.n_pieces)
+    return model_config, train_config, corpus, dev
+
+
+def _train_and_score(corpus, dev, model_config, train_config, ckpt):
+    """Train, save to ckpt and, given a dev corpus, score the RELOADED
+    model, so `eval` on the checkpoint reproduces the numbers exactly."""
+    result = train(corpus, model_config, train_config)
+    save_checkpoint(result.model, ckpt)
+    report = None
+    if dev is not None:
+        report = evaluate(load_checkpoint(ckpt), dev, seed=train_config.seed)
+    return result, report
 
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    # vocabulary comes from the training corpus, so configs resolve in
-    # two steps: max_len first, then the full config
-    probe_model, _ = resolve_configs(args, vocab_size=4)
-    corpus = _read_training_corpus(args.corpus, probe_model.max_len)
-    model_config, train_config = resolve_configs(
-        args, vocab_size=corpus.vocab.n_pieces)
-    result = train(corpus, model_config, train_config)
-    save_checkpoint(result.model, args.out)
+    model_config, train_config, corpus, dev = _load_training_data(args)
+    result, report = _train_and_score(corpus, dev, model_config,
+                                      train_config, args.out)
     vocab_path = f"{args.out}.vocab"
     write_vocab_file(corpus.vocab, vocab_path)
     log.info("checkpoint %s, vocabulary %s", args.out, vocab_path)
     metrics = {"epoch_losses": result.epoch_losses,
-               "final_loss": result.epoch_losses[-1], "steps": result.n_steps}
+               "final_loss": result.epoch_losses[-1], "steps": result.n_steps,
+               "dropped_words": corpus.n_dropped_words}
     inputs = {"corpus": args.corpus}
-    if args.dev:
-        # evaluate the RELOADED model so `eval` on this checkpoint
-        # reproduces the recorded numbers exactly
-        reloaded = load_checkpoint(args.out)
-        dev = build_corpus(read_corpus_sentences(args.dev),
-                           vocab=corpus.vocab,
-                           max_len=model_config.max_len)
-        report = evaluate(reloaded, dev, seed=train_config.seed)
+    if report is not None:
         metrics["dev"] = report.to_dict()
+        metrics["dev_dropped_words"] = dev.n_dropped_words
         inputs["dev"] = args.dev
         log.info("dev F0.5 %.4f (precision %.4f, recall %.4f)",
                  report.f_half, report.precision, report.recall)
@@ -257,49 +250,42 @@ def _load_model_corpus(args):
     return model, corpus
 
 
+def _write_output(args, started, model, corpus, text, kind, metrics) -> int:
+    """Write text to --out plus its run record, or to stdout."""
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    manifest = RunManifest(
+        command=args.command, config={"model": model.config.to_dict()},
+        seed=getattr(args, "seed", None),
+        inputs={"checkpoint": args.checkpoint, "vocab": args.vocab,
+                "corpus": args.corpus},
+        outputs={kind: args.out},
+        duration_seconds=time.monotonic() - started,
+        metrics={**metrics, "dropped_words": corpus.n_dropped_words})
+    _write_manifest(manifest, args.out)
+    return 0
+
+
 def cmd_eval(args) -> int:
     started = time.monotonic()
     model, corpus = _load_model_corpus(args)
     report = evaluate(model, corpus, seed=args.seed)
     log.info("F0.5 %.4f on %d sentences / %d tokens",
              report.f_half, report.n_sentences, report.n_tokens)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        manifest = RunManifest(
-            command="eval", config={"model": model.config.to_dict()},
-            seed=args.seed,
-            inputs={"checkpoint": args.checkpoint, "vocab": args.vocab,
-                    "corpus": args.corpus},
-            outputs={"report": args.out},
-            duration_seconds=time.monotonic() - started,
-            metrics=report.to_dict())
-        _write_manifest(manifest, args.out)
-    else:
-        sys.stdout.write(report.to_json())
-    return 0
+    return _write_output(args, started, model, corpus, report.to_json(),
+                         "report", report.to_dict())
 
 
 def cmd_attn(args) -> int:
     started = time.monotonic()
     model, corpus = _load_model_corpus(args)
     summary = attention_summary(model, corpus)
-    csv_text = summary_to_csv(summary)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        manifest = RunManifest(
-            command="attn", config={"model": model.config.to_dict()},
-            seed=None,
-            inputs={"checkpoint": args.checkpoint, "vocab": args.vocab,
-                    "corpus": args.corpus},
-            outputs={"summary": args.out},
-            duration_seconds=time.monotonic() - started,
-            metrics={"n_tokens": summary.n_tokens})
-        _write_manifest(manifest, args.out)
-    else:
-        sys.stdout.write(csv_text)
-    return 0
+    return _write_output(args, started, model, corpus,
+                         summary_to_csv(summary), "summary",
+                         {"n_tokens": summary.n_tokens})
 
 
 def random_probe_batch(config: ModelConfig, n_sentences: int,
@@ -357,25 +343,18 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
-    head_counts = _parse_head_list(args.heads)
-    args.heads = None  # the list is consumed; J is set per run below
-    model_base, train_config = resolve_configs(args, vocab_size=4)
-    corpus = _read_training_corpus(args.corpus, model_base.max_len)
-    dev = build_corpus(read_corpus_sentences(args.dev), vocab=corpus.vocab,
-                       max_len=model_base.max_len)
+    model_base, train_config, corpus, dev = _load_training_data(args)
     os.makedirs(args.out_dir, exist_ok=True)
     vocab_path = os.path.join(args.out_dir, "vocab.txt")
     write_vocab_file(corpus.vocab, vocab_path)
     outputs = {"vocab": vocab_path}
-    metrics = {}
-    for j in head_counts:
-        model_config = dataclasses.replace(
-            model_base, vocab_size=corpus.vocab.n_pieces,
-            layer_attn_heads=j)
-        result = train(corpus, model_config, train_config)
+    metrics = {"dropped_words": corpus.n_dropped_words,
+               "dev_dropped_words": dev.n_dropped_words}
+    for j in args.heads:
         ckpt = os.path.join(args.out_dir, f"model_j{j}.ckpt")
-        save_checkpoint(result.model, ckpt)
-        report = evaluate(load_checkpoint(ckpt), dev, seed=train_config.seed)
+        result, report = _train_and_score(
+            corpus, dev, dataclasses.replace(model_base, layer_attn_heads=j),
+            train_config, ckpt)
         report_path = os.path.join(args.out_dir, f"report_j{j}.json")
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -386,7 +365,7 @@ def cmd_sweep(args) -> int:
         log.info("J=%d  dev F0.5 %.4f", j, report.f_half)
     manifest = RunManifest(
         command="sweep",
-        config={"head_counts": head_counts,
+        config={"head_counts": args.heads,
                 "train": train_config.to_dict()},
         seed=args.seed,
         inputs={"corpus": args.corpus, "dev": args.dev},
@@ -396,27 +375,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_head_list(text: str) -> list[int]:
-    try:
-        values = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise UsageError(f"--heads wants comma-separated integers: {exc}")
+def int_list(text: str) -> list[int]:
+    """argparse type of sweep's --heads: comma-separated integers.  A
+    bad list is a usage error, "argument --heads: invalid int_list"."""
+    values = [int(x) for x in text.split(",") if x.strip()]
     if not values:
-        raise UsageError("--heads list is empty")
+        raise ValueError(f"{text!r} holds no integer")
     return values
 
 
 # ------------------------------------------------------------------ wiring
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layers", type=int, help="encoder layer count")
+    p.add_argument("--layers", type=int, dest="n_layers", metavar="LAYERS",
+                   help="encoder layer count")
     p.add_argument("--hidden", type=int, help="hidden width")
     p.add_argument("--self-attn-heads", type=int,
                    help="self-attention heads per block")
     p.add_argument("--ffn-dim", type=int, help="feed-forward width")
     p.add_argument("--key-dim", type=int, help="layer-attention key width")
     p.add_argument("--max-len", type=int, help="sub-token budget per sentence")
-    p.add_argument("--head", choices=["final", "avgl", "mhmla"],
+    p.add_argument("--head", dest="head_type",
+                   choices=["final", "avgl", "mhmla"],
                    help="classification head")
     p.add_argument("--dropout", type=float, help="dropout rate")
     p.add_argument("--attn-dropout", type=float,
@@ -431,36 +411,34 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gedlab",
                      description="Sequence-labeling error-detection lab.")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
+    parser.commands = subparsers.choices
 
-    def sub_parser(name, **kwargs):
-        p = subparsers.add_parser(name, **kwargs)
-        parser.commands[name] = p
-        return p
-
-    p = sub_parser("gen", help="generate synthetic sentence pairs")
+    p = subparsers.add_parser("gen",
+                              help="generate synthetic sentence pairs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--error-rate", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub_parser("label", help="align pairs into a labeled corpus")
+    p = subparsers.add_parser("label",
+                              help="align pairs into a labeled corpus")
     p.add_argument("--pairs", action="append", required=True,
                    help="annotator pair file; repeat to union-merge")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_label)
 
-    p = sub_parser("train", help="train a detector")
+    p = subparsers.add_parser("train", help="train a detector")
     p.add_argument("--corpus", required=True)
     p.add_argument("--dev", help="held-out corpus scored after training")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--heads", type=int, help="layer-attention heads")
+    p.add_argument("--heads", type=int, dest="layer_attn_heads",
+                   metavar="HEADS", help="layer-attention heads")
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub_parser("eval", help="score a checkpoint on a corpus")
+    p = subparsers.add_parser("eval", help="score a checkpoint on a corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True)
@@ -468,15 +446,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="report path; stdout when omitted")
     p.set_defaults(func=cmd_eval)
 
-    p = sub_parser("attn", help="export mean depth-attention weights")
+    p = subparsers.add_parser("attn",
+                              help="export mean depth-attention weights")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", help="CSV path; stdout when omitted")
     p.set_defaults(func=cmd_attn)
 
-    p = sub_parser("gradcheck",
-                       help="finite-difference check on a fresh model")
+    p = subparsers.add_parser("gradcheck",
+                              help="finite-difference check on a fresh model")
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--heads", type=int, default=2,
@@ -493,8 +472,9 @@ def build_parser() -> _Parser:
     p.add_argument("--max-len", type=int, default=10)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub_parser("sweep", help="train and score one model per J")
-    p.add_argument("--heads", required=True,
+    p = subparsers.add_parser("sweep",
+                              help="train and score one model per J")
+    p.add_argument("--heads", type=int_list, required=True,
                    help="comma-separated layer-attention head counts")
     p.add_argument("--corpus", required=True)
     p.add_argument("--dev", required=True)

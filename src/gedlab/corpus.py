@@ -403,6 +403,12 @@ class LabeledCorpus:
     def n_words(self) -> int:
         return sum(len(t.words) for t in self.tokenized)
 
+    @property
+    def n_dropped_words(self) -> int:
+        """Words tokenize_sentence dropped past max_len: scored nowhere."""
+        return sum(len(s.words) - len(t.words)
+                   for s, t in zip(self.sentences, self.tokenized))
+
 
 def build_corpus(sentences: list[LabeledSentence],
                  vocab: Vocabulary | None = None,

@@ -25,6 +25,32 @@ HEAD_TYPES = ("final", "avgl", "mhmla")
 INIT_STD = 0.02
 
 
+def check_field_types(config) -> None:
+    """Hold each field of a config dataclass to its annotation, before
+    any range check reads it.  An int field takes a Python int, not a
+    bool (a numpy int would not survive the checkpoint's JSON header
+    either); a float field takes a finite int or float, not a bool; a
+    str field takes a str; an `X | None` field may also be None.  Reads
+    the annotations as strings (`from __future__ import annotations`)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional == "None":
+            continue
+        if kind == "int":
+            ok, want = type(value) is int, "an int"
+        elif kind == "float":
+            try:  # isfinite raises on an int too large for a float
+                ok = type(value) in (int, float) and math.isfinite(value)
+            except OverflowError:
+                ok = False
+            want = "a finite number"
+        else:
+            ok, want = type(value) is str, "a string"
+        if not ok:
+            raise ValueError(f"{f.name} must be {want}, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     """Architecture knobs.  key_dim defaults to hidden // layer_attn_heads."""
@@ -42,12 +68,16 @@ class ModelConfig:
     head_type: str = "mhmla"
 
     def __post_init__(self):
+        check_field_types(self)
+        for name in ("n_layers", "hidden", "self_attn_heads", "ffn_dim",
+                     "layer_attn_heads", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if self.key_dim is None:
             self.key_dim = self.hidden // self.layer_attn_heads
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
-        if self.hidden < 1 or self.ffn_dim < 1 or self.key_dim < 1:
-            raise ValueError("hidden, ffn_dim and key_dim must be positive")
+        if self.key_dim < 1:
+            raise ValueError(f"key_dim must be >= 1, got {self.key_dim}")
         if self.hidden % self.self_attn_heads != 0:
             raise ValueError(
                 f"hidden ({self.hidden}) not divisible by self_attn_heads "
@@ -58,8 +88,6 @@ class ModelConfig:
                 f"({self.layer_attn_heads})")
         if self.vocab_size < 4:
             raise ValueError("vocab_size must cover the 4 reserved ids")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
         for name in ("dropout", "attn_dropout"):

@@ -172,29 +172,17 @@ def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
     return softmax(add_rowvec(matmul(c, params.w_out), params.b_out), axis=1)
 
 
-def _weight_tensors(states_d, params: MhmlaHeadParams, config: ModelConfig,
-                    train_mode: bool, rng,
-                    attention_override: np.ndarray | None):
-    """Per head, an [n x L] tensor of depth-attention weights.
-
-    attention_override is a TEST HOOK: an [n, J, L] array that replaces
-    the computed weights with constants (e.g. one-hot or uniform) so the
-    reduction equivalences can be exercised.  Production callers leave
-    it None.
-    """
-    n = states_d[0].shape[0]
-    L, J = config.n_layers, config.layer_attn_heads
-    if attention_override is not None:
-        ov = np.asarray(attention_override, dtype=np.float64)
-        if ov.shape != (n, J, L):
-            raise ValueError(
-                f"attention override must have shape ({n}, {J}, {L}), "
-                f"got {ov.shape}")
-        return [Tensor(ov[:, j, :]) for j in range(J)]
+def _weight_tensors(states, params: MhmlaHeadParams, config: ModelConfig,
+                    train_mode: bool, rng):
+    """The dropped-out states 1..L and, per head, an [n x L] tensor of
+    depth-attention weights."""
+    _check_states(states, config)
+    states_d = [_maybe_drop(s, config.dropout, train_mode, rng)
+                for s in states[1:]]
     out = []
-    for j in range(J):
+    for j in range(config.layer_attn_heads):
         cols = []
-        for l in range(L):
+        for l in range(config.n_layers):
             k = relu(add_rowvec(matmul(states_d[l], params.w_k[l][j]),
                                 params.b_k[l][j]))
             k = _maybe_drop(k, config.dropout, train_mode, rng)
@@ -203,37 +191,29 @@ def _weight_tensors(states_d, params: MhmlaHeadParams, config: ModelConfig,
         weights = softmax(concat_cols(cols), axis=1)
         weights = _maybe_drop(weights, config.attn_dropout, train_mode, rng)
         out.append(weights)
-    return out
+    return states_d, out
 
 
 def layer_attention_weights(states, params: MhmlaHeadParams,
                             config: ModelConfig, train_mode: bool = False,
                             rng=None) -> AttentionRecord:
     """Just the depth-attention distributions, as a record."""
-    _check_states(states, config)
-    states_d = [_maybe_drop(s, config.dropout, train_mode, rng)
-                for s in states[1:]]
-    tensors = _weight_tensors(states_d, params, config, train_mode, rng, None)
+    _, tensors = _weight_tensors(states, params, config, train_mode, rng)
     return AttentionRecord(np.stack([t.data for t in tensors], axis=1))
 
 
 def mhmla_forward(states, params: MhmlaHeadParams, config: ModelConfig,
-                  train_mode: bool = False, rng=None,
-                  attention_override: np.ndarray | None = None,
-                  ) -> tuple[Tensor, AttentionRecord]:
+                  train_mode: bool = False,
+                  rng=None) -> tuple[Tensor, AttentionRecord]:
     """Class probabilities plus the attention weights that produced them.
 
     Per head j: values v^l = h^l W_v + b_v for each layer, scores from a
     relu key projection, softmax over layers, weighted value sum; heads
-    concatenate and feed the output layer.  attention_override is a test
-    hook (see _weight_tensors).
+    concatenate and feed the output layer.
     """
-    _check_states(states, config)
     L, J = config.n_layers, config.layer_attn_heads
-    states_d = [_maybe_drop(s, config.dropout, train_mode, rng)
-                for s in states[1:]]
-    weights = _weight_tensors(states_d, params, config, train_mode, rng,
-                              attention_override)
+    states_d, weights = _weight_tensors(states, params, config, train_mode,
+                                        rng)
     heads = []
     for j in range(J):
         mixed = None

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import LABEL_ERR, LabeledCorpus, TokenizedSentence
-from .encoder import ModelConfig, encode_batch
+from .encoder import ModelConfig, check_field_types, encode_batch
 from .model import Model, head_forward, init_model, named_parameters
 from .tensor import Tensor, backward, cross_entropy, gather_rows, reset_graph
 
@@ -43,6 +43,7 @@ class TrainConfig:
     attn_dropout: float = 0.3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:

@@ -1,10 +1,12 @@
-"""Brute-force alignment oracle shared by the corpus and acceptance
-tests.
+"""Oracles shared by the corpus, heads and acceptance tests.
 
-Enumerate every minimum-cost edit script, then pick the one the
-backtrace convention prefers: reading ops from the END of the
-sentence, match beats substitution beats deletion beats insertion.
+The brute-force alignment oracle enumerates every minimum-cost edit
+script, then picks the one the backtrace convention prefers: reading
+ops from the END of the sentence, match beats substitution beats
+deletion beats insertion.  forced_depth_params pins the MHMLA depth
+weights to constants through the head's own parameters.
 """
+import copy
 import functools
 
 from gedlab.corpus import LABEL_ERR, LABEL_OK
@@ -65,3 +67,19 @@ def random_pair(rng, alphabet="abcd", max_len=6):
         n = int(rng.integers(1, max_len + 1))
         return [alphabet[int(rng.integers(len(alphabet)))] for _ in range(n)]
     return side(), side()
+
+
+def forced_depth_params(params, keep_layer=None):
+    """A copy of MHMLA head params whose depth weights are constant.
+
+    Every score weight w_a is zero, so each layer's score is its bias
+    b_a.  With keep_layer, b_a is 0 on that layer and -1e4 elsewhere:
+    exp(-1e4) underflows to 0, so each head puts exactly all its weight
+    there.  Without, b_a is 0 everywhere and the weights are exactly 1/L.
+    """
+    forced = copy.deepcopy(params)
+    for l, (w_row, b_row) in enumerate(zip(forced.w_a, forced.b_a)):
+        for w, b in zip(w_row, b_row):
+            w.data[...] = 0.0
+            b.data[...] = 0.0 if keep_layer in (None, l) else -1e4
+    return forced

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import oracle_labels, random_pair
+from oracles import forced_depth_params, oracle_labels, random_pair
 
 from gedlab.cli import main, random_probe_batch
 from gedlab.corpus import (
@@ -149,8 +149,9 @@ def test_reduction_equivalences():
     one_hot = np.zeros((n, J, L))
     one_hot[:, :, L - 1] = 1.0
     with no_grad():
-        forced, _ = mhmla_forward(states, params, cfg,
-                                  attention_override=one_hot)
+        forced, record = mhmla_forward(
+            states, forced_depth_params(params, keep_layer=L - 1), cfg)
+    assert np.array_equal(record.weights, one_hot)
     w_cat = np.concatenate([params.w_v[L - 1][j].data for j in range(J)],
                            axis=1)
     b_cat = np.concatenate([params.b_v[L - 1][j].data for j in range(J)])
@@ -172,8 +173,9 @@ def test_reduction_equivalences():
     params1 = init_head_params(cfg1, rng, init_std=0.5)
     uniform = np.full((n, 1, L), 1.0 / L)
     with no_grad():
-        forced1, _ = mhmla_forward(states, params1, cfg1,
-                                   attention_override=uniform)
+        forced1, record1 = mhmla_forward(states, forced_depth_params(params1),
+                                         cfg1)
+    assert np.array_equal(record1.weights, uniform)
     copied = AvglHeadParams(
         w_proj=[params1.w_v[l][0] for l in range(L)],
         b_proj=[params1.b_v[l][0] for l in range(L)],

@@ -5,10 +5,10 @@ import struct
 
 import pytest
 
-from gedlab.cli import main, resolve_configs
+from gedlab.cli import build_parser, main, resolve_configs
 from gedlab.corpus import (
-    SentencePair, dp_align_label, read_corpus_sentences, read_pair_file,
-    write_pair_file,
+    LabeledSentence, SentencePair, dp_align_label, read_corpus_sentences,
+    read_pair_file, write_corpus, write_pair_file,
 )
 from gedlab.tensor import active_graph, reset_graph
 from gedlab.training import CHECKPOINT_MAGIC
@@ -219,6 +219,37 @@ class TestTrainEval:
         assert report["tp"] + report["fp"] + report["fn"] + report["tn"] \
             == report["n_tokens"]
 
+    def test_malformed_dev_fails_before_training(self, workdir, tmp_path,
+                                                 capsys):
+        bad = tmp_path / "bad_dev.tsv"
+        bad.write_text("word\tc\textra-column\n")
+        out = tmp_path / "never.ckpt"
+        assert run("train", "--corpus", str(workdir / "corpus.tsv"),
+                   "--dev", str(bad), "--seed", "3", "--epochs", "1",
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        assert "bad_dev.tsv" in capsys.readouterr().err
+
+    def test_dropped_words_close_the_token_count(self, workdir, trained,
+                                                 tmp_path):
+        # three dev sentences per line overrun the 32-piece max_len
+        dev = read_corpus_sentences(workdir / "dev.tsv")
+        long = [LabeledSentence(a.words + b.words + c.words,
+                                a.labels + b.labels + c.labels)
+                for a, b, c in zip(dev[0::3], dev[1::3], dev[2::3])]
+        corpus = tmp_path / "long.tsv"
+        write_corpus(long, corpus)
+        n_words = sum(len(s.words) for s in long)
+        common = ("--checkpoint", str(trained),
+                  "--vocab", str(trained) + ".vocab", "--corpus", str(corpus))
+        assert run("eval", *common, "--out", str(tmp_path / "r.json")) == 0
+        assert run("attn", *common, "--out", str(tmp_path / "a.csv")) == 0
+        for out in ("r.json", "a.csv"):
+            metrics = json.loads((tmp_path / f"{out}.manifest.json")
+                                 .read_text())["metrics"]
+            assert metrics["dropped_words"] > 0
+            assert metrics["n_tokens"] + metrics["dropped_words"] == n_words
+
     def test_vocab_checkpoint_size_mismatch(self, workdir, trained,
                                             tmp_path):
         lines = (workdir / "model.ckpt.vocab").read_text().splitlines()
@@ -296,13 +327,17 @@ class TestSweep:
             assert (out_dir / f"model_j{j}.ckpt").exists()
         manifest = json.loads((out_dir / "sweep.manifest.json").read_text())
         assert manifest["config"]["head_counts"] == [1, 2]
-        assert set(manifest["metrics"]) == {"j1", "j2"}
+        assert set(manifest["metrics"]) == {"j1", "j2", "dropped_words",
+                                            "dev_dropped_words"}
 
-    def test_bad_head_list_is_usage_error(self, workdir, tmp_path):
-        assert run("sweep", "--heads", "1,x",
-                   "--corpus", str(workdir / "corpus.tsv"),
-                   "--dev", str(workdir / "dev.tsv"),
-                   "--seed", "2", "--out-dir", str(tmp_path / "s")) == 1
+    def test_bad_head_list_is_usage_error(self, workdir, tmp_path, capsys):
+        for heads in ("1,x", ","):
+            assert run("sweep", "--heads", heads,
+                       "--corpus", str(workdir / "corpus.tsv"),
+                       "--dev", str(workdir / "dev.tsv"),
+                       "--seed", "2", "--out-dir", str(tmp_path / "s")) == 1
+            assert "argument --heads" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestConfigResolution:
@@ -338,3 +373,39 @@ class TestConfigResolution:
         assert model.key_dim == 16 and model.max_len == 32
         assert train_config.learning_rate == pytest.approx(1e-3)
         assert (train_config.epochs, train_config.batch_size) == (10, 16)
+
+    def test_every_flag_sets_its_field(self):
+        args = build_parser().parse_args([
+            "train", "--corpus", "c", "--out", "o", "--seed", "11",
+            "--layers", "5", "--hidden", "24", "--self-attn-heads", "4",
+            "--ffn-dim", "40", "--key-dim", "7", "--max-len", "20",
+            "--head", "avgl", "--dropout", "0.15", "--attn-dropout", "0.25",
+            "--learning-rate", "0.002", "--batch-size", "3",
+            "--epochs", "9", "--heads", "6"])
+        model, train_config = resolve_configs(args, vocab_size=50)
+        assert (model.n_layers, model.hidden, model.self_attn_heads,
+                model.ffn_dim, model.key_dim, model.max_len,
+                model.layer_attn_heads) == (5, 24, 4, 40, 7, 20, 6)
+        assert model.head_type == "avgl" and model.vocab_size == 50
+        assert (train_config.learning_rate, train_config.batch_size,
+                train_config.epochs, train_config.seed) == (0.002, 3, 9, 11)
+        for config in (model, train_config):
+            assert (config.dropout, config.attn_dropout) == (0.15, 0.25)
+
+    @pytest.mark.parametrize("fields", [
+        {"n_layers": 2.0}, {"batch_size": 4.5}, {"dropout": "0.1"},
+        {"learning_rate": None}, {"layer_attn_heads": 0},
+        {"learning_rate": 10**400}, {"adam_eps": 10**400}])
+    def test_mistyped_config_is_data_error(self, workdir, tmp_path, capsys,
+                                           fields):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(fields))
+        assert run("train", "--corpus", str(workdir / "corpus.tsv"),
+                   "--seed", "1", "--config", str(conf),
+                   "--out", str(tmp_path / "m.ckpt")) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and next(iter(fields)) in errors[0]
+

@@ -223,6 +223,14 @@ class TestSubtokens:
         assert len(t.sub_ids) <= 3
         assert "truncating" in caplog.text
 
+    def test_corpus_counts_dropped_words(self):
+        sentences = [LabeledSentence(["aa", "bb", "aa", "bb"], ["c"] * 4),
+                     LabeledSentence(["aa"], ["c"])]
+        clipped = build_corpus(sentences, max_len=3)
+        assert clipped.n_dropped_words == 1
+        assert clipped.n_words + clipped.n_dropped_words == 5
+        assert build_corpus(sentences).n_dropped_words == 0
+
     def test_overlong_first_word_is_cut(self):
         vocab = build_vocabulary([["abcdef"], ["xyz"]])
         t = tokenize_sentence(["abcdef"], ["c"], vocab, max_len=2)

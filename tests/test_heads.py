@@ -4,6 +4,7 @@ import copy
 
 import numpy as np
 import pytest
+from oracles import forced_depth_params
 
 from gedlab.encoder import ModelConfig
 from gedlab.heads import (
@@ -147,8 +148,9 @@ class TestReductions:
         one_hot = np.zeros((n, J, L))
         one_hot[:, :, L - 1] = 1.0
         with no_grad():
-            forced, _ = mhmla_forward(states, params, cfg,
-                                      attention_override=one_hot)
+            forced, record = mhmla_forward(
+                states, forced_depth_params(params, keep_layer=L - 1), cfg)
+        assert np.array_equal(record.weights, one_hot)
         # concat of last-layer value projections is a single linear map
         w_cat = np.concatenate([params.w_v[L - 1][j].data for j in range(J)],
                                axis=1)
@@ -168,8 +170,9 @@ class TestReductions:
         n, L = 5, cfg.n_layers
         uniform = np.full((n, 1, L), 1.0 / L)
         with no_grad():
-            forced, _ = mhmla_forward(states, params, cfg,
-                                      attention_override=uniform)
+            forced, record = mhmla_forward(states, forced_depth_params(params),
+                                           cfg)
+        assert np.array_equal(record.weights, uniform)
         copied = AvglHeadParams(
             w_proj=[params.w_v[l][0] for l in range(L)],
             b_proj=[params.b_v[l][0] for l in range(L)],

@@ -351,7 +351,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("case", [
         "entry-not-object", "shape-null", "manifest-not-list",
-        "offset-string", "offset-missing"])
+        "offset-string", "offset-missing", "float-n-layers"])
     def test_malformed_header_rejected(self, tmp_path, case):
         model, _ = self.trained_model()
         header, payload = self._split(checkpoint_bytes(model))
@@ -364,6 +364,8 @@ class TestCheckpoints:
             header["manifest"] = 7
         elif case == "offset-string":
             entry["offset"] = "0"
+        elif case == "float-n-layers":
+            header["config"]["n_layers"] = float(header["config"]["n_layers"])
         else:
             del entry["offset"]
         path = tmp_path / "m.ckpt"
