@@ -19,7 +19,7 @@ config = ModelConfig(n_layers=4, hidden=32, self_attn_heads=2, ffn_dim=64,
                      dropout=0.0, attn_dropout=0.0)
 result = train(corpus, config,
                TrainConfig(learning_rate=1e-3, batch_size=16, epochs=4,
-                           seed=0, dropout=0.0, attn_dropout=0.0))
+                           seed=0))
 
 summary = attention_summary(result.model, corpus)
 print("\ntoken-weighted mean weight per (head, layer) over",

@@ -22,8 +22,7 @@ config = ModelConfig(n_layers=4, hidden=64, self_attn_heads=4, ffn_dim=128,
                      layer_attn_heads=4, key_dim=16,
                      vocab_size=corpus.vocab.n_pieces, max_len=32,
                      dropout=0.0, attn_dropout=0.0)
-schedule = TrainConfig(learning_rate=1e-3, batch_size=16, epochs=8, seed=1,
-                       dropout=0.0, attn_dropout=0.0)
+schedule = TrainConfig(learning_rate=1e-3, batch_size=16, epochs=8, seed=1)
 result = train(corpus, config, schedule)
 
 print("\nloss per epoch:")

@@ -453,8 +453,11 @@ def finite_diff_check(
     agreement: on a flat direction (a self-attention key bias shifts
     every score of a query row equally, which softmax cancels) the true
     derivative is zero and both sides measure only rounding jitter, so
-    their ratio says nothing about gradient correctness.
+    their ratio says nothing about gradient correctness.  A non-finite
+    estimate on either side is a relative error of inf, a failure.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be a finite number > 0, got {eps}")
     params = list(params)
     with no_grad():
         base = f().item()
@@ -490,7 +493,9 @@ def finite_diff_check(
                 flat[i] = saved
                 numeric = (f_plus - f_minus) / (2.0 * eps)
                 a = ga[i]
-                if max(abs(a), abs(numeric)) < zero_tol:
+                if not (np.isfinite(a) and np.isfinite(numeric)):
+                    rel = np.inf
+                elif max(abs(a), abs(numeric)) < zero_tol:
                     rel = 0.0
                 else:
                     rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)

@@ -7,11 +7,10 @@ real words enter the loss.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -39,8 +38,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    dropout: float = 0.3
-    attn_dropout: float = 0.3
 
     def __post_init__(self):
         check_field_types(self)
@@ -56,21 +53,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {b}")
         if self.adam_eps <= 0:
             raise ValueError("adam_eps must be > 0")
-        for name in ("dropout", "attn_dropout"):
-            r = getattr(self, name)
-            if not 0.0 <= r < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {r}")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown TrainConfig fields: {sorted(unknown)}")
-        return cls(**d)
+        return asdict(self)
 
 
 # -------------------------------------------------------------------- Adam
@@ -163,7 +148,8 @@ class TrainResult:
 
 def train(corpus, model_config: ModelConfig,
           train_config: TrainConfig) -> TrainResult:
-    """Fit a fresh model on a tokenized corpus.
+    """Fit a fresh model, built from model_config as given (dropout
+    rates included), on a tokenized corpus.
 
     One seeded generator drives init, per-epoch shuffling and dropout,
     so identical inputs give bit-identical loss traces and parameters.
@@ -172,11 +158,8 @@ def train(corpus, model_config: ModelConfig,
     sentences = _tokenized_of(corpus)
     if not sentences:
         raise ValueError("training corpus is empty")
-    config = dataclasses.replace(model_config,
-                                 dropout=train_config.dropout,
-                                 attn_dropout=train_config.attn_dropout)
     rng = np.random.default_rng(train_config.seed)
-    model = init_model(config, rng)
+    model = init_model(model_config, rng)
     params = list(named_parameters(model))
     state = AdamState()
     losses: list[float] = []

@@ -232,8 +232,7 @@ def test_desk_scale_learning_three_seeds():
     for seed in (1, 2, 3):
         started = time.monotonic()
         train_config = TrainConfig(learning_rate=1e-3, batch_size=16,
-                                   epochs=10, seed=seed,
-                                   dropout=0.0, attn_dropout=0.0)
+                                   epochs=10, seed=seed)
         result = train(corpus, model_config, train_config)
         assert result.epoch_losses[-1] < 0.5 * result.epoch_losses[0], \
             (seed, result.epoch_losses)
@@ -270,8 +269,7 @@ def test_determinism_and_persistence(tmp_path):
                          ffn_dim=32, layer_attn_heads=2,
                          vocab_size=corpus.vocab.n_pieces, max_len=24,
                          dropout=0.1, attn_dropout=0.1)
-    tc = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=2, seed=12,
-                     dropout=0.1, attn_dropout=0.1)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=2, seed=12)
     first = train(corpus, config, tc)
     second = train(corpus, config, tc)
     assert first.epoch_losses == second.epoch_losses

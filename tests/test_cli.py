@@ -309,6 +309,16 @@ class TestGradcheck:
         assert config["self_attn_heads"] == 1
         assert config["layer_attn_heads"] == 1
 
+    @pytest.mark.parametrize("eps", ["0", "nan"])
+    def test_bad_eps_is_data_error(self, capsys, eps):
+        assert run("gradcheck", "--layers", "1", "--hidden", "4",
+                   "--sentences", "1", "--max-len", "6", "--eps", eps) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and "eps" in errors[0]
+
 
 class TestSweep:
     def test_one_report_per_head_count(self, workdir, tmp_path):
@@ -338,6 +348,35 @@ class TestSweep:
                        "--seed", "2", "--out-dir", str(tmp_path / "s")) == 1
             assert "argument --heads" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("heads", ["3", "1,0"])
+    def test_bad_head_count_writes_nothing(self, workdir, tmp_path, capsys,
+                                           heads):
+        assert run("sweep", "--heads", heads,
+                   "--corpus", str(workdir / "corpus.tsv"),
+                   "--dev", str(workdir / "dev.tsv"),
+                   "--seed", "2", "--out-dir", str(tmp_path / "s")) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and "layer_attn_heads" in errors[0]
+        assert not (tmp_path / "s").exists()
+
+    def test_record_carries_model_config(self, workdir, tmp_path):
+        out_dir = tmp_path / "sweep"
+        assert run("sweep", "--heads", "1",
+                   "--corpus", str(workdir / "corpus.tsv"),
+                   "--dev", str(workdir / "dev.tsv"),
+                   "--seed", "2", "--epochs", "1", "--layers", "1",
+                   "--hidden", "8", "--self-attn-heads", "2",
+                   "--ffn-dim", "16", "--dropout", "0.1",
+                   "--out-dir", str(out_dir)) == 0
+        config = json.loads((out_dir / "sweep.manifest.json").read_text()
+                            )["config"]
+        assert (config["model"]["hidden"], config["model"]["dropout"]) \
+            == (8, 0.1)
+        assert "dropout" not in config["train"]
 
 
 class TestConfigResolution:
@@ -389,8 +428,7 @@ class TestConfigResolution:
         assert model.head_type == "avgl" and model.vocab_size == 50
         assert (train_config.learning_rate, train_config.batch_size,
                 train_config.epochs, train_config.seed) == (0.002, 3, 9, 11)
-        for config in (model, train_config):
-            assert (config.dropout, config.attn_dropout) == (0.15, 0.25)
+        assert (model.dropout, model.attn_dropout) == (0.15, 0.25)
 
     @pytest.mark.parametrize("fields", [
         {"n_layers": 2.0}, {"batch_size": 4.5}, {"dropout": "0.1"},

@@ -270,3 +270,20 @@ class TestFiniteDifferences:
         assert report.n_checked == 2
         assert report.worst_param.startswith("x[")
         assert report.passed
+
+
+class TestFiniteDifferenceInputs:
+    def test_non_finite_error_fails_and_names_component(self):
+        # analytic inf against numeric inf - inf = nan: no ratio to trust
+        x = Tensor([[2.0]], requires_grad=True)
+        report = finite_diff_check(
+            lambda: sum_all(mul(x, Tensor([[np.inf]]))), [("x", x)])
+        assert report.passed is False
+        assert report.worst_param == "x[0]"
+
+    @pytest.mark.parametrize("eps", [0.0, math.nan, math.inf, -1e-5])
+    def test_bad_eps_rejected(self, eps):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(ValueError, match="eps"):
+            finite_diff_check(lambda: sum_all(mul(x, x)), [("x", x)],
+                              eps=eps)

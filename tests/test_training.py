@@ -51,12 +51,10 @@ class TestTrainConfig:
         assert tc.batch_size == 32
         assert tc.epochs == 5
         assert (tc.beta1, tc.beta2, tc.adam_eps) == (0.9, 0.999, 1e-8)
-        assert tc.dropout == 0.3 and tc.attn_dropout == 0.3
 
     @pytest.mark.parametrize("bad", [
         dict(learning_rate=0.0), dict(batch_size=0), dict(epochs=0),
         dict(beta1=1.0), dict(beta2=-0.1), dict(adam_eps=0.0),
-        dict(dropout=1.0),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -64,9 +62,7 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         tc = TrainConfig(learning_rate=1e-3, seed=9)
-        assert TrainConfig.from_dict(tc.to_dict()) == tc
-        with pytest.raises(ValueError, match="unknown"):
-            TrainConfig.from_dict({"momentum": 0.9})
+        assert TrainConfig(**tc.to_dict()) == tc
 
 
 class TestRowSelection:
@@ -177,8 +173,7 @@ class TestAdam:
 
 class TestTrainLoop:
     def tc(self, **overrides):
-        base = dict(learning_rate=1e-3, batch_size=4, epochs=2, seed=3,
-                    dropout=0.1, attn_dropout=0.1)
+        base = dict(learning_rate=1e-3, batch_size=4, epochs=2, seed=3)
         base.update(overrides)
         return TrainConfig(**base)
 
@@ -233,15 +228,14 @@ class TestTrainLoop:
             wide = batch_loss(model, padded).item()
         assert abs(wide - plain) < 1e-10
 
-    def test_train_config_dropout_overrides_model_config(self):
+    def test_model_config_is_used_as_given(self):
         corpus = small_corpus(n=4)
-        cfg = config_for(corpus, dropout=0.0, attn_dropout=0.0)
-        result = train(corpus, cfg, self.tc(dropout=0.25, attn_dropout=0.25,
-                                            epochs=1))
-        assert result.model.config.dropout == 0.25
-        assert result.model.config.attn_dropout == 0.25
-        # the input config object is untouched
-        assert cfg.dropout == 0.0
+        cfg = config_for(corpus, dropout=0.25, attn_dropout=0.25)
+        result = train(corpus, cfg, self.tc(epochs=1))
+        assert result.model.config == cfg
+        still = train(corpus, config_for(corpus, dropout=0.0,
+                                         attn_dropout=0.0), self.tc(epochs=1))
+        assert result.epoch_losses != still.epoch_losses
 
 
 class TestCheckpoints:
@@ -377,8 +371,7 @@ class TestCheckpoints:
         corpus = small_corpus(n=6)
         cfg = config_for(corpus)
         result = train(corpus, cfg, TrainConfig(
-            learning_rate=1e-3, batch_size=4, epochs=1, seed=2,
-            dropout=0.1, attn_dropout=0.1))
+            learning_rate=1e-3, batch_size=4, epochs=1, seed=2))
         path = tmp_path / "m.ckpt"
         save_checkpoint(result.model, path)
         loaded = load_checkpoint(path)
