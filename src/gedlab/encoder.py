@@ -17,8 +17,8 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .tensor import (
-    MASK_LOGIT, Tensor, add, add_rowvec, concat_cols, dropout, gather_rows,
-    matmul, mul_rowvec, relu, row_norm, scale, slice_cols, softmax, transpose,
+    MASK_LOGIT, Tensor, add, concat_cols, dropout, gather_rows, matmul, mul,
+    relu, row_norm, scale, slice_cols, softmax, transpose,
 )
 
 HEAD_TYPES = ("final", "avgl", "mhmla")
@@ -202,7 +202,7 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return add_rowvec(mul_rowvec(row_norm(x), gain), bias)
+    return add(mul(row_norm(x), gain), bias)
 
 
 def _block(h: Tensor, lp: LayerParams, config: ModelConfig, bias: Tensor,
@@ -211,9 +211,9 @@ def _block(h: Tensor, lp: LayerParams, config: ModelConfig, bias: Tensor,
     dh = config.hidden // a_heads
     inv_sqrt = 1.0 / math.sqrt(dh)
 
-    q = add_rowvec(matmul(h, lp.w_q), lp.b_q)
-    k = add_rowvec(matmul(h, lp.w_k), lp.b_k)
-    v = add_rowvec(matmul(h, lp.w_v), lp.b_v)
+    q = add(matmul(h, lp.w_q), lp.b_q)
+    k = add(matmul(h, lp.w_k), lp.b_k)
+    v = add(matmul(h, lp.w_v), lp.b_v)
     per_head = []
     for a in range(a_heads):
         lo, hi = a * dh, (a + 1) * dh
@@ -223,13 +223,13 @@ def _block(h: Tensor, lp: LayerParams, config: ModelConfig, bias: Tensor,
         if train_mode and config.attn_dropout > 0.0:
             probs = dropout(probs, config.attn_dropout, rng)
         per_head.append(matmul(probs, slice_cols(v, lo, hi)))
-    attn_out = add_rowvec(matmul(concat_cols(per_head), lp.w_o), lp.b_o)
+    attn_out = add(matmul(concat_cols(per_head), lp.w_o), lp.b_o)
     if train_mode and config.dropout > 0.0:
         attn_out = dropout(attn_out, config.dropout, rng)
     h = layer_norm(add(h, attn_out), lp.ln1_gain, lp.ln1_bias)
 
-    ff = add_rowvec(matmul(h, lp.w_ff1), lp.b_ff1)
-    ff = add_rowvec(matmul(relu(ff), lp.w_ff2), lp.b_ff2)
+    ff = add(matmul(h, lp.w_ff1), lp.b_ff1)
+    ff = add(matmul(relu(ff), lp.w_ff2), lp.b_ff2)
     if train_mode and config.dropout > 0.0:
         ff = dropout(ff, config.dropout, rng)
     return layer_norm(add(h, ff), lp.ln2_gain, lp.ln2_bias)

@@ -80,11 +80,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(**d)
-
-
 def report_from_counts(tp: int, fp: int, fn: int, tn: int,
                        n_sentences: int, config_fingerprint: str = "",
                        seed: int | None = None) -> EvalReport:

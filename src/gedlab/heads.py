@@ -20,8 +20,8 @@ import numpy as np
 
 from .encoder import ModelConfig
 from .tensor import (
-    Tensor, add, add_rowvec, concat_cols, dropout, matmul, relu, scale,
-    scale_rows, slice_cols, softmax,
+    Tensor, add, concat_cols, dropout, matmul, mul, relu, scale, slice_cols,
+    softmax,
 )
 
 INIT_STD = 0.02
@@ -154,7 +154,7 @@ def final_layer_forward(states, params: FinalHeadParams, config: ModelConfig,
     """softmax(h^L W + b) per token."""
     _check_states(states, config)
     h = _maybe_drop(states[-1], config.dropout, train_mode, rng)
-    return softmax(add_rowvec(matmul(h, params.w_out), params.b_out), axis=1)
+    return softmax(add(matmul(h, params.w_out), params.b_out), axis=1)
 
 
 def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
@@ -166,10 +166,10 @@ def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
     total = None
     for l in range(config.n_layers):
         h = _maybe_drop(states[l + 1], config.dropout, train_mode, rng)
-        term = add_rowvec(matmul(h, params.w_proj[l]), params.b_proj[l])
+        term = add(matmul(h, params.w_proj[l]), params.b_proj[l])
         total = term if total is None else add(total, term)
     c = scale(total, 1.0 / config.n_layers)
-    return softmax(add_rowvec(matmul(c, params.w_out), params.b_out), axis=1)
+    return softmax(add(matmul(c, params.w_out), params.b_out), axis=1)
 
 
 def _weight_tensors(states, params: MhmlaHeadParams, config: ModelConfig,
@@ -183,11 +183,10 @@ def _weight_tensors(states, params: MhmlaHeadParams, config: ModelConfig,
     for j in range(config.layer_attn_heads):
         cols = []
         for l in range(config.n_layers):
-            k = relu(add_rowvec(matmul(states_d[l], params.w_k[l][j]),
-                                params.b_k[l][j]))
+            k = relu(add(matmul(states_d[l], params.w_k[l][j]),
+                         params.b_k[l][j]))
             k = _maybe_drop(k, config.dropout, train_mode, rng)
-            cols.append(add_rowvec(matmul(k, params.w_a[l][j]),
-                                   params.b_a[l][j]))
+            cols.append(add(matmul(k, params.w_a[l][j]), params.b_a[l][j]))
         weights = softmax(concat_cols(cols), axis=1)
         weights = _maybe_drop(weights, config.attn_dropout, train_mode, rng)
         out.append(weights)
@@ -218,12 +217,11 @@ def mhmla_forward(states, params: MhmlaHeadParams, config: ModelConfig,
     for j in range(J):
         mixed = None
         for l in range(L):
-            v = add_rowvec(matmul(states_d[l], params.w_v[l][j]),
-                           params.b_v[l][j])
-            term = scale_rows(v, slice_cols(weights[j], l, l + 1))
+            v = add(matmul(states_d[l], params.w_v[l][j]), params.b_v[l][j])
+            term = mul(v, slice_cols(weights[j], l, l + 1))
             mixed = term if mixed is None else add(mixed, term)
         heads.append(mixed)
     c = concat_cols(heads)
-    probs = softmax(add_rowvec(matmul(c, params.w_out), params.b_out), axis=1)
+    probs = softmax(add(matmul(c, params.w_out), params.b_out), axis=1)
     record = AttentionRecord(np.stack([t.data for t in weights], axis=1))
     return probs, record

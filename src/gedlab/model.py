@@ -38,10 +38,6 @@ def named_parameters(model: Model) -> Iterator[tuple[str, Tensor]]:
     yield from model.head.named()
 
 
-def parameter_count(model: Model) -> int:
-    return sum(t.data.size for _, t in named_parameters(model))
-
-
 def select_first_subtoken_states(state: Tensor, first_sub_index) -> Tensor:
     """One row per word: the row of the word's first sub-token.
     Gradients scatter back to exactly those rows."""

@@ -2,9 +2,14 @@
 
 Define-by-run: every differentiable operation appends its result to a
 thread-local tape, so creation order is a valid topological order and
-backward() can walk the tape once, in reverse.  Shape rules are strict:
-no implicit broadcasting except the *_rowvec helpers (bias-style) and
-scale_rows (one scalar per row).
+backward() can walk the tape once, in reverse.
+
+One broadcasting rule: add(a, b) and mul(a, b) take a b that numpy
+broadcasts into a's shape (a row [h] on [n x h] for a bias or a gain, a
+column [n x 1] for one weight per row), and backward sums b's gradient
+over the broadcast axes.  The result always has a's shape: a b that
+would grow it, or does not broadcast, is a ValueError naming both
+shapes.  No other op broadcasts.
 """
 from __future__ import annotations
 
@@ -17,13 +22,15 @@ import numpy as np
 
 PROB_CLAMP = 1e-12      # floor applied to probabilities before log
 MASK_LOGIT = -1e30      # additive score for masked attention entries
+NORM_EPS = 1e-12        # added to the row variance in row_norm
+FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 
 __all__ = [
     "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
-    "add", "mul", "scale", "add_rowvec", "mul_rowvec", "scale_rows",
-    "matmul", "transpose", "relu", "softmax", "dropout", "row_norm",
-    "gather_rows", "concat_cols", "slice_cols", "sum_all", "cross_entropy",
-    "finite_diff_check", "GradCheckReport", "PROB_CLAMP", "MASK_LOGIT",
+    "add", "mul", "scale", "matmul", "transpose", "relu", "softmax",
+    "dropout", "row_norm", "gather_rows", "concat_cols", "slice_cols",
+    "sum_all", "cross_entropy", "finite_diff_check", "GradCheckReport",
+    "PROB_CLAMP", "MASK_LOGIT", "NORM_EPS", "FD_ZERO_TOL",
 ]
 
 
@@ -147,26 +154,45 @@ def _need_2d(x: Tensor, op: str) -> None:
 
 # ---------------------------------------------------------------- arithmetic
 
+def _into(op, a: Tensor, b: Tensor) -> Tensor:
+    """op(a, b) under the module's broadcasting rule: b into a's shape."""
+    try:
+        y = op(a.data, b.data)
+    except ValueError:
+        pass
+    else:
+        if y.shape == a.shape:
+            return Tensor(y)
+    raise ValueError(f"{op.__name__} shape mismatch: {b.shape} does not "
+                     f"broadcast into {a.shape}")
+
+
+def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient of a's shape over the axes b was broadcast along."""
+    if g.shape == shape:
+        return g
+    if g.ndim > len(shape):
+        return _sum_to(g.sum(axis=0), shape)
+    return g.sum(axis=tuple(i for i, n in enumerate(shape) if n == 1),
+                 keepdims=True)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data)
+    out = _into(np.add, a, b)
 
     def bwd(g, pending):
         _acc(pending, a, g)
-        _acc(pending, b, g)
+        _acc(pending, b, _sum_to(g, b.shape))
 
     return _record(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data)
+    out = _into(np.multiply, a, b)
 
     def bwd(g, pending):
         _acc(pending, a, g * b.data)
-        _acc(pending, b, g * a.data)
+        _acc(pending, b, _sum_to(g * a.data, b.shape))
 
     return _record(out, (a, b), bwd)
 
@@ -179,48 +205,6 @@ def scale(x: Tensor, c: float) -> Tensor:
         _acc(pending, x, g * c)
 
     return _record(out, (x,), bwd)
-
-
-def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """x[i, :] + v for every row i (bias add)."""
-    _need_2d(x, "add_rowvec")
-    if v.data.ndim != 1 or v.shape[0] != x.shape[1]:
-        raise ValueError(f"add_rowvec needs v of shape ({x.shape[1]},), got {v.shape}")
-    out = Tensor(x.data + v.data)
-
-    def bwd(g, pending):
-        _acc(pending, x, g)
-        _acc(pending, v, g.sum(axis=0))
-
-    return _record(out, (x, v), bwd)
-
-
-def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """x[i, :] * v for every row i (layer-norm gain)."""
-    _need_2d(x, "mul_rowvec")
-    if v.data.ndim != 1 or v.shape[0] != x.shape[1]:
-        raise ValueError(f"mul_rowvec needs v of shape ({x.shape[1]},), got {v.shape}")
-    out = Tensor(x.data * v.data)
-
-    def bwd(g, pending):
-        _acc(pending, x, g * v.data)
-        _acc(pending, v, (g * x.data).sum(axis=0))
-
-    return _record(out, (x, v), bwd)
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """x[i, :] * s[i, 0]: one scalar weight per row."""
-    _need_2d(x, "scale_rows")
-    if s.data.ndim != 2 or s.shape != (x.shape[0], 1):
-        raise ValueError(f"scale_rows needs s of shape ({x.shape[0]}, 1), got {s.shape}")
-    out = Tensor(x.data * s.data)
-
-    def bwd(g, pending):
-        _acc(pending, x, g * s.data)
-        _acc(pending, s, (g * x.data).sum(axis=1, keepdims=True))
-
-    return _record(out, (x, s), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -297,14 +281,14 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def row_norm(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Per-row standardization: (row - mean) / sqrt(pop_var + eps).
+def row_norm(x: Tensor) -> Tensor:
+    """Per-row standardization: (row - mean) / sqrt(pop_var + NORM_EPS).
     Gain/bias are separate ops so this stays mean-0/var-1 exactly."""
     _need_2d(x, "row_norm")
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     y = xc * inv
     out = Tensor(y)
 
@@ -439,7 +423,6 @@ def finite_diff_check(
     params: Iterable[tuple[str, Tensor]],
     eps: float = 1e-5,
     tol: float = 1e-4,
-    zero_tol: float = 1e-10,
 ) -> GradCheckReport:
     """Compare backward() gradients of f() against central differences.
 
@@ -449,20 +432,25 @@ def finite_diff_check(
     keep this at desk scale.  Relative error per component is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 
-    Components where both estimates are below zero_tol count as exact
+    Components where both estimates are below FD_ZERO_TOL count as exact
     agreement: on a flat direction (a self-attention key bias shifts
     every score of a query row equally, which softmax cancels) the true
     derivative is zero and both sides measure only rounding jitter, so
     their ratio says nothing about gradient correctness.  A non-finite
     estimate on either side is a relative error of inf, a failure.
+    eps and tol must be finite and > 0.
     """
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be a finite number > 0, got {eps}")
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(
+                f"{name} must be a finite number > 0, got {value}")
     params = list(params)
     with no_grad():
         base = f().item()
         again = f().item()
-    if base != again:
+    # an f() that is NaN every time is deterministic; the loop below
+    # then fails it as non-finite
+    if base != again and not (np.isnan(base) and np.isnan(again)):
         raise ValueError(
             "f() is not deterministic between calls; disable dropout and "
             "fix all rng state before checking gradients")
@@ -495,7 +483,7 @@ def finite_diff_check(
                 a = ga[i]
                 if not (np.isfinite(a) and np.isfinite(numeric)):
                     rel = np.inf
-                elif max(abs(a), abs(numeric)) < zero_tol:
+                elif max(abs(a), abs(numeric)) < FD_ZERO_TOL:
                     rel = 0.0
                 else:
                     rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)

@@ -106,12 +106,6 @@ def label_targets(labels: Sequence[str]) -> list[int]:
     return [1 if lab == LABEL_ERR else 0 for lab in labels]
 
 
-def _tokenized_of(corpus) -> list[TokenizedSentence]:
-    if isinstance(corpus, LabeledCorpus):
-        return list(corpus.tokenized)
-    return list(corpus)
-
-
 def batch_word_rows(batch: Sequence[TokenizedSentence], padded_len: int):
     """Row index of each word in the flattened [B*T x H] layout, plus
     its class target, batch order."""
@@ -146,7 +140,7 @@ class TrainResult:
     n_steps: int
 
 
-def train(corpus, model_config: ModelConfig,
+def train(corpus: LabeledCorpus, model_config: ModelConfig,
           train_config: TrainConfig) -> TrainResult:
     """Fit a fresh model, built from model_config as given (dropout
     rates included), on a tokenized corpus.
@@ -155,7 +149,7 @@ def train(corpus, model_config: ModelConfig,
     so identical inputs give bit-identical loss traces and parameters.
     Returns the model and the word-weighted mean loss of each epoch.
     """
-    sentences = _tokenized_of(corpus)
+    sentences = corpus.tokenized
     if not sentences:
         raise ValueError("training corpus is empty")
     rng = np.random.default_rng(train_config.seed)

@@ -1,7 +1,13 @@
-"""Property test of checkpoint loading through the CLI: a truncated or
-bit-flipped checkpoint makes `gedlab eval` and `gedlab attn` exit 0 or
-2, never raise.  A flipped bit changes one byte, so a header dimension
-grows at most about tenfold; huge header values are not generated."""
+"""Property tests of hostile input files through the CLI: each command
+exits 0 or 2, never raises.
+
+* A truncated or bit-flipped checkpoint through `gedlab eval` and
+  `gedlab attn`.  A flipped bit changes one byte, so a header dimension
+  grows at most about tenfold; huge header values are not generated.
+* A truncated pair, corpus or vocabulary file, or one with separators,
+  NUL, invalid UTF-8, word-piece markers, reserved pieces or multi-byte
+  characters spliced in: the pair file through `gedlab label`, the
+  corpus and the vocabulary through `gedlab eval` and `gedlab attn`."""
 import contextlib
 import io
 
@@ -11,7 +17,7 @@ import pytest
 from gedlab.cli import main
 from gedlab.corpus import (
     build_corpus, generate_synthetic_pairs, pairs_to_labeled, write_corpus,
-    write_vocab_file,
+    write_pair_file, write_vocab_file,
 )
 from gedlab.encoder import HEAD_TYPES, ModelConfig
 from gedlab.model import init_model
@@ -23,9 +29,11 @@ st = hypothesis.strategies
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A corpus, its vocabulary and one checkpoint per head type."""
+    """A pair file, its corpus, their vocabulary and one checkpoint per
+    head type."""
     d = tmp_path_factory.mktemp("fuzz")
     pairs = generate_synthetic_pairs(4, seed=5, error_rate=0.5)
+    write_pair_file(pairs, d / "pairs.tsv")
     corpus = build_corpus(pairs_to_labeled(pairs), max_len=16)
     write_corpus(corpus.sentences, d / "corpus.tsv")
     write_vocab_file(corpus.vocab, d / "vocab.txt")
@@ -61,4 +69,50 @@ def test_damaged_checkpoint_exits_0_or_2(files, head_type, truncate, data):
                          "--vocab", str(d / "vocab.txt"),
                          "--corpus", str(d / "corpus.tsv")])
         assert code in (0, 2), (command, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
+# spliced into text files: field and line separators, NUL, a byte that is
+# never UTF-8, comment and word-piece markers, a reserved piece, 2-, 3-
+# and 4-byte characters, and a 3-byte character cut short
+HOSTILE = [b"\t", b"\n", b"\r", b"\x00", b"\xff", b"#", b"##", b"[PAD]",
+           "\u00e9".encode(), "\u5b57".encode(), "\U0001f600".encode(),
+           "\u5b57".encode()[:2]]
+TEXT_FILES = {"pairs": "pairs.tsv", "corpus": "corpus.tsv",
+              "vocab": "vocab.txt"}
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(target=st.sampled_from(sorted(TEXT_FILES)),
+                  truncate=st.booleans(), data=st.data())
+def test_damaged_text_file_exits_0_or_2(files, target, truncate, data):
+    d, blobs = files
+    text = (d / TEXT_FILES[target]).read_bytes()
+    if truncate:
+        text = text[:data.draw(st.integers(0, len(text) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="splices")):
+            at = data.draw(st.integers(0, len(text)), label="at")
+            cut = data.draw(st.integers(0, 2), label="cut")
+            piece = data.draw(st.sampled_from(HOSTILE), label="piece")
+            text = text[:at] + piece + text[at + cut:]
+    damaged = d / ("damaged_" + TEXT_FILES[target])
+    damaged.write_bytes(text)
+    if target == "pairs":
+        commands = [["label", "--pairs", str(damaged),
+                     "--out", str(d / "labeled.tsv")]]
+    else:
+        ckpt = d / "mhmla.ckpt"
+        ckpt.write_bytes(blobs["mhmla"])
+        corpus = damaged if target == "corpus" else d / "corpus.tsv"
+        vocab = damaged if target == "vocab" else d / "vocab.txt"
+        commands = [[command, "--checkpoint", str(ckpt), "--vocab",
+                     str(vocab), "--corpus", str(corpus)]
+                    for command in ("eval", "attn")]
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2), (argv[0], err.getvalue())
         assert "Traceback" not in err.getvalue()

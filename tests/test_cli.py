@@ -311,13 +311,16 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("eps", ["0", "nan"])
     def test_bad_eps_is_data_error(self, capsys, eps):
-        assert run("gradcheck", "--layers", "1", "--hidden", "4",
-                   "--sentences", "1", "--max-len", "6", "--eps", eps) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        errors = [line for line in err.splitlines()
-                  if line.startswith("error: ")]
-        assert len(errors) == 1 and "eps" in errors[0]
+        # --tol is held to the same rule as --eps
+        for flag in ("eps", "tol"):
+            assert run("gradcheck", "--layers", "1", "--hidden", "4",
+                       "--sentences", "1", "--max-len", "6",
+                       f"--{flag}", eps) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            errors = [line for line in err.splitlines()
+                      if line.startswith("error: ")]
+            assert len(errors) == 1 and flag in errors[0]
 
 
 class TestSweep:

@@ -134,7 +134,7 @@ class TestEvalReport:
         assert set(d) == {"tp", "fp", "fn", "tn", "precision", "recall",
                           "f_half", "n_sentences", "n_tokens",
                           "config_fingerprint", "seed"}
-        assert EvalReport.from_dict(d) == rep
+        assert EvalReport(**d) == rep
 
 
 class TestEvaluate:

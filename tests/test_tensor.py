@@ -1,15 +1,15 @@
 """Tensor core: forward values against hand-computed oracles, backward
 against central differences, and the contract errors."""
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gedlab.tensor import (
-    GradCheckReport, Tensor, add, add_rowvec, backward, concat_cols,
-    cross_entropy, dropout, finite_diff_check, gather_rows, matmul, mul,
-    mul_rowvec, no_grad, relu, reset_graph, row_norm, scale, scale_rows,
-    slice_cols, softmax, sum_all, transpose,
+    GradCheckReport, Tensor, add, backward, concat_cols, cross_entropy,
+    dropout, finite_diff_check, gather_rows, matmul, mul, no_grad, relu,
+    reset_graph, row_norm, scale, slice_cols, softmax, sum_all, transpose,
 )
 
 
@@ -226,8 +226,7 @@ class TestFiniteDifferences:
         gain = Tensor(rng.normal(size=8), requires_grad=True)
         bias = Tensor(rng.normal(size=8), requires_grad=True)
         _fd_on(
-            lambda: sum_all(mul(y := add_rowvec(mul_rowvec(row_norm(x), gain),
-                                                bias), y)),
+            lambda: sum_all(mul(y := add(mul(row_norm(x), gain), bias), y)),
             [x, gain, bias])
 
     def test_relu_away_from_kink(self, rng):
@@ -243,7 +242,7 @@ class TestFiniteDifferences:
         def build():
             cat = concat_cols([a, transpose(b)])
             sl = slice_cols(cat, 1, 4)
-            return sum_all(mul(scale_rows(sl, s), scale_rows(sl, s)))
+            return sum_all(mul(mul(sl, s), mul(sl, s)))
 
         _fd_on(build, [a, b, s])
 
@@ -272,18 +271,54 @@ class TestFiniteDifferences:
         assert report.passed
 
 
+class TestBroadcasting:
+    def test_forward_matches_numpy(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)))
+        row = Tensor(rng.normal(size=4))
+        col = Tensor(rng.normal(size=(3, 1)))
+        assert np.array_equal(add(x, row).data, x.data + row.data)
+        assert np.array_equal(mul(x, col).data, x.data * col.data)
+
+    def test_bias_gain_and_row_weight(self, rng):
+        x = Tensor(rng.normal(size=(4, 3)))
+        bias = Tensor(rng.normal(size=3), requires_grad=True)
+        gain = Tensor(rng.normal(size=3), requires_grad=True)
+        weight = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+        _fd_on(lambda: sum_all(
+            mul(y := mul(mul(add(x, bias), gain), weight), y)),
+            [bias, gain, weight])
+
+    @pytest.mark.parametrize("op", [add, mul])
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        pytest.param((3, 1), (4,), id="grows"),        # result (3, 4)
+        pytest.param((4,), (3, 4), id="more_axes"),
+        pytest.param((3, 2), (4,), id="no_broadcast"),
+    ])
+    def test_b_must_broadcast_into_a(self, op, a_shape, b_shape):
+        a, b = Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{b_shape} does not broadcast into {a_shape}")):
+            op(a, b)
+
+
 class TestFiniteDifferenceInputs:
     def test_non_finite_error_fails_and_names_component(self):
-        # analytic inf against numeric inf - inf = nan: no ratio to trust
-        x = Tensor([[2.0]], requires_grad=True)
-        report = finite_diff_check(
-            lambda: sum_all(mul(x, Tensor([[np.inf]]))), [("x", x)])
-        assert report.passed is False
-        assert report.worst_param == "x[0]"
+        # at 2: analytic inf against numeric inf - inf = nan, no ratio to
+        # trust; at 0: f() is 0 * inf = nan on every call, which is
+        # deterministic, not a live rng
+        for value in (2.0, 0.0):
+            x = Tensor([[value]], requires_grad=True)
+            with np.errstate(invalid="ignore"):
+                report = finite_diff_check(
+                    lambda: sum_all(mul(x, Tensor([[np.inf]]))), [("x", x)])
+            assert report.passed is False
+            assert report.worst_param == "x[0]"
 
     @pytest.mark.parametrize("eps", [0.0, math.nan, math.inf, -1e-5])
     def test_bad_eps_rejected(self, eps):
+        # tol is held to the same rule as eps
         x = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(ValueError, match="eps"):
-            finite_diff_check(lambda: sum_all(mul(x, x)), [("x", x)],
-                              eps=eps)
+        for name in ("eps", "tol"):
+            with pytest.raises(ValueError, match=name):
+                finite_diff_check(lambda: sum_all(mul(x, x)), [("x", x)],
+                                  **{name: eps})
