@@ -3,7 +3,11 @@
 Per token: learned token + position embeddings, then n_layers blocks of
 multi-head scaled dot-product self-attention and a relu FFN, each with
 residual + layer norm.  All layer states are kept so heads can attend
-over depth.  Pad positions are excluded as attention keys but flow
+over depth.
+
+A batch is one padded [B*T x hidden] matrix.  Self-attention is the
+fused tensor.attention op: each sentence attends only over its own T
+positions, and PAD positions are masked out as keys.  They still flow
 through as queries; their rows are garbage and callers ignore them.
 """
 from __future__ import annotations
@@ -17,8 +21,7 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .tensor import (
-    MASK_LOGIT, Tensor, add, concat_cols, dropout, gather_rows, matmul, mul,
-    relu, row_norm, scale, slice_cols, softmax, transpose,
+    Tensor, add, attention, dropout, gather_rows, matmul, mul, relu, row_norm,
 )
 
 HEAD_TYPES = ("final", "avgl", "mhmla")
@@ -205,25 +208,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return add(mul(row_norm(x), gain), bias)
 
 
-def _block(h: Tensor, lp: LayerParams, config: ModelConfig, bias: Tensor,
+def _block(h: Tensor, lp: LayerParams, config: ModelConfig, key_real,
            train_mode: bool, rng: np.random.Generator | None) -> Tensor:
-    a_heads = config.self_attn_heads
-    dh = config.hidden // a_heads
-    inv_sqrt = 1.0 / math.sqrt(dh)
-
     q = add(matmul(h, lp.w_q), lp.b_q)
     k = add(matmul(h, lp.w_k), lp.b_k)
     v = add(matmul(h, lp.w_v), lp.b_v)
-    per_head = []
-    for a in range(a_heads):
-        lo, hi = a * dh, (a + 1) * dh
-        scores = scale(matmul(slice_cols(q, lo, hi),
-                              transpose(slice_cols(k, lo, hi))), inv_sqrt)
-        probs = softmax(add(scores, bias), axis=1)
-        if train_mode and config.attn_dropout > 0.0:
-            probs = dropout(probs, config.attn_dropout, rng)
-        per_head.append(matmul(probs, slice_cols(v, lo, hi)))
-    attn_out = add(matmul(concat_cols(per_head), lp.w_o), lp.b_o)
+    rate = config.attn_dropout if train_mode else 0.0
+    mixed = attention(q, k, v, key_real, config.self_attn_heads, rate, rng)
+    attn_out = add(matmul(mixed, lp.w_o), lp.b_o)
     if train_mode and config.dropout > 0.0:
         attn_out = dropout(attn_out, config.dropout, rng)
     h = layer_norm(add(h, attn_out), lp.ln1_gain, lp.ln1_bias)
@@ -255,12 +247,12 @@ def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
 
     Each sentence is padded with PAD_ID to the longest length in the
     batch and the rows are stacked:  row b * T + n is token n of
-    sentence b.  The additive attention bias is block-diagonal: 0 where
-    the key is a real token of the query's own sentence, MASK_LOGIT
-    elsewhere.  exp() of masked entries underflows to exactly 0, so
-    masked keys get exactly zero weight, every stored value stays
-    finite, and the result on real rows equals the per-sentence
-    forward.
+    sentence b.  Each block's self-attention gets the [B, T] mask of
+    real tokens and runs per sentence, so a query sees only the real
+    tokens of its own sentence.  PAD keys get exactly zero weight, every
+    stored value stays finite, and the result on real rows equals the
+    per-sentence forward.  At a fixed padded length, work and memory
+    grow linearly in B.
 
     Returns (states, real): L+1 tensors of shape [B*T x hidden] and a
     bool vector marking real rows.
@@ -288,12 +280,9 @@ def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
             gather_rows(params.position_embedding, positions))
     if train_mode and config.dropout > 0.0:
         h = dropout(h, config.dropout, rng)
-    real = flat != PAD_ID
-    sent_of = np.repeat(np.arange(len(sentences)), t_max)
-    allowed = (sent_of[:, None] == sent_of[None, :]) & real[None, :]
-    bias = Tensor(np.where(allowed, 0.0, MASK_LOGIT))
+    key_real = ids != PAD_ID
     states = [h]
     for lp in params.layers:
-        h = _block(h, lp, config, bias, train_mode, rng)
+        h = _block(h, lp, config, key_real, train_mode, rng)
         states.append(h)
-    return states, real
+    return states, key_real.reshape(-1)

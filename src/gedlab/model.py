@@ -38,6 +38,38 @@ def named_parameters(model: Model) -> Iterator[tuple[str, Tensor]]:
     yield from model.head.named()
 
 
+def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple]]:
+    """The name and shape of every tensor named_parameters yields for
+    init_model(config), in the same order, without allocating any of
+    them.  Lazy, so a caller can stop after as many entries as it is
+    willing to hold: a config may ask for any number of layers."""
+    h, f, c = config.hidden, config.ffn_dim, config.n_classes
+    yield "embed.token", (config.vocab_size, h)
+    yield "embed.position", (config.max_len, h)
+    block = [(f"attn.{w}_{x}", (h, h) if w == "w" else (h,))
+             for x in "qkvo" for w in "wb"]
+    block += [("ln1.gain", (h,)), ("ln1.bias", (h,)), ("ffn.w1", (h, f)),
+              ("ffn.b1", (f,)), ("ffn.w2", (f, h)), ("ffn.b2", (h,)),
+              ("ln2.gain", (h,)), ("ln2.bias", (h,))]
+    for i in range(config.n_layers):
+        for name, shape in block:
+            yield f"enc.{i:02d}.{name}", shape
+    if config.head_type == "avgl":
+        for l in range(config.n_layers):
+            yield f"head.proj.{l:02d}.w", (h, h)
+            yield f"head.proj.{l:02d}.b", (h,)
+    elif config.head_type == "mhmla":
+        width, dk = h // config.layer_attn_heads, config.key_dim
+        att = [("w_v", (h, width)), ("b_v", (width,)), ("w_k", (h, dk)),
+               ("b_k", (dk,)), ("w_a", (dk, 1)), ("b_a", (1,))]
+        for l in range(config.n_layers):
+            for j in range(config.layer_attn_heads):
+                for name, shape in att:
+                    yield f"head.att.{l:02d}.{j:02d}.{name}", shape
+    yield "head.w_out", (h, c)
+    yield "head.b_out", (c,)
+
+
 def select_first_subtoken_states(state: Tensor, first_sub_index) -> Tensor:
     """One row per word: the row of the word's first sub-token.
     Gradients scatter back to exactly those rows."""

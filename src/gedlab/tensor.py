@@ -13,6 +13,7 @@ shapes.  No other op broadcasts.
 """
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -21,14 +22,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 PROB_CLAMP = 1e-12      # floor applied to probabilities before log
-MASK_LOGIT = -1e30      # additive score for masked attention entries
+MASK_LOGIT = -1e30      # attention score of a masked (PAD) key
 NORM_EPS = 1e-12        # added to the row variance in row_norm
 FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 
 __all__ = [
     "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
-    "add", "mul", "scale", "matmul", "transpose", "relu", "softmax",
-    "dropout", "row_norm", "gather_rows", "concat_cols", "slice_cols",
+    "add", "mul", "scale", "matmul", "relu", "softmax", "dropout",
+    "attention", "row_norm", "gather_rows", "concat_cols", "slice_cols",
     "sum_all", "cross_entropy", "finite_diff_check", "GradCheckReport",
     "PROB_CLAMP", "MASK_LOGIT", "NORM_EPS", "FD_ZERO_TOL",
 ]
@@ -221,16 +222,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def transpose(x: Tensor) -> Tensor:
-    _need_2d(x, "transpose")
-    out = Tensor(x.data.T)
-
-    def bwd(g, pending):
-        _acc(pending, x, g.T)
-
-    return _record(out, (x,), bwd)
-
-
 # -------------------------------------------------------------- nonlinearity
 
 def relu(x: Tensor) -> Tensor:
@@ -279,6 +270,70 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         _acc(pending, x, g * keep)
 
     return _record(out, (x,), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_real, n_heads: int,
+              rate: float = 0.0,
+              rng: np.random.Generator | None = None) -> Tensor:
+    """Multi-head scaled dot-product self-attention within each sentence
+    of a padded batch, as one op.
+
+    q, k and v are [B*T x H], row b * T + n holding token n of sentence
+    b; key_real is the [B, T] bool mask of real tokens.  Per sentence
+    and head: softmax((Q Kt) / sqrt(H / n_heads)) over its own keys,
+    PAD keys set to MASK_LOGIT first, so exp() gives them exactly zero
+    weight.  With rate > 0, inverted dropout on those weights draws one
+    [B, n_heads, T, T] mask from rng.  Returns the heads' P V merged
+    back to [B*T x H].  No [B*T x B*T] array is ever built.
+    """
+    for name, t in (("q", q), ("k", k), ("v", v)):
+        _need_2d(t, "attention")
+        if t.shape != q.shape:
+            raise ValueError(f"attention: {name} has shape {t.shape}, "
+                             f"q has {q.shape}")
+    real = np.asarray(key_real, dtype=bool)
+    if real.ndim != 2 or real.size != q.shape[0]:
+        raise ValueError(f"attention: key_real of shape {real.shape} does "
+                         f"not match {q.shape[0]} rows as [B, T]")
+    width = q.shape[1]
+    if n_heads < 1 or width % n_heads:
+        raise ValueError(f"attention: {width} columns do not split into "
+                         f"{n_heads} heads")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    b, t = real.shape
+    dh = width // n_heads
+    inv_sqrt = 1.0 / math.sqrt(dh)
+
+    def heads(x):       # [B*T x H] -> contiguous [B, heads, T, dh]
+        return np.ascontiguousarray(
+            x.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3))
+
+    def merge(x):       # [B, heads, T, dh] -> [B*T x H]
+        return x.transpose(0, 2, 1, 3).reshape(b * t, width)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scores = np.where(real[:, None, None, :],
+                      (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt, MASK_LOGIT)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    keep = None
+    if rate > 0.0:
+        keep = (rng.random(p.shape) >= rate) / (1.0 - rate)
+    pd = p if keep is None else p * keep
+    out = Tensor(merge(pd @ vh))
+
+    def bwd(g, pending):
+        go = heads(g)
+        _acc(pending, v, merge(pd.transpose(0, 1, 3, 2) @ go))
+        dp = go @ vh.transpose(0, 1, 3, 2)
+        if keep is not None:
+            dp *= keep
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_sqrt
+        _acc(pending, q, merge(ds @ kh))
+        _acc(pending, k, merge(ds.transpose(0, 1, 3, 2) @ qh))
+
+    return _record(out, (q, k, v), bwd)
 
 
 def row_norm(x: Tensor) -> Tensor:

@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import LABEL_ERR, LabeledCorpus, TokenizedSentence
 from .encoder import ModelConfig, check_field_types, encode_batch
-from .model import Model, head_forward, init_model, named_parameters
+from .model import (
+    Model, head_forward, init_model, named_parameters, parameter_shapes,
+)
 from .tensor import Tensor, backward, cross_entropy, gather_rows, reset_graph
 
 log = logging.getLogger(__name__)
@@ -221,7 +225,12 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     """Rebuild a model from disk.  Parameters come back as float64
-    copies of the stored float32 values, so re-saving is byte-identical."""
+    copies of the stored float32 values, so re-saving is byte-identical.
+
+    Nothing is allocated until the manifest matches the config's
+    parameter shapes name by name and the payload holds exactly 4 bytes
+    per float those shapes need, so a header cannot ask for more memory
+    than the file's own size accounts for."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -249,8 +258,13 @@ def load_checkpoint(path) -> Model:
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from exc
     payload = blob[fixed + head_len:]
-    model = init_model(config, np.random.default_rng(0))
-    params = dict(named_parameters(model))
+    # at most one entry more than the manifest lists: enough to tell
+    # that the config wants more, however many layers it asks for
+    shapes = dict(islice(parameter_shapes(config), len(manifest) + 1))
+    if len(shapes) > len(manifest):
+        raise CheckpointError(
+            f"{path}: manifest is missing parameters: the config needs "
+            f"more than the {len(manifest)} it lists")
     seen = set()
     cursor = 0
     for entry in manifest:
@@ -258,29 +272,29 @@ def load_checkpoint(path) -> Model:
         if name in seen:
             raise CheckpointError(f"{path}: parameter {name} listed twice")
         seen.add(name)
-        if name not in params:
+        if name not in shapes:
             raise CheckpointError(
                 f"{path}: manifest names unknown parameter {name}")
-        t = params[name]
-        if shape != t.data.shape:
+        if shape != shapes[name]:
             raise CheckpointError(
                 f"{path}: {name} has shape {list(shape)}, model wants "
-                f"{list(t.data.shape)} (config/manifest mismatch)")
+                f"{list(shapes[name])} (config/manifest mismatch)")
         if offset != cursor:
             raise CheckpointError(
                 f"{path}: {name} at offset {offset}, expected {cursor}")
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 4 * size
-        if end > len(payload):
+        cursor = offset + 4 * math.prod(shape)
+        if cursor > len(payload):
             raise CheckpointError(f"{path}: truncated payload at {name}")
-        t.data = np.frombuffer(payload, dtype="<f4", count=size,
-                               offset=offset).astype(np.float64).reshape(shape)
-        cursor = end
-    if seen != set(params):
-        missing = sorted(set(params) - seen)
-        raise CheckpointError(
-            f"{path}: manifest is missing parameters, e.g. {missing[0]}")
+    # every entry is a distinct known name and there are no fewer of
+    # them than the config needs: the manifest lists exactly its shapes
     if cursor != len(payload):
         raise CheckpointError(
             f"{path}: {len(payload) - cursor} trailing payload bytes")
+    model = init_model(config, np.random.default_rng(0))
+    params = dict(named_parameters(model))
+    for entry in manifest:
+        shape = tuple(entry["shape"])
+        params[entry["name"]].data = np.frombuffer(
+            payload, dtype="<f4", count=math.prod(shape),
+            offset=entry["offset"]).astype(np.float64).reshape(shape)
     return model

@@ -3,13 +3,19 @@ exits 0 or 2, never raises.
 
 * A truncated or bit-flipped checkpoint through `gedlab eval` and
   `gedlab attn`.  A flipped bit changes one byte, so a header dimension
-  grows at most about tenfold; huge header values are not generated.
+  grows at most about tenfold.
+* A checkpoint whose header asks for up to 1e9 of something: it must
+  exit 2 before the model is built, so these tests replace init_model
+  with one that fails if called and never allocate for real.
 * A truncated pair, corpus or vocabulary file, or one with separators,
   NUL, invalid UTF-8, word-piece markers, reserved pieces or multi-byte
   characters spliced in: the pair file through `gedlab label`, the
   corpus and the vocabulary through `gedlab eval` and `gedlab attn`."""
 import contextlib
 import io
+import json
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +26,8 @@ from gedlab.corpus import (
     write_pair_file, write_vocab_file,
 )
 from gedlab.encoder import HEAD_TYPES, ModelConfig
-from gedlab.model import init_model
-from gedlab.training import checkpoint_bytes
+from gedlab.model import init_model, parameter_shapes
+from gedlab.training import CHECKPOINT_MAGIC, checkpoint_bytes
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -70,6 +76,78 @@ def test_damaged_checkpoint_exits_0_or_2(files, head_type, truncate, data):
                          "--corpus", str(d / "corpus.tsv")])
         assert code in (0, 2), (command, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+def split_checkpoint(blob):
+    fixed = len(CHECKPOINT_MAGIC) + 4
+    (head_len,) = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):fixed])
+    return json.loads(blob[fixed:fixed + head_len]), blob[fixed + head_len:]
+
+
+def join_checkpoint(header, payload):
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + payload
+
+
+def run_without_init(d, blob):
+    """eval and attn on a checkpoint, with init_model made to fail:
+    each must exit 2 with one error line."""
+    ckpt = d / "huge.ckpt"
+    ckpt.write_bytes(blob)
+    refuse = mock.patch("gedlab.training.init_model",
+                        side_effect=AssertionError("init_model was called"))
+    for command in ("eval", "attn"):
+        err = io.StringIO()
+        with refuse, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--checkpoint", str(ckpt),
+                         "--vocab", str(d / "vocab.txt"),
+                         "--corpus", str(d / "corpus.tsv")])
+        lines = err.getvalue().splitlines()
+        assert code == 2, (command, lines)
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def header_ints(header, head_type):
+    """(container, key) of every int in a checkpoint header that fixes a
+    parameter shape or an offset.  key_dim shapes only the mhmla head."""
+    config = header["config"]
+    spots = [(config, k) for k, v in config.items() if type(v) is int
+             and (k != "key_dim" or head_type == "mhmla")]
+    for entry in header["manifest"]:
+        spots.append((entry, "offset"))
+        spots.extend((entry["shape"], i) for i in range(len(entry["shape"])))
+    return spots
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(head_type=st.sampled_from(HEAD_TYPES), data=st.data())
+def test_huge_header_int_exits_2_before_allocating(files, head_type, data):
+    d, blobs = files
+    header, payload = split_checkpoint(blobs[head_type])
+    spots = header_ints(header, head_type)
+    where, key = spots[data.draw(st.integers(0, len(spots) - 1),
+                                 label="int")]
+    value = data.draw(st.integers(1000, 10**9), label="value")
+    hypothesis.assume(value != where[key])
+    where[key] = value
+    run_without_init(d, join_checkpoint(header, payload))
+
+
+def test_consistent_huge_header_exits_2_before_allocating(files):
+    # the manifest agrees with the config, so only the payload's size
+    # stands between this file and a 1e9-wide model
+    d, blobs = files
+    header, _ = split_checkpoint(blobs["mhmla"])
+    header["config"]["hidden"] = 10**9
+    manifest, offset = [], 0
+    for name, shape in sorted(parameter_shapes(
+            ModelConfig.from_dict(header["config"]))):
+        manifest.append({"name": name, "shape": list(shape),
+                         "offset": offset})
+        offset += 4 * int(np.prod(shape, dtype=object))
+    header["manifest"] = manifest
+    run_without_init(d, join_checkpoint(header, b"\0" * 64))
 
 
 # spliced into text files: field and line separators, NUL, a byte that is

@@ -8,8 +8,8 @@ from gedlab.encoder import (
     EncoderParams, ModelConfig, encode, encode_batch, init_encoder_params,
 )
 from gedlab.tensor import (
-    Tensor, cross_entropy, finite_diff_check, no_grad, reset_graph, softmax,
-    sum_all, mul,
+    Tensor, add, backward, cross_entropy, finite_diff_check, gather_rows,
+    no_grad, reset_graph, softmax,
 )
 
 
@@ -220,3 +220,46 @@ class TestBlockGradients:
         report = finite_diff_check(f, names, eps=1e-5, tol=1e-4)
         assert report.passed, (
             f"max rel err {report.max_rel_err:.3e} at {report.worst_param}")
+
+    def test_batched_backward_is_sum_of_single_backwards(self, rng):
+        # sentences of mixed lengths, so the batch pads all but one
+        cfg = tiny_config(max_len=16)
+        params = init_encoder_params(cfg, rng, init_std=0.5)
+        out_w = Tensor(rng.normal(0, 0.5, size=(cfg.hidden, 2)))
+        sents = [rng.integers(4, cfg.vocab_size, size=n).tolist()
+                 for n in (5, 2, 7, 1, 4)]
+        targets = [rng.integers(0, 2, size=len(s)) for s in sents]
+
+        def loss_of(state, rows, target):
+            probs = softmax(gather_rows(state, rows) @ out_w, axis=1)
+            return cross_entropy(probs, target)
+
+        def grads():
+            out = {n: p.grad.copy() for n, p in params.named()}
+            for _, p in params.named():
+                p.zero_grad()
+            reset_graph()
+            return out
+
+        states, _ = encode_batch(sents, params, cfg)
+        t_max = max(map(len, sents))
+        total = loss_of(states[-1], range(len(sents[0])), targets[0])
+        for b in range(1, len(sents)):
+            rows = range(b * t_max, b * t_max + len(sents[b]))
+            total = add(total, loss_of(states[-1], rows, targets[b]))
+        backward(total)
+        batched = grads()
+        single = {n: 0.0 for n in batched}
+        for s, target in zip(sents, targets):
+            backward(loss_of(encode(s, params, cfg)[-1], range(len(s)),
+                             target))
+            for n, g in grads().items():
+                single[n] = single[n] + g
+        for name, g in batched.items():
+            err = np.abs(g - single[name]).max()
+            if name.endswith("attn.b_k"):
+                # softmax ignores a per-query shift: the true gradient
+                # is 0 and both sides hold rounding only
+                assert err < 1e-14, name
+            else:
+                assert err <= 1e-9 * np.abs(single[name]).max(), name

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from gedlab.tensor import (
-    GradCheckReport, Tensor, add, backward, concat_cols, cross_entropy,
-    dropout, finite_diff_check, gather_rows, matmul, mul, no_grad, relu,
-    reset_graph, row_norm, scale, slice_cols, softmax, sum_all, transpose,
+    GradCheckReport, Tensor, add, attention, backward, concat_cols,
+    cross_entropy, dropout, finite_diff_check, gather_rows, matmul, mul,
+    no_grad, relu, reset_graph, row_norm, scale, slice_cols, softmax,
+    sum_all,
 )
 
 
@@ -240,7 +241,7 @@ class TestFiniteDifferences:
         s = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
 
         def build():
-            cat = concat_cols([a, transpose(b)])
+            cat = concat_cols([a, b])
             sl = slice_cols(cat, 1, 4)
             return sum_all(mul(mul(sl, s), mul(sl, s)))
 
@@ -322,3 +323,72 @@ class TestFiniteDifferenceInputs:
             with pytest.raises(ValueError, match=name):
                 finite_diff_check(lambda: sum_all(mul(x, x)), [("x", x)],
                                   **{name: eps})
+
+
+# three sentences padded to T = 4: unpadded, two real tokens, one real token
+KEY_REAL = np.array([[True, True, True, True],
+                     [True, True, False, False],
+                     [True, False, False, False]])
+
+
+class TestAttention:
+    def test_matches_per_sentence_per_head_oracle(self, rng):
+        b, t, width, n_heads = *KEY_REAL.shape, 6, 2
+        q, k, v = (rng.normal(size=(b * t, width)) for _ in range(3))
+        out = attention(Tensor(q), Tensor(k), Tensor(v), KEY_REAL, n_heads)
+        dh = width // n_heads
+        for s in range(b):
+            n_real = int(KEY_REAL[s].sum())
+            rows = slice(s * t, (s + 1) * t)
+            for a in range(n_heads):
+                cols = slice(a * dh, (a + 1) * dh)
+                scores = q[rows, cols] @ k[rows, cols][:n_real].T / math.sqrt(dh)
+                w = np.exp(scores - scores.max(axis=1, keepdims=True))
+                w /= w.sum(axis=1, keepdims=True)
+                expect = w @ v[rows, cols][:n_real]
+                assert np.allclose(out.data[rows, cols], expect, atol=1e-14)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_pad_key_gets_exactly_zero_weight(self, rng, n_heads, rate):
+        # v is one-hot per key position within each head, so the output
+        # row of a query is its attention weights over the T keys
+        b, t = KEY_REAL.shape
+        width = n_heads * t
+        eye = np.tile(np.eye(t), (b, n_heads))
+        q = Tensor(rng.normal(size=(b * t, width)) * 3)
+        k = Tensor(rng.normal(size=(b * t, width)) * 3)
+        out = attention(q, k, Tensor(eye), KEY_REAL, n_heads, rate,
+                        np.random.default_rng(3))
+        weights = out.data.reshape(b, t, n_heads, t)
+        pad_key = ~KEY_REAL[:, None, None, :].repeat(t, 1).repeat(n_heads, 2)
+        assert np.all(weights[pad_key] == 0.0)
+        assert np.any(weights[~pad_key] != 0.0)
+        if rate == 0.0:
+            assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_gradients_pass_fd(self, rng, n_heads, rate):
+        b, t = KEY_REAL.shape
+        q, k, v = (Tensor(rng.normal(size=(b * t, 4)), requires_grad=True)
+                   for _ in range(3))
+        w = Tensor(rng.normal(size=(b * t, 4)))
+
+        def f():
+            # a fresh generator per call draws the same dropout mask
+            drop_rng = np.random.default_rng(11)
+            out = attention(q, k, v, KEY_REAL, n_heads, rate, drop_rng)
+            return sum_all(mul(out, w))
+
+        _fd_on(f, [q, k, v])
+
+    @pytest.mark.parametrize("n_heads, key_real, match", [
+        pytest.param(3, KEY_REAL, "heads", id="indivisible-width"),
+        pytest.param(2, KEY_REAL.reshape(-1), r"\[B, T\]", id="flat-mask"),
+        pytest.param(2, KEY_REAL[:2], r"\[B, T\]", id="too-few-rows"),
+    ])
+    def test_bad_layout_rejected(self, n_heads, key_real, match):
+        x = Tensor(np.zeros((12, 4)))
+        with pytest.raises(ValueError, match=match):
+            attention(x, x, x, key_real, n_heads)

@@ -10,12 +10,12 @@ from gedlab.corpus import (
     PAD_ID, TokenizedSentence, build_corpus, generate_synthetic_pairs,
     pairs_to_labeled,
 )
-from gedlab.encoder import ModelConfig
+from gedlab.encoder import HEAD_TYPES, ModelConfig
 from gedlab.model import (
-    init_model, named_parameters, predict_word_probs,
+    init_model, named_parameters, parameter_shapes, predict_word_probs,
     select_first_subtoken_states,
 )
-from gedlab.tensor import Tensor, no_grad, reset_graph
+from gedlab.tensor import Tensor, active_graph, no_grad, reset_graph
 from gedlab.training import (
     CHECKPOINT_MAGIC, AdamState, CheckpointError, TrainConfig, adam_step,
     batch_loss, batch_word_rows, checkpoint_bytes, label_targets,
@@ -42,6 +42,20 @@ def config_for(corpus, **overrides) -> ModelConfig:
                 dropout=0.1, attn_dropout=0.1)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def tape_bytes() -> int:
+    """Bytes held by the tape: every node's value plus the arrays its
+    backward keeps (an op's saved intermediates live there), each array
+    counted once."""
+    seen, total = set(), 0
+    for node in active_graph().nodes:
+        cells = node._backward.__closure__ or ()
+        for a in [node.data, *(c.cell_contents for c in cells)]:
+            if isinstance(a, np.ndarray) and id(a) not in seen:
+                seen.add(id(a))
+                total += a.nbytes
+    return total
 
 
 class TestTrainConfig:
@@ -228,6 +242,27 @@ class TestTrainLoop:
             wide = batch_loss(model, padded).item()
         assert abs(wide - plain) < 1e-10
 
+    def test_tape_grows_linearly_with_batch_size(self):
+        # desk width, sentence lengths 8-24; B=32 is the B=16 batch
+        # twice, so the padded length is the same.  An array of
+        # [B*T x B*T] on the tape makes the ratio near 4, not 2
+        rng = np.random.default_rng(0)
+        cfg = ModelConfig(vocab_size=40, key_dim=16, dropout=0.0,
+                          attn_dropout=0.0)
+        model = init_model(cfg, rng)
+        batch = []
+        for n in np.linspace(8, 24, 16).astype(int):
+            batch.append(TokenizedSentence(
+                words=["w"] * n, labels=["c"] * n,
+                sub_ids=rng.integers(4, 40, size=n).tolist(),
+                first_sub_index=list(range(n))))
+        sizes = {}
+        for b, sents in ((16, batch), (32, batch * 2)):
+            reset_graph()
+            batch_loss(model, sents, train_mode=True, rng=rng)
+            sizes[b] = tape_bytes()
+        assert sizes[32] <= 2.2 * sizes[16], sizes
+
     def test_model_config_is_used_as_given(self):
         corpus = small_corpus(n=4)
         cfg = config_for(corpus, dropout=0.25, attn_dropout=0.25)
@@ -243,6 +278,17 @@ class TestCheckpoints:
         corpus = small_corpus(n=6)
         cfg = config_for(corpus)
         return init_model(cfg, np.random.default_rng(seed)), corpus
+
+    @pytest.mark.parametrize("head_type", HEAD_TYPES)
+    def test_parameter_shapes_match_init_model(self, head_type):
+        # the shapes load_checkpoint checks before it allocates
+        cfg = ModelConfig(n_layers=3, hidden=12, self_attn_heads=3,
+                          ffn_dim=20, layer_attn_heads=2, key_dim=5,
+                          vocab_size=9, max_len=7, n_classes=3,
+                          head_type=head_type)
+        built = init_model(cfg, np.random.default_rng(0))
+        assert list(parameter_shapes(cfg)) == [
+            (n, t.shape) for n, t in named_parameters(built)]
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         model, _ = self.trained_model()
