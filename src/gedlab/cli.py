@@ -289,7 +289,8 @@ def random_probe_batch(config: ModelConfig, n_sentences: int,
                        rng: np.random.Generator) -> list[TokenizedSentence]:
     batch = []
     for _ in range(n_sentences):
-        length = int(rng.integers(config.max_len // 2, config.max_len + 1))
+        length = int(rng.integers(max(1, config.max_len // 2),
+                                  config.max_len + 1))
         ids = rng.integers(4, config.vocab_size, size=length)
         first = sorted(rng.choice(length, size=max(1, length // 2),
                                   replace=False).tolist())
@@ -303,6 +304,8 @@ def random_probe_batch(config: ModelConfig, n_sentences: int,
 
 def cmd_gradcheck(args) -> int:
     started = time.monotonic()
+    if args.vocab_size < 5:  # probe ids are drawn above the 4 reserved
+        raise ValueError(f"--vocab-size must be >= 5, got {args.vocab_size}")
     config = ModelConfig(
         n_layers=args.layers, hidden=args.hidden,
         self_attn_heads=args.heads, layer_attn_heads=args.heads,

@@ -7,7 +7,8 @@ feed it:
 * avgl: the average of per-layer linear transforms of states 1..L.
 * mhmla: per token, several attention heads score states 1..L, softmax
   over depth, and mix per-layer value projections with those weights;
-  the concatenated heads feed the output layer.
+  the concatenated heads feed the output layer.  Its only loop is over
+  layers: one key and one value matmul per layer serve all J heads.
 
 The embedding state (index 0) never participates; depth attention runs
 over layers 1..L only.
@@ -20,8 +21,7 @@ import numpy as np
 
 from .encoder import ModelConfig
 from .tensor import (
-    Tensor, add, concat_cols, dropout, matmul, mul, relu, scale, slice_cols,
-    softmax,
+    Tensor, add, concat, dropout, matmul, mul, relu, reshape, scale, softmax,
 )
 
 INIT_STD = 0.02
@@ -72,7 +72,9 @@ class AvglHeadParams:
 
 @dataclass
 class MhmlaHeadParams:
-    """Indexed [layer][head]; layer 0 here is encoder layer 1."""
+    """Indexed [layer][head]; layer 0 here is encoder layer 1.  The
+    forward joins a layer's J tensors with concat, whose backward hands
+    each pair its slice of the gradient."""
     w_v: list[list[Tensor]]
     b_v: list[list[Tensor]]
     w_k: list[list[Tensor]]
@@ -172,33 +174,38 @@ def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
     return softmax(add(matmul(c, params.w_out), params.b_out), axis=1)
 
 
-def _weight_tensors(states, params: MhmlaHeadParams, config: ModelConfig,
-                    train_mode: bool, rng):
-    """The dropped-out states 1..L and, per head, an [n x L] tensor of
-    depth-attention weights."""
+def _depth_weights(states, params: MhmlaHeadParams, config: ModelConfig,
+                   train_mode: bool, rng):
+    """The dropped-out states 1..L and the [n, L, J] depth-attention
+    weights, [n, l, j] being head j's weight on encoder layer l+1.
+
+    One matmul per layer gives all J heads' [n x J*dk] relu keys, and
+    one matmul with the w_a laid out block-diagonally scores them all."""
     _check_states(states, config)
+    L, J, dk = config.n_layers, config.layer_attn_heads, config.key_dim
     states_d = [_maybe_drop(s, config.dropout, train_mode, rng)
                 for s in states[1:]]
-    out = []
-    for j in range(config.layer_attn_heads):
-        cols = []
-        for l in range(config.n_layers):
-            k = relu(add(matmul(states_d[l], params.w_k[l][j]),
-                         params.b_k[l][j]))
-            k = _maybe_drop(k, config.dropout, train_mode, rng)
-            cols.append(add(matmul(k, params.w_a[l][j]), params.b_a[l][j]))
-        weights = softmax(concat_cols(cols), axis=1)
-        weights = _maybe_drop(weights, config.attn_dropout, train_mode, rng)
-        out.append(weights)
-    return states_d, out
+    keys = []
+    for l in range(L):
+        k = relu(add(matmul(states_d[l], concat(params.w_k[l])),
+                     concat(params.b_k[l])))
+        keys.append(_maybe_drop(k, config.dropout, train_mode, rng))
+    # w_a[l][j] fills the dk rows from (l*J + j)*dk in column l*J + j
+    blocks = Tensor(np.repeat(np.eye(L * J), dk, axis=0))
+    w_a = mul(blocks, concat([w for row in params.w_a for w in row], axis=0))
+    b_a = concat([b for row in params.b_a for b in row])
+    scores = add(matmul(concat(keys), w_a), b_a)
+    weights = softmax(reshape(scores, (scores.shape[0], L, J)), axis=1)
+    weights = _maybe_drop(weights, config.attn_dropout, train_mode, rng)
+    return states_d, weights
 
 
 def layer_attention_weights(states, params: MhmlaHeadParams,
                             config: ModelConfig, train_mode: bool = False,
                             rng=None) -> AttentionRecord:
     """Just the depth-attention distributions, as a record."""
-    _, tensors = _weight_tensors(states, params, config, train_mode, rng)
-    return AttentionRecord(np.stack([t.data for t in tensors], axis=1))
+    _, weights = _depth_weights(states, params, config, train_mode, rng)
+    return AttentionRecord(weights.data.transpose(0, 2, 1))
 
 
 def mhmla_forward(states, params: MhmlaHeadParams, config: ModelConfig,
@@ -206,22 +213,20 @@ def mhmla_forward(states, params: MhmlaHeadParams, config: ModelConfig,
                   rng=None) -> tuple[Tensor, AttentionRecord]:
     """Class probabilities plus the attention weights that produced them.
 
-    Per head j: values v^l = h^l W_v + b_v for each layer, scores from a
-    relu key projection, softmax over layers, weighted value sum; heads
-    concatenate and feed the output layer.
+    Per layer l, one matmul gives every head's values
+    v^l = h^l [W_v^l1 .. W_v^lJ] + [b_v^l1 .. b_v^lJ], and one broadcast
+    mul weighs them by the depth weights.  The J heads side by side, the
+    sum over layers of those weighted values, feed the output layer:
+    one matmul against W_out stacked L times both sums and maps them.
     """
-    L, J = config.n_layers, config.layer_attn_heads
-    states_d, weights = _weight_tensors(states, params, config, train_mode,
-                                        rng)
-    heads = []
-    for j in range(J):
-        mixed = None
-        for l in range(L):
-            v = add(matmul(states_d[l], params.w_v[l][j]), params.b_v[l][j])
-            term = mul(v, slice_cols(weights[j], l, l + 1))
-            mixed = term if mixed is None else add(mixed, term)
-        heads.append(mixed)
-    c = concat_cols(heads)
-    probs = softmax(add(matmul(c, params.w_out), params.b_out), axis=1)
-    record = AttentionRecord(np.stack([t.data for t in weights], axis=1))
-    return probs, record
+    L, J, h = config.n_layers, config.layer_attn_heads, config.hidden
+    states_d, weights = _depth_weights(states, params, config, train_mode,
+                                       rng)
+    n = weights.shape[0]
+    values = concat([add(matmul(states_d[l], concat(params.w_v[l])),
+                         concat(params.b_v[l])) for l in range(L)])
+    mixed = mul(reshape(values, (n, L, J, h // J)),
+                reshape(weights, (n, L, J, 1)))
+    logits = matmul(reshape(mixed, (n, L * h)), concat([params.w_out] * L, 0))
+    probs = softmax(add(logits, params.b_out), axis=1)
+    return probs, AttentionRecord(weights.data.transpose(0, 2, 1))

@@ -29,8 +29,8 @@ FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 __all__ = [
     "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
     "add", "mul", "scale", "matmul", "relu", "softmax", "dropout",
-    "attention", "row_norm", "gather_rows", "concat_cols", "slice_cols",
-    "sum_all", "cross_entropy", "finite_diff_check", "GradCheckReport",
+    "attention", "row_norm", "gather_rows", "concat", "reshape", "sum_all",
+    "cross_entropy", "finite_diff_check", "GradCheckReport",
     "PROB_CLAMP", "MASK_LOGIT", "NORM_EPS", "FD_ZERO_TOL",
 ]
 
@@ -379,41 +379,32 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along the last axis."""
+def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+    """Join tensors of one rank along axis; every other axis must agree.
+    Backward hands each part its slice of the gradient."""
     parts = list(parts)
-    if not parts:
-        raise ValueError("concat_cols needs at least one tensor")
-    rows = parts[0].shape[0]
-    for p in parts:
-        _need_2d(p, "concat_cols")
-        if p.shape[0] != rows:
-            raise ValueError(
-                f"concat_cols row mismatch: {p.shape[0]} vs {rows}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.shape[1] for p in parts]
+    try:
+        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    except ValueError:
+        raise ValueError(f"concat cannot join {[p.shape for p in parts]} "
+                         f"along axis {axis}") from None
 
     def bwd(g, pending):
-        at = 0
-        for p, w in zip(parts, widths):
-            _acc(pending, p, g[:, at:at + w])
-            at += w
+        cuts = np.cumsum([p.shape[axis] for p in parts])[:-1]
+        for p, gp in zip(parts, np.split(g, cuts, axis=axis)):
+            _acc(pending, p, gp)
 
     return _record(out, tuple(parts), bwd)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    _need_2d(x, "slice_cols")
-    if not 0 <= start < stop <= x.shape[1]:
-        raise ValueError(
-            f"slice_cols [{start}:{stop}] out of range for shape {x.shape}")
-    out = Tensor(x.data[:, start:stop].copy())
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same entries, in row-major order, in a new shape."""
+    if math.prod(shape) != x.data.size:
+        raise ValueError(f"reshape: {x.shape} does not fit into {shape}")
+    out = Tensor(x.data.reshape(shape))
 
     def bwd(g, pending):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            dx[:, start:stop] = g
-            _acc(pending, x, dx)
+        _acc(pending, x, g.reshape(x.shape))
 
     return _record(out, (x,), bwd)
 

@@ -4,10 +4,14 @@ The brute-force alignment oracle enumerates every minimum-cost edit
 script, then picks the one the backtrace convention prefers: reading
 ops from the END of the sentence, match beats substitution beats
 deletion beats insertion.  forced_depth_params pins the MHMLA depth
-weights to constants through the head's own parameters.
+weights to constants through the head's own parameters, and
+mhmla_reference computes the MHMLA head one (layer, head) pair at a
+time in plain numpy.
 """
 import copy
 import functools
+
+import numpy as np
 
 from gedlab.corpus import LABEL_ERR, LABEL_OK
 
@@ -83,3 +87,35 @@ def forced_depth_params(params, keep_layer=None):
             w.data[...] = 0.0
             b.data[...] = 0.0 if keep_layer in (None, l) else -1e4
     return forced
+
+
+def _softmax(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def mhmla_reference(states, params, config):
+    """Eval-mode MHMLA head, the paper's equations one (layer, head) pair
+    at a time: per head j, a relu key k = relu(h^l W_k + b_k) and a score
+    k w_a + b_a for each layer l, a softmax of the scores over layers,
+    and the weighted sum of the values h^l W_v + b_v.  The heads, side
+    by side, feed the output layer.
+
+    Returns (probs [n x classes], weights [n, J, L]).
+    """
+    hs = [s.data for s in states[1:]]
+    L, J = config.n_layers, config.layer_attn_heads
+    weights, heads = [], []
+    for j in range(J):
+        scores = np.stack([
+            np.maximum(hs[l] @ params.w_k[l][j].data + params.b_k[l][j].data,
+                       0.0) @ params.w_a[l][j].data[:, 0]
+            + params.b_a[l][j].data[0] for l in range(L)], axis=1)
+        w = _softmax(scores, axis=1)
+        weights.append(w)
+        heads.append(sum(w[:, l:l + 1] * (hs[l] @ params.w_v[l][j].data
+                                          + params.b_v[l][j].data)
+                         for l in range(L)))
+    logits = (np.concatenate(heads, axis=1) @ params.w_out.data
+              + params.b_out.data)
+    return _softmax(logits, axis=1), np.stack(weights, axis=1)

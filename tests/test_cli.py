@@ -322,6 +322,22 @@ class TestGradcheck:
                       if line.startswith("error: ")]
             assert len(errors) == 1 and flag in errors[0]
 
+    def test_one_token_sentences(self, capsys):
+        # seed 0 draws a length of 0 for the third sentence at
+        # [max_len // 2, max_len]
+        assert run("gradcheck", "--layers", "1", "--hidden", "4",
+                   "--sentences", "3", "--max-len", "1", "--seed", "0") == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_vocab_without_a_free_id_is_data_error(self, capsys):
+        assert run("gradcheck", "--layers", "1", "--hidden", "4",
+                   "--sentences", "1", "--vocab-size", "4") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and "--vocab-size" in errors[0]
+
 
 class TestSweep:
     def test_one_report_per_head_count(self, workdir, tmp_path):

@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from oracles import forced_depth_params
+from oracles import forced_depth_params, mhmla_reference
 
 from gedlab.encoder import ModelConfig
 from gedlab.heads import (
@@ -202,6 +202,25 @@ class TestReductions:
         assert np.abs(a.data - b.data).max() < 1e-12
 
 
+class TestLayout:
+    # L, J, key_dim and the value width H // J all differ, so a transposed
+    # reshape or a misplaced block cannot cancel out
+    @pytest.mark.parametrize("L, J, dk, h", [
+        (1, 1, 3, 8), (3, 2, 3, 8), (4, 4, 16, 64), (2, 8, 5, 64)])
+    def test_matches_per_pair_reference(self, rng, L, J, dk, h):
+        cfg = cfg_for(n_layers=L, layer_attn_heads=J, key_dim=dk, hidden=h)
+        params = init_head_params(cfg, rng, init_std=0.5)
+        states = random_states(rng, cfg, n_tokens=6)
+        want_probs, want_weights = mhmla_reference(states, params, cfg)
+        with no_grad():
+            probs, record = mhmla_forward(states, params, cfg)
+            alone = layer_attention_weights(states, params, cfg)
+        assert record.weights.shape == (6, J, L)
+        assert np.abs(probs.data - want_probs).max() < 1e-12
+        assert np.abs(record.weights - want_weights).max() < 1e-12
+        assert np.array_equal(alone.weights, record.weights)
+
+
 class TestConvexity:
     def test_head_output_stays_in_value_hull(self, rng):
         cfg = cfg_for()
@@ -222,18 +241,23 @@ class TestConvexity:
 
 class TestGradients:
     def test_mhmla_params_pass_fd(self, rng):
-        cfg = cfg_for(n_layers=2)
-        params = init_head_params(cfg, rng, init_std=0.5)
-        states = random_states(rng, cfg, n_tokens=4)
-        targets = [0, 1, 1, 0]
+        # the second config has L != J and key_dim != value width, so a
+        # square shape cannot hide a transposed reshape
+        for cfg in (cfg_for(n_layers=2),
+                    cfg_for(n_layers=3, layer_attn_heads=2, key_dim=3)):
+            params = init_head_params(cfg, rng, init_std=0.5)
+            states = random_states(rng, cfg, n_tokens=4)
+            targets = [0, 1, 1, 0]
 
-        def f():
-            probs, _ = mhmla_forward(states, params, cfg)
-            return cross_entropy(probs, targets)
+            def f():
+                probs, _ = mhmla_forward(states, params, cfg)
+                return cross_entropy(probs, targets)
 
-        report = finite_diff_check(f, list(params.named()), eps=1e-5, tol=1e-4)
-        assert report.passed, (
-            f"max rel err {report.max_rel_err:.3e} at {report.worst_param}")
+            report = finite_diff_check(f, list(params.named()), eps=1e-5,
+                                       tol=1e-4)
+            assert report.passed, (
+                f"max rel err {report.max_rel_err:.3e} at "
+                f"{report.worst_param}")
 
     def test_avgl_params_pass_fd(self, rng):
         cfg = cfg_for("avgl", n_layers=2)

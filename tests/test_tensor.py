@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from gedlab.tensor import (
-    GradCheckReport, Tensor, add, attention, backward, concat_cols,
-    cross_entropy, dropout, finite_diff_check, gather_rows, matmul, mul,
-    no_grad, relu, reset_graph, row_norm, scale, slice_cols, softmax,
-    sum_all,
+    GradCheckReport, Tensor, add, attention, backward, concat, cross_entropy,
+    dropout, finite_diff_check, gather_rows, matmul, mul, no_grad, relu,
+    reset_graph, reshape, row_norm, scale, softmax, sum_all,
 )
 
 
@@ -112,9 +111,13 @@ class TestForwardValues:
     def test_concat_slice_roundtrip(self, rng):
         a = Tensor(rng.normal(size=(3, 2)))
         b = Tensor(rng.normal(size=(3, 4)))
-        cat = concat_cols([a, b])
+        cat = concat([a, b])
         assert cat.shape == (3, 6)
-        assert np.array_equal(slice_cols(cat, 2, 6).data, b.data)
+        assert np.array_equal(cat.data[:, 2:], b.data)
+        back = reshape(reshape(cat, (3, 2, 3)), (3, 6))
+        assert np.array_equal(back.data, cat.data)
+        assert np.array_equal(concat([a, a], axis=0).data,
+                              np.vstack([a.data, a.data]))
 
     def test_gather_rows_picks(self):
         x = Tensor(np.arange(12.0).reshape(4, 3))
@@ -241,9 +244,9 @@ class TestFiniteDifferences:
         s = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
 
         def build():
-            cat = concat_cols([a, b])
-            sl = slice_cols(cat, 1, 4)
-            return sum_all(mul(mul(sl, s), mul(sl, s)))
+            cat = concat([a, b])
+            r = reshape(mul(cat, s), (5, 3))
+            return sum_all(mul(r, r))
 
         _fd_on(build, [a, b, s])
 
@@ -300,6 +303,47 @@ class TestBroadcasting:
         with pytest.raises(ValueError, match=re.escape(
                 f"{b_shape} does not broadcast into {a_shape}")):
             op(a, b)
+
+
+class TestConcatReshape:
+    @pytest.mark.parametrize("shapes, axis", [
+        pytest.param([(2, 3), (4, 3), (1, 3)], 0, id="rows"),
+        pytest.param([(3, 2), (3, 4)], -1, id="cols"),
+        pytest.param([(2,), (3,), (1,)], 0, id="1d_axis0"),
+        pytest.param([(2,), (3,)], -1, id="1d_last"),
+    ])
+    def test_concat_passes_fd(self, rng, shapes, axis):
+        parts = [Tensor(rng.normal(size=s), requires_grad=True)
+                 for s in shapes]
+        weight = Tensor(rng.normal(size=np.concatenate(
+            [p.data for p in parts], axis=axis).shape))
+        _fd_on(lambda: sum_all(mul(c := mul(concat(parts, axis), weight), c)),
+               parts)
+
+    def test_reshape_passes_fd_through_a_4d_round_trip(self, rng):
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 2, 1)), requires_grad=True)
+
+        def build():
+            y = reshape(mul(reshape(x, (2, 3, 2, 2)), w), (6, 4))
+            return sum_all(mul(y, y))
+
+        _fd_on(build, [x, w])
+
+    @pytest.mark.parametrize("shapes, axis", [
+        pytest.param([(2, 3), (2, 4)], 0, id="cols_differ"),
+        pytest.param([(2, 3), (3, 3)], -1, id="rows_differ"),
+        pytest.param([(2, 3), (3,)], 0, id="rank_differs"),
+        pytest.param([(2, 3)], 2, id="no_such_axis"),
+        pytest.param([], -1, id="nothing"),
+    ])
+    def test_concat_rejects_disagreeing_axes(self, shapes, axis):
+        with pytest.raises(ValueError, match="concat cannot join"):
+            concat([Tensor(np.ones(s)) for s in shapes], axis)
+
+    def test_reshape_rejects_a_different_size(self):
+        with pytest.raises(ValueError, match=re.escape("(2, 3)")):
+            reshape(Tensor(np.ones((2, 3))), (4, 2))
 
 
 class TestFiniteDifferenceInputs:

@@ -44,6 +44,21 @@ def config_for(corpus, **overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def desk_config(**overrides) -> ModelConfig:
+    """The CLI's desk model (L=J=4, H=64, key_dim 16) over 40 ids."""
+    base = dict(vocab_size=40, key_dim=16, dropout=0.0, attn_dropout=0.0)
+    base.update(overrides)
+    return ModelConfig(**base)
+
+
+def desk_batch(rng):
+    """16 sentences of 8 to 24 single-piece words."""
+    return [TokenizedSentence(words=["w"] * n, labels=["c"] * n,
+                              sub_ids=rng.integers(4, 40, size=n).tolist(),
+                              first_sub_index=list(range(n)))
+            for n in np.linspace(8, 24, 16).astype(int)]
+
+
 def tape_bytes() -> int:
     """Bytes held by the tape: every node's value plus the arrays its
     backward keeps (an op's saved intermediates live there), each array
@@ -243,25 +258,32 @@ class TestTrainLoop:
         assert abs(wide - plain) < 1e-10
 
     def test_tape_grows_linearly_with_batch_size(self):
-        # desk width, sentence lengths 8-24; B=32 is the B=16 batch
-        # twice, so the padded length is the same.  An array of
-        # [B*T x B*T] on the tape makes the ratio near 4, not 2
+        # B=32 is the B=16 batch twice, so the padded length is the
+        # same.  An array of [B*T x B*T] on the tape makes the ratio
+        # near 4, not 2
         rng = np.random.default_rng(0)
-        cfg = ModelConfig(vocab_size=40, key_dim=16, dropout=0.0,
-                          attn_dropout=0.0)
-        model = init_model(cfg, rng)
-        batch = []
-        for n in np.linspace(8, 24, 16).astype(int):
-            batch.append(TokenizedSentence(
-                words=["w"] * n, labels=["c"] * n,
-                sub_ids=rng.integers(4, 40, size=n).tolist(),
-                first_sub_index=list(range(n))))
+        model = init_model(desk_config(), rng)
+        batch = desk_batch(rng)
         sizes = {}
         for b, sents in ((16, batch), (32, batch * 2)):
             reset_graph()
             batch_loss(model, sents, train_mode=True, rng=rng)
             sizes[b] = tape_bytes()
         assert sizes[32] <= 2.2 * sizes[16], sizes
+
+    def test_depth_attention_head_adds_few_tape_nodes(self):
+        # at L=J=4, a matmul chain per (layer, head) pair records 165
+        # nodes more than the final head; one key and one value matmul
+        # per layer records 50 more
+        rng = np.random.default_rng(0)
+        batch = desk_batch(rng)
+        nodes = {}
+        for head_type in ("mhmla", "final"):
+            model = init_model(desk_config(head_type=head_type), rng)
+            reset_graph()
+            batch_loss(model, batch, train_mode=True, rng=rng)
+            nodes[head_type] = len(active_graph().nodes)
+        assert nodes["mhmla"] - nodes["final"] <= 60, nodes
 
     def test_model_config_is_used_as_given(self):
         corpus = small_corpus(n=4)
