@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .tensor import (
-    Tensor, add, attention, dropout, gather_rows, matmul, mul, relu, row_norm,
+    Tensor, add, attention, dropout, gather_rows, layer_norm, linear, relu,
 )
 
 HEAD_TYPES = ("final", "avgl", "mhmla")
@@ -204,24 +204,19 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
     )
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return add(mul(row_norm(x), gain), bias)
-
-
 def _block(h: Tensor, lp: LayerParams, config: ModelConfig, key_real,
            train_mode: bool, rng: np.random.Generator | None) -> Tensor:
-    q = add(matmul(h, lp.w_q), lp.b_q)
-    k = add(matmul(h, lp.w_k), lp.b_k)
-    v = add(matmul(h, lp.w_v), lp.b_v)
+    q = linear(h, lp.w_q, lp.b_q)
+    k = linear(h, lp.w_k, lp.b_k)
+    v = linear(h, lp.w_v, lp.b_v)
     rate = config.attn_dropout if train_mode else 0.0
     mixed = attention(q, k, v, key_real, config.self_attn_heads, rate, rng)
-    attn_out = add(matmul(mixed, lp.w_o), lp.b_o)
+    attn_out = linear(mixed, lp.w_o, lp.b_o)
     if train_mode and config.dropout > 0.0:
         attn_out = dropout(attn_out, config.dropout, rng)
     h = layer_norm(add(h, attn_out), lp.ln1_gain, lp.ln1_bias)
 
-    ff = add(matmul(h, lp.w_ff1), lp.b_ff1)
-    ff = add(matmul(relu(ff), lp.w_ff2), lp.b_ff2)
+    ff = linear(relu(linear(h, lp.w_ff1, lp.b_ff1)), lp.w_ff2, lp.b_ff2)
     if train_mode and config.dropout > 0.0:
         ff = dropout(ff, config.dropout, rng)
     return layer_norm(add(h, ff), lp.ln2_gain, lp.ln2_bias)

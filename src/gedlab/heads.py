@@ -10,8 +10,9 @@ feed it:
   the concatenated heads feed the output layer.  Its only loop is over
   layers: one key and one value matmul per layer serve all J heads.
 
-The embedding state (index 0) never participates; depth attention runs
-over layers 1..L only.
+Every affine map x W + b is one tensor.linear node.  The embedding
+state (index 0) never participates; depth attention runs over layers
+1..L only.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .encoder import ModelConfig
 from .tensor import (
-    Tensor, add, concat, dropout, matmul, mul, relu, reshape, scale, softmax,
+    Tensor, add, concat, dropout, linear, mul, relu, reshape, scale, softmax,
 )
 
 INIT_STD = 0.02
@@ -156,7 +157,7 @@ def final_layer_forward(states, params: FinalHeadParams, config: ModelConfig,
     """softmax(h^L W + b) per token."""
     _check_states(states, config)
     h = _maybe_drop(states[-1], config.dropout, train_mode, rng)
-    return softmax(add(matmul(h, params.w_out), params.b_out), axis=1)
+    return softmax(linear(h, params.w_out, params.b_out), axis=1)
 
 
 def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
@@ -168,10 +169,10 @@ def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
     total = None
     for l in range(config.n_layers):
         h = _maybe_drop(states[l + 1], config.dropout, train_mode, rng)
-        term = add(matmul(h, params.w_proj[l]), params.b_proj[l])
+        term = linear(h, params.w_proj[l], params.b_proj[l])
         total = term if total is None else add(total, term)
     c = scale(total, 1.0 / config.n_layers)
-    return softmax(add(matmul(c, params.w_out), params.b_out), axis=1)
+    return softmax(linear(c, params.w_out, params.b_out), axis=1)
 
 
 def _depth_weights(states, params: MhmlaHeadParams, config: ModelConfig,
@@ -187,14 +188,14 @@ def _depth_weights(states, params: MhmlaHeadParams, config: ModelConfig,
                 for s in states[1:]]
     keys = []
     for l in range(L):
-        k = relu(add(matmul(states_d[l], concat(params.w_k[l])),
-                     concat(params.b_k[l])))
+        k = relu(linear(states_d[l], concat(params.w_k[l]),
+                        concat(params.b_k[l])))
         keys.append(_maybe_drop(k, config.dropout, train_mode, rng))
     # w_a[l][j] fills the dk rows from (l*J + j)*dk in column l*J + j
     blocks = Tensor(np.repeat(np.eye(L * J), dk, axis=0))
     w_a = mul(blocks, concat([w for row in params.w_a for w in row], axis=0))
     b_a = concat([b for row in params.b_a for b in row])
-    scores = add(matmul(concat(keys), w_a), b_a)
+    scores = linear(concat(keys), w_a, b_a)
     weights = softmax(reshape(scores, (scores.shape[0], L, J)), axis=1)
     weights = _maybe_drop(weights, config.attn_dropout, train_mode, rng)
     return states_d, weights
@@ -223,10 +224,11 @@ def mhmla_forward(states, params: MhmlaHeadParams, config: ModelConfig,
     states_d, weights = _depth_weights(states, params, config, train_mode,
                                        rng)
     n = weights.shape[0]
-    values = concat([add(matmul(states_d[l], concat(params.w_v[l])),
-                         concat(params.b_v[l])) for l in range(L)])
+    values = concat([linear(states_d[l], concat(params.w_v[l]),
+                            concat(params.b_v[l])) for l in range(L)])
     mixed = mul(reshape(values, (n, L, J, h // J)),
                 reshape(weights, (n, L, J, 1)))
-    logits = matmul(reshape(mixed, (n, L * h)), concat([params.w_out] * L, 0))
-    probs = softmax(add(logits, params.b_out), axis=1)
+    logits = linear(reshape(mixed, (n, L * h)), concat([params.w_out] * L, 0),
+                    params.b_out)
+    probs = softmax(logits, axis=1)
     return probs, AttentionRecord(weights.data.transpose(0, 2, 1))

@@ -9,7 +9,8 @@ broadcasts into a's shape (a row [h] on [n x h] for a bias or a gain, a
 column [n x 1] for one weight per row), and backward sums b's gradient
 over the broadcast axes.  The result always has a's shape: a b that
 would grow it, or does not broadcast, is a ValueError naming both
-shapes.  No other op broadcasts.
+shapes.  No other op broadcasts: linear and layer_norm take their
+bias and gain rows at exactly the output width.
 """
 from __future__ import annotations
 
@@ -23,13 +24,13 @@ import numpy as np
 
 PROB_CLAMP = 1e-12      # floor applied to probabilities before log
 MASK_LOGIT = -1e30      # attention score of a masked (PAD) key
-NORM_EPS = 1e-12        # added to the row variance in row_norm
+NORM_EPS = 1e-12        # added to the row variance in layer_norm
 FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 
 __all__ = [
     "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
-    "add", "mul", "scale", "matmul", "relu", "softmax", "dropout",
-    "attention", "row_norm", "gather_rows", "concat", "reshape", "sum_all",
+    "add", "mul", "scale", "matmul", "linear", "relu", "softmax", "dropout",
+    "attention", "layer_norm", "gather_rows", "concat", "reshape", "sum_all",
     "cross_entropy", "finite_diff_check", "GradCheckReport",
     "PROB_CLAMP", "MASK_LOGIT", "NORM_EPS", "FD_ZERO_TOL",
 ]
@@ -222,6 +223,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: the product is never kept apart from the
+    sum.  Computes and differentiates exactly what a matmul node then an
+    add node would, in the same order: b's gradient, then x's, then w's."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise ValueError(f"linear needs x [n x k], w [k x m] and b [m], "
+                         f"got {x.shape}, {w.shape} and {b.shape}")
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y)
+
+    def bwd(g, pending):
+        _acc(pending, b, g.sum(axis=0))
+        _acc(pending, x, g @ w.data.T)
+        _acc(pending, w, x.data.T @ g)
+
+    return _record(out, (x, w, b), bwd)
+
+
 # -------------------------------------------------------------- nonlinearity
 
 def relu(x: Tensor) -> Tensor:
@@ -256,11 +277,19 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+def _check_rate(rate: float, rng) -> None:
+    """A dropout rate is in [0, 1), and one above 0 draws from rng."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if rate > 0.0 and rng is None:
+        raise ValueError(f"dropout rate {rate} is above 0 and needs an rng, "
+                         f"got None")
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: kept entries scaled by 1/(1-rate).  rate=0 is
     the identity (returns x itself, no tape node)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    _check_rate(rate, rng)
     if rate == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
@@ -299,8 +328,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_real, n_heads: int,
     if n_heads < 1 or width % n_heads:
         raise ValueError(f"attention: {width} columns do not split into "
                          f"{n_heads} heads")
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    _check_rate(rate, rng)
     b, t = real.shape
     dh = width // n_heads
     inv_sqrt = 1.0 / math.sqrt(dh)
@@ -336,23 +364,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_real, n_heads: int,
     return _record(out, (q, k, v), bwd)
 
 
-def row_norm(x: Tensor) -> Tensor:
-    """Per-row standardization: (row - mean) / sqrt(pop_var + NORM_EPS).
-    Gain/bias are separate ops so this stays mean-0/var-1 exactly."""
-    _need_2d(x, "row_norm")
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Affine layer norm as one node: each row standardized,
+    y = (row - mean) / sqrt(pop_var + NORM_EPS), then y * gain + bias.
+    Only the output is recorded; y stays in the closure for backward,
+    which gives bias, then gain, then x their gradients."""
+    if (x.data.ndim != 2 or gain.shape != (x.shape[1],)
+            or bias.shape != (x.shape[1],)):
+        raise ValueError(f"layer_norm needs x [n x h], gain [h] and bias "
+                         f"[h], got {x.shape}, {gain.shape} and {bias.shape}")
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     y = xc * inv
-    out = Tensor(y)
+    out = y * gain.data
+    out += bias.data
 
     def bwd(g, pending):
-        gm = g.mean(axis=1, keepdims=True)
-        gy = (g * y).mean(axis=1, keepdims=True)
-        _acc(pending, x, inv * (g - gm - y * gy))
+        _acc(pending, bias, g.sum(axis=0))
+        _acc(pending, gain, (g * y).sum(axis=0))
+        gy = g * gain.data
+        gm = gy.mean(axis=1, keepdims=True)
+        gyy = (gy * y).mean(axis=1, keepdims=True)
+        _acc(pending, x, inv * (gy - gm - y * gyy))
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor(out), (x, gain, bias), bwd)
 
 
 # ------------------------------------------------------------ shape plumbing

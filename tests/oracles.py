@@ -14,6 +14,7 @@ import functools
 import numpy as np
 
 from gedlab.corpus import LABEL_ERR, LABEL_OK
+from gedlab.tensor import NORM_EPS
 
 _RANK = {"match": 0, "sub": 1, "del": 2, "ins": 3}
 
@@ -119,3 +120,22 @@ def mhmla_reference(states, params, config):
     logits = (np.concatenate(heads, axis=1) @ params.w_out.data
               + params.b_out.data)
     return _softmax(logits, axis=1), np.stack(weights, axis=1)
+
+
+def linear_reference(x, w, b, g):
+    """x @ w + b, then the product's gradients for an upstream gradient
+    g: (out, dx, dw, db)."""
+    return x @ w + b, g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+def layer_norm_reference(x, gain, bias, g):
+    """Each row standardized, times gain, plus bias, then its gradients
+    for an upstream gradient g: (out, dx, dgain, dbias).  dx is the
+    row-norm backward applied to g * gain."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + NORM_EPS)
+    y = xc * inv
+    gy = g * gain
+    dx = inv * (gy - gy.mean(axis=1, keepdims=True)
+                - y * (gy * y).mean(axis=1, keepdims=True))
+    return y * gain + bias, dx, (g * y).sum(axis=0), g.sum(axis=0)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from gedlab.tensor import (
-    GradCheckReport, Tensor, add, attention, backward, concat, cross_entropy,
-    dropout, finite_diff_check, gather_rows, matmul, mul, no_grad, relu,
-    reset_graph, reshape, row_norm, scale, softmax, sum_all,
+    GradCheckReport, Tensor, active_graph, add, attention, backward, concat,
+    cross_entropy, dropout, finite_diff_check, gather_rows, layer_norm,
+    linear, matmul, mul, no_grad, relu, reset_graph, reshape, scale, softmax,
+    sum_all,
 )
+from oracles import layer_norm_reference, linear_reference
 
 
 @pytest.fixture(autouse=True)
@@ -80,8 +82,9 @@ class TestForwardValues:
         assert np.array_equal(relu(Tensor(x)).data, x * (x > 0))
 
     def test_row_norm_standardizes(self, rng):
+        # layer_norm with gain 1 and bias 0 is the bare row norm
         x = Tensor(rng.normal(loc=3.0, scale=2.0, size=(10, 16)))
-        y = row_norm(x).data
+        y = layer_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16))).data
         assert np.all(np.abs(y.mean(axis=1)) < 1e-8)
         assert np.all(np.abs(y.var(axis=1) - 1.0) < 1e-8)
 
@@ -191,6 +194,12 @@ class TestBackward:
         with pytest.raises(ValueError, match="rate"):
             dropout(Tensor([1.0]), 1.0, rng)
 
+    def test_dropout_without_rng_rejected(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="above 0 and needs an rng"):
+            dropout(x, 0.1, None)
+        assert dropout(x, 0.0, None) is x
+
     def test_gather_rows_scatter_adds(self):
         x = Tensor(np.zeros((3, 2)), requires_grad=True)
         backward(sum_all(gather_rows(x, [1, 1, 2])))
@@ -230,8 +239,14 @@ class TestFiniteDifferences:
         gain = Tensor(rng.normal(size=8), requires_grad=True)
         bias = Tensor(rng.normal(size=8), requires_grad=True)
         _fd_on(
-            lambda: sum_all(mul(y := add(mul(row_norm(x), gain), bias), y)),
+            lambda: sum_all(mul(y := layer_norm(x, gain, bias), y)),
             [x, gain, bias])
+
+    def test_linear(self, rng):
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        _fd_on(lambda: sum_all(mul(y := linear(x, w, b), y)), [x, w, b])
 
     def test_relu_away_from_kink(self, rng):
         x = Tensor(rng.normal(size=(6, 6)) + np.sign(rng.normal(size=(6, 6))) * 0.5,
@@ -273,6 +288,69 @@ class TestFiniteDifferences:
         assert report.n_checked == 2
         assert report.worst_param.startswith("x[")
         assert report.passed
+
+
+def _grads_through(op, inputs, upstream):
+    """op(*inputs) and every input's gradient when upstream flows into
+    the output."""
+    tensors = [Tensor(a, requires_grad=True) for a in inputs]
+    out = op(*tensors)
+    backward(sum_all(mul(out, Tensor(upstream))))
+    return out.data, [t.grad for t in tensors]
+
+
+class TestFusedOps:
+    """linear and layer_norm against their unfused numpy forms: the same
+    expressions in the same order, so every value is bit-identical."""
+
+    @pytest.mark.parametrize("n, k, m", [(1, 3, 2), (5, 4, 3), (7, 1, 6)])
+    def test_linear_matches_unfused_reference(self, rng, n, k, m):
+        x, w, b = (rng.normal(size=s) for s in ((n, k), (k, m), (m,)))
+        upstream = rng.normal(size=(n, m))
+        out, grads = _grads_through(linear, (x, w, b), upstream)
+        ref_out, *ref_grads = linear_reference(x, w, b, upstream)
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, h", [(1, 4), (6, 8), (3, 2)])
+    def test_layer_norm_matches_unfused_reference(self, rng, n, h):
+        x = rng.normal(loc=1.0, scale=3.0, size=(n, h))
+        gain, bias = rng.normal(size=h), rng.normal(size=h)
+        upstream = rng.normal(size=(n, h))
+        out, grads = _grads_through(layer_norm, (x, gain, bias), upstream)
+        ref_out, *ref_grads = layer_norm_reference(x, gain, bias, upstream)
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+    def test_each_op_records_one_node(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        h = linear(x, Tensor(np.ones((4, 4))), Tensor(np.zeros(4)))
+        layer_norm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        assert len(active_graph().nodes) == 2
+
+    @pytest.mark.parametrize("x, w, b", [
+        pytest.param((4,), (4, 2), (2,), id="x_not_2d"),
+        pytest.param((3, 4), (5, 2), (2,), id="inner_mismatch"),
+        pytest.param((3, 4), (4, 2), (4,), id="bias_not_w_cols"),
+        pytest.param((3, 4), (4, 2), (1, 2), id="bias_is_a_row_matrix"),
+        pytest.param((3, 4), (4,), (2,), id="w_not_2d"),
+    ])
+    def test_linear_rejects_bad_shapes(self, x, w, b):
+        with pytest.raises(ValueError, match=re.escape(
+                f"got {x}, {w} and {b}")):
+            linear(*(Tensor(np.ones(s)) for s in (x, w, b)))
+
+    @pytest.mark.parametrize("x, gain, bias", [
+        pytest.param((4,), (4,), (4,), id="x_not_2d"),
+        pytest.param((3, 4), (3,), (4,), id="gain_not_x_cols"),
+        pytest.param((3, 4), (4,), (1, 4), id="bias_not_x_cols"),
+    ])
+    def test_layer_norm_rejects_bad_shapes(self, x, gain, bias):
+        with pytest.raises(ValueError, match=re.escape(
+                f"got {x}, {gain} and {bias}")):
+            layer_norm(*(Tensor(np.ones(s)) for s in (x, gain, bias)))
 
 
 class TestBroadcasting:
@@ -426,6 +504,11 @@ class TestAttention:
             return sum_all(mul(out, w))
 
         _fd_on(f, [q, k, v])
+
+    def test_dropout_without_rng_rejected(self):
+        x = Tensor(np.zeros((12, 4)))
+        with pytest.raises(ValueError, match="above 0 and needs an rng"):
+            attention(x, x, x, KEY_REAL, 2, rate=0.1)
 
     @pytest.mark.parametrize("n_heads, key_real, match", [
         pytest.param(3, KEY_REAL, "heads", id="indivisible-width"),
