@@ -39,8 +39,10 @@ __all__ = [
 class Tensor:
     """A float64 array plus the bookkeeping backward() needs.
 
-    grad is None until a backward pass deposits something; repeated
-    backward passes accumulate (callers reset via zero_grad).
+    backward() deposits gradients on leaves only: tensors that no op on
+    the tape produced, such as parameters and inputs.  An op's output
+    keeps grad None.  Repeated backward passes accumulate into a leaf's
+    grad (callers reset via zero_grad).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward")
@@ -132,17 +134,17 @@ def _acc(pending: dict, t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad for every reachable
-    requires_grad tensor.  loss must be a scalar."""
+    """Accumulate d(loss)/d(leaf) into .grad for every reachable
+    requires_grad leaf.  An interior node's gradient goes to its
+    backward and is dropped, so the tape holds no gradient arrays.
+    loss must be a scalar."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     pending: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for node in reversed(active_graph().nodes):
         g = pending.pop(node, None)
-        if g is None:
-            continue
-        node.grad = g if node.grad is None else node.grad + g
-        node._backward(g, pending)
+        if g is not None:
+            node._backward(g, pending)
     # whatever is left never went through an op: leaves (parameters, inputs)
     for leaf, g in pending.items():
         if leaf.requires_grad:

@@ -66,41 +66,108 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates keyed by parameter name."""
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam's step count and moments over one flat float64 buffer.
+
+    The first adam_step joins the parameters it is given into `flat`
+    and makes each p.data a view of it.  `m`, `v` and the joined
+    gradient share that layout, so one vectorized update covers every
+    tensor.  Later steps must pass the same parameters in the same
+    order."""
     t: int = 0
+    flat: np.ndarray | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    grad: np.ndarray | None = None
+    scratch: np.ndarray | None = None
+    views: list = field(default_factory=list)
+
+
+def _adopt(params: list, state: AdamState) -> None:
+    """Join the parameters into state.flat and rebind each p.data to
+    its view there."""
+    state.flat = np.concatenate([p.data.reshape(-1) for _, p in params])
+    state.m, state.v, state.grad, state.scratch = (
+        np.zeros_like(state.flat) for _ in range(4))
+    start = 0
+    for _, p in params:
+        view = state.flat[start:start + p.data.size].reshape(p.data.shape)
+        start += view.size
+        state.views.append(view)
+        p.data = view
+
+
+def _first_nonfinite(params: list, joined: np.ndarray) -> str:
+    """Name of the first parameter whose slice of joined is not finite."""
+    start = 0
+    for name, p in params:
+        stop = start + p.data.size
+        if not np.isfinite(joined[start:stop]).all():
+            return name
+        start = stop
+    raise AssertionError("every entry is finite")
 
 
 def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place.  Parameters whose grad
-    is still None are skipped; non-finite gradients abort."""
-    state.t += 1
-    t, b1, b2 = state.t, config.beta1, config.beta2
-    for name, p in named_params:
+    """One bias-corrected Adam update of every parameter, in place.
+
+    A parameter whose grad is None keeps its value and moments.  A
+    non-finite gradient raises FloatingPointError naming the first bad
+    parameter before anything, t included, is written; a non-finite
+    value after the update raises it too, naming the parameter.  A
+    p.data rebound since the first step, so no longer a view of the
+    buffer, raises ValueError naming it."""
+    params = list(named_params)
+    if state.flat is None:
+        _adopt(params, state)
+    elif len(params) != len(state.views):
+        raise ValueError(f"adam_step got {len(params)} parameters, its "
+                         f"buffer holds {len(state.views)}")
+    grads, skipped, start = [], [], 0
+    for (name, p), view in zip(params, state.views):
+        if p.data is not view:
+            raise ValueError(
+                f"{name} is no longer a view of the Adam buffer: its data "
+                f"was rebound after the first step")
         g = p.grad
         if g is None:
-            continue
-        if g.shape != p.data.shape:
+            g = np.zeros(view.shape)
+            skipped.append(slice(start, start + view.size))
+        elif g.shape != view.shape:
             raise ValueError(
-                f"gradient shape {g.shape} does not match {name} {p.data.shape}")
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient in {name} at step {t}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.data = p.data - config.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                          + config.adam_eps)
-        if not np.isfinite(p.data).all():
-            raise FloatingPointError(f"non-finite value in {name} at step {t}")
+                f"gradient shape {g.shape} does not match {name} {view.shape}")
+        grads.append(g.reshape(-1))
+        start += view.size
+    flat, m, v, g, s = state.flat, state.m, state.v, state.grad, state.scratch
+    np.concatenate(grads, out=g)
+    t = state.t + 1
+    if not np.isfinite(g).all():
+        raise FloatingPointError(
+            f"non-finite gradient in {_first_nonfinite(params, g)} at step {t}")
+    state.t = t
+    kept = [(a, k, a[k].copy()) for k in skipped for a in (flat, m, v)]
+    # per entry, in this order: m = b1*m + (1-b1)*g,
+    # v = b2*v + ((1-b2)*g)*g, then
+    # p -= (lr * m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
+    b1, b2 = config.beta1, config.beta2
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=s)
+    m += s
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=s)
+    s *= g
+    v += s
+    np.divide(v, 1.0 - b2 ** t, out=s)
+    np.sqrt(s, out=s)
+    s += config.adam_eps
+    np.divide(m, 1.0 - b1 ** t, out=g)
+    g *= config.learning_rate
+    g /= s
+    flat -= g
+    for a, k, saved in kept:
+        a[k] = saved
+    if not np.isfinite(flat).all():
+        raise FloatingPointError(
+            f"non-finite value in {_first_nonfinite(params, flat)} at step {t}")
 
 
 # ------------------------------------------------------------- batch setup

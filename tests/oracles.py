@@ -6,7 +6,8 @@ ops from the END of the sentence, match beats substitution beats
 deletion beats insertion.  forced_depth_params pins the MHMLA depth
 weights to constants through the head's own parameters, and
 mhmla_reference computes the MHMLA head one (layer, head) pair at a
-time in plain numpy.
+time in plain numpy.  adam_reference is Adam as one loop over the
+parameter tensors, with its moments in per-name dicts.
 """
 import copy
 import functools
@@ -139,3 +140,38 @@ def layer_norm_reference(x, gain, bias, g):
     dx = inv * (gy - gy.mean(axis=1, keepdims=True)
                 - y * (gy * y).mean(axis=1, keepdims=True))
     return y * gain + bias, dx, (g * y).sum(axis=0), g.sum(axis=0)
+
+
+def adam_reference(named_params, state, config):
+    """One bias-corrected Adam update, one parameter tensor at a time,
+    with the moments in per-name dicts on state.m and state.v.  A call
+    signature-compatible with gedlab.training.adam_step, so train() can
+    run on it."""
+    if state.m is None:
+        state.m, state.v = {}, {}
+    state.t += 1
+    t, b1, b2 = state.t, config.beta1, config.beta2
+    for name, p in named_params:
+        g = p.grad
+        if g is None:
+            continue
+        if g.shape != p.data.shape:
+            raise ValueError(
+                f"gradient shape {g.shape} does not match {name} {p.data.shape}")
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient in {name} at step {t}")
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p.data = p.data - config.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                          + config.adam_eps)
+        if not np.isfinite(p.data).all():
+            raise FloatingPointError(f"non-finite value in {name} at step {t}")
