@@ -379,10 +379,14 @@ def cmd_sweep(args) -> int:
 
 def int_list(text: str) -> list[int]:
     """argparse type of sweep's --heads: comma-separated integers.  A
-    bad list is a usage error, "argument --heads: invalid int_list"."""
+    bad list is a usage error, "argument --heads: invalid int_list", and
+    so is a repeated count, which would train and write one J twice."""
     values = [int(x) for x in text.split(",") if x.strip()]
     if not values:
         raise ValueError(f"{text!r} holds no integer")
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} lists a head count more than once")
     return values
 
 

@@ -8,7 +8,9 @@ feed it:
 * mhmla: per token, several attention heads score states 1..L, softmax
   over depth, and mix per-layer value projections with those weights;
   the concatenated heads feed the output layer.  Its only loop is over
-  layers: one key and one value matmul per layer serve all J heads.
+  layers: one key and one value map per layer serve all J heads, and
+  one score vector serves every (layer, head) pair.  Parameters are
+  stored in those shapes, so no forward re-joins them.
 
 Every affine map x W + b is one tensor.linear node.  The embedding
 state (index 0) never participates; depth attention runs over layers
@@ -73,28 +75,29 @@ class AvglHeadParams:
 
 @dataclass
 class MhmlaHeadParams:
-    """Indexed [layer][head]; layer 0 here is encoder layer 1.  The
-    forward joins a layer's J tensors with concat, whose backward hands
-    each pair its slice of the gradient."""
-    w_v: list[list[Tensor]]
-    b_v: list[list[Tensor]]
-    w_k: list[list[Tensor]]
-    b_k: list[list[Tensor]]
-    w_a: list[list[Tensor]]
-    b_a: list[list[Tensor]]
+    """Stored as the forward reads them; layer 0 here is encoder layer 1.
+    Per layer l, w_k[l] [h x J*dk] and b_k[l] [J*dk] hold the J heads'
+    key maps side by side, and w_v[l] [h x h] and b_v[l] [h] their value
+    maps.  w_a [L*J*dk x 1] and b_a [L*J] score every (layer, head) pair:
+    pair (l, j) owns dk rows of w_a and entry l*J + j of b_a."""
+    w_v: list[Tensor]
+    b_v: list[Tensor]
+    w_k: list[Tensor]
+    b_k: list[Tensor]
+    w_a: Tensor
+    b_a: Tensor
     w_out: Tensor
     b_out: Tensor
 
     def named(self):
         for l in range(len(self.w_v)):
-            for j in range(len(self.w_v[l])):
-                base = f"head.att.{l:02d}.{j:02d}"
-                yield f"{base}.w_v", self.w_v[l][j]
-                yield f"{base}.b_v", self.b_v[l][j]
-                yield f"{base}.w_k", self.w_k[l][j]
-                yield f"{base}.b_k", self.b_k[l][j]
-                yield f"{base}.w_a", self.w_a[l][j]
-                yield f"{base}.b_a", self.b_a[l][j]
+            base = f"head.att.{l:02d}"
+            yield f"{base}.w_v", self.w_v[l]
+            yield f"{base}.b_v", self.b_v[l]
+            yield f"{base}.w_k", self.w_k[l]
+            yield f"{base}.b_k", self.b_k[l]
+        yield "head.att.w_a", self.w_a
+        yield "head.att.b_a", self.b_a
         yield "head.w_out", self.w_out
         yield "head.b_out", self.b_out
 
@@ -120,19 +123,22 @@ def init_head_params(config: ModelConfig, rng: np.random.Generator,
             w_proj=[_weight(rng, init_std, h, h) for _ in range(config.n_layers)],
             b_proj=[_zeros(h) for _ in range(config.n_layers)],
             w_out=_weight(rng, init_std, h, c), b_out=_zeros(c))
-    width = h // config.layer_attn_heads
-    dk = config.key_dim
-    shape_of = {"w_v": (h, width), "b_v": (width,), "w_k": (h, dk),
-                "b_k": (dk,), "w_a": (dk, 1), "b_a": (1,)}
-    grids = {}
-    for name, shape in shape_of.items():
-        grids[name] = [
-            [(_weight(rng, init_std, *shape) if name.startswith("w")
-              else _zeros(*shape)) for _ in range(config.layer_attn_heads)]
-            for _ in range(config.n_layers)
-        ]
-    return MhmlaHeadParams(**grids, w_out=_weight(rng, init_std, h, c),
-                           b_out=_zeros(c))
+    L, J, dk = config.n_layers, config.layer_attn_heads, config.key_dim
+
+    def side_by_side(width):
+        # J draws of [h x width] in turn, each head's block of columns
+        drawn = rng.normal(0.0, init_std, size=(J, h, width))
+        return Tensor(np.concatenate(drawn, axis=1), requires_grad=True)
+
+    # every w_v, then every w_k, w_a and w_out: the order in which one
+    # tensor per (layer, head) pair was drawn, so a seed keeps its model
+    w_v = [side_by_side(h // J) for _ in range(L)]
+    w_k = [side_by_side(dk) for _ in range(L)]
+    return MhmlaHeadParams(
+        w_v=w_v, b_v=[_zeros(h) for _ in range(L)],
+        w_k=w_k, b_k=[_zeros(J * dk) for _ in range(L)],
+        w_a=_weight(rng, init_std, L * J * dk, 1), b_a=_zeros(L * J),
+        w_out=_weight(rng, init_std, h, c), b_out=_zeros(c))
 
 
 def _check_states(states, config: ModelConfig) -> None:
@@ -180,22 +186,19 @@ def _depth_weights(states, params: MhmlaHeadParams, config: ModelConfig,
     """The dropped-out states 1..L and the [n, L, J] depth-attention
     weights, [n, l, j] being head j's weight on encoder layer l+1.
 
-    One matmul per layer gives all J heads' [n x J*dk] relu keys, and
-    one matmul with the w_a laid out block-diagonally scores them all."""
+    One linear per layer gives all J heads' [n x J*dk] relu keys, and
+    one linear with w_a laid out block-diagonally scores them all."""
     _check_states(states, config)
     L, J, dk = config.n_layers, config.layer_attn_heads, config.key_dim
     states_d = [_maybe_drop(s, config.dropout, train_mode, rng)
                 for s in states[1:]]
-    keys = []
-    for l in range(L):
-        k = relu(linear(states_d[l], concat(params.w_k[l]),
-                        concat(params.b_k[l])))
-        keys.append(_maybe_drop(k, config.dropout, train_mode, rng))
-    # w_a[l][j] fills the dk rows from (l*J + j)*dk in column l*J + j
+    keys = concat([
+        _maybe_drop(relu(linear(states_d[l], params.w_k[l], params.b_k[l])),
+                    config.dropout, train_mode, rng) for l in range(L)])
+    # keys is [n x L*J*dk], pair (l, j) in the dk columns from
+    # (l*J + j)*dk; its dk rows of w_a score them in column l*J + j
     blocks = Tensor(np.repeat(np.eye(L * J), dk, axis=0))
-    w_a = mul(blocks, concat([w for row in params.w_a for w in row], axis=0))
-    b_a = concat([b for row in params.b_a for b in row])
-    scores = linear(concat(keys), w_a, b_a)
+    scores = linear(keys, mul(blocks, params.w_a), params.b_a)
     weights = softmax(reshape(scores, (scores.shape[0], L, J)), axis=1)
     weights = _maybe_drop(weights, config.attn_dropout, train_mode, rng)
     return states_d, weights
@@ -214,18 +217,19 @@ def mhmla_forward(states, params: MhmlaHeadParams, config: ModelConfig,
                   rng=None) -> tuple[Tensor, AttentionRecord]:
     """Class probabilities plus the attention weights that produced them.
 
-    Per layer l, one matmul gives every head's values
-    v^l = h^l [W_v^l1 .. W_v^lJ] + [b_v^l1 .. b_v^lJ], and one broadcast
-    mul weighs them by the depth weights.  The J heads side by side, the
-    sum over layers of those weighted values, feed the output layer:
-    one matmul against W_out stacked L times both sums and maps them.
+    Per layer l, one linear gives every head's values
+    v^l = h^l W_v^l + b_v^l, head j in columns j*H/J .. (j+1)*H/J, and
+    one broadcast mul weighs them by the depth weights.  The J heads
+    side by side, the sum over layers of those weighted values, feed
+    the output layer: one linear against W_out stacked L times both sums
+    and maps them.
     """
     L, J, h = config.n_layers, config.layer_attn_heads, config.hidden
     states_d, weights = _depth_weights(states, params, config, train_mode,
                                        rng)
     n = weights.shape[0]
-    values = concat([linear(states_d[l], concat(params.w_v[l]),
-                            concat(params.b_v[l])) for l in range(L)])
+    values = concat([linear(states_d[l], params.w_v[l], params.b_v[l])
+                     for l in range(L)])
     mixed = mul(reshape(values, (n, L, J, h // J)),
                 reshape(weights, (n, L, J, 1)))
     logits = linear(reshape(mixed, (n, L * h)), concat([params.w_out] * L, 0),

@@ -59,13 +59,15 @@ def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple]]:
             yield f"head.proj.{l:02d}.w", (h, h)
             yield f"head.proj.{l:02d}.b", (h,)
     elif config.head_type == "mhmla":
-        width, dk = h // config.layer_attn_heads, config.key_dim
-        att = [("w_v", (h, width)), ("b_v", (width,)), ("w_k", (h, dk)),
-               ("b_k", (dk,)), ("w_a", (dk, 1)), ("b_a", (1,))]
+        pairs = config.n_layers * config.layer_attn_heads
+        keys = config.layer_attn_heads * config.key_dim
+        att = [("w_v", (h, h)), ("b_v", (h,)), ("w_k", (h, keys)),
+               ("b_k", (keys,))]
         for l in range(config.n_layers):
-            for j in range(config.layer_attn_heads):
-                for name, shape in att:
-                    yield f"head.att.{l:02d}.{j:02d}.{name}", shape
+            for name, shape in att:
+                yield f"head.att.{l:02d}.{name}", shape
+        yield "head.att.w_a", (pairs * config.key_dim, 1)
+        yield "head.att.b_a", (pairs,)
     yield "head.w_out", (h, c)
     yield "head.b_out", (c,)
 

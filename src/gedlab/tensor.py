@@ -29,7 +29,7 @@ FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 
 __all__ = [
     "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
-    "add", "mul", "scale", "matmul", "linear", "relu", "softmax", "dropout",
+    "add", "mul", "scale", "linear", "relu", "softmax", "dropout",
     "attention", "layer_norm", "gather_rows", "concat", "reshape", "sum_all",
     "cross_entropy", "finite_diff_check", "GradCheckReport",
     "PROB_CLAMP", "MASK_LOGIT", "NORM_EPS", "FD_ZERO_TOL",
@@ -70,9 +70,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -211,24 +208,11 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul needs 2-D tensors, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def bwd(g, pending):
-        _acc(pending, a, g @ b.data.T)
-        _acc(pending, b, a.data.T @ g)
-
-    return _record(out, (a, b), bwd)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: the product is never kept apart from the
-    sum.  Computes and differentiates exactly what a matmul node then an
-    add node would, in the same order: b's gradient, then x's, then w's."""
+    sum.  With zero b it is the plain product.  Backward hands out, in
+    this order, b's gradient g summed over rows, x's g @ w.T and w's
+    x.T @ g."""
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != (w.shape[1],)):
         raise ValueError(f"linear needs x [n x k], w [k x m] and b [m], "

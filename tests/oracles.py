@@ -3,9 +3,10 @@
 The brute-force alignment oracle enumerates every minimum-cost edit
 script, then picks the one the backtrace convention prefers: reading
 ops from the END of the sentence, match beats substitution beats
-deletion beats insertion.  forced_depth_params pins the MHMLA depth
-weights to constants through the head's own parameters, and
-mhmla_reference computes the MHMLA head one (layer, head) pair at a
+deletion beats insertion.  pair_part reads one (layer, head) pair's
+own block out of the MHMLA head's joined parameters,
+forced_depth_params pins the depth weights to constants through those
+parameters, and mhmla_reference computes the MHMLA head one pair at a
 time in plain numpy.  adam_reference is Adam as one loop over the
 parameter tensors, with its moments in per-name dicts.
 """
@@ -75,6 +76,22 @@ def random_pair(rng, alphabet="abcd", max_len=6):
     return side(), side()
 
 
+def pair_part(params, name, l, j):
+    """Pair (l, j)'s own block of MHMLA head parameter name, in the shape
+    it would have alone: w_v [h x H/J], b_v [H/J], w_k [h x dk], b_k
+    [dk], w_a [dk x 1], b_a [1].  A view, so writing to it writes the
+    parameter."""
+    L = len(params.w_v)
+    J = params.b_a.shape[0] // L
+    if name in ("w_a", "b_a"):
+        joined = getattr(params, name).data
+        rows = joined.shape[0] // (L * J)
+        return joined[(l * J + j) * rows:(l * J + j + 1) * rows]
+    joined = getattr(params, name)[l].data
+    cols = joined.shape[-1] // J
+    return joined[..., j * cols:(j + 1) * cols]
+
+
 def forced_depth_params(params, keep_layer=None):
     """A copy of MHMLA head params whose depth weights are constant.
 
@@ -84,10 +101,12 @@ def forced_depth_params(params, keep_layer=None):
     there.  Without, b_a is 0 everywhere and the weights are exactly 1/L.
     """
     forced = copy.deepcopy(params)
-    for l, (w_row, b_row) in enumerate(zip(forced.w_a, forced.b_a)):
-        for w, b in zip(w_row, b_row):
-            w.data[...] = 0.0
-            b.data[...] = 0.0 if keep_layer in (None, l) else -1e4
+    L = len(forced.w_v)
+    for l in range(L):
+        for j in range(forced.b_a.shape[0] // L):
+            pair_part(forced, "w_a", l, j)[...] = 0.0
+            pair_part(forced, "b_a", l, j)[...] = (
+                0.0 if keep_layer in (None, l) else -1e4)
     return forced
 
 
@@ -108,15 +127,16 @@ def mhmla_reference(states, params, config):
     hs = [s.data for s in states[1:]]
     L, J = config.n_layers, config.layer_attn_heads
     weights, heads = [], []
+    part = functools.partial(pair_part, params)
     for j in range(J):
         scores = np.stack([
-            np.maximum(hs[l] @ params.w_k[l][j].data + params.b_k[l][j].data,
-                       0.0) @ params.w_a[l][j].data[:, 0]
-            + params.b_a[l][j].data[0] for l in range(L)], axis=1)
+            np.maximum(hs[l] @ part("w_k", l, j) + part("b_k", l, j), 0.0)
+            @ part("w_a", l, j)[:, 0] + part("b_a", l, j)[0]
+            for l in range(L)], axis=1)
         w = _softmax(scores, axis=1)
         weights.append(w)
-        heads.append(sum(w[:, l:l + 1] * (hs[l] @ params.w_v[l][j].data
-                                          + params.b_v[l][j].data)
+        heads.append(sum(w[:, l:l + 1] * (hs[l] @ part("w_v", l, j)
+                                          + part("b_v", l, j))
                          for l in range(L)))
     logits = (np.concatenate(heads, axis=1) @ params.w_out.data
               + params.b_out.data)

@@ -11,7 +11,9 @@ import time
 
 import numpy as np
 import pytest
-from oracles import forced_depth_params, oracle_labels, random_pair
+from oracles import (
+    forced_depth_params, oracle_labels, pair_part, random_pair,
+)
 
 from gedlab.cli import main, random_probe_batch
 from gedlab.corpus import (
@@ -152,9 +154,10 @@ def test_reduction_equivalences():
         forced, record = mhmla_forward(
             states, forced_depth_params(params, keep_layer=L - 1), cfg)
     assert np.array_equal(record.weights, one_hot)
-    w_cat = np.concatenate([params.w_v[L - 1][j].data for j in range(J)],
-                           axis=1)
-    b_cat = np.concatenate([params.b_v[L - 1][j].data for j in range(J)])
+    w_cat = np.concatenate(
+        [pair_part(params, "w_v", L - 1, j) for j in range(J)], axis=1)
+    b_cat = np.concatenate(
+        [pair_part(params, "b_v", L - 1, j) for j in range(J)])
     composed = FinalHeadParams(
         w_out=Tensor(w_cat @ params.w_out.data),
         b_out=Tensor(b_cat @ params.w_out.data + params.b_out.data))
@@ -177,8 +180,10 @@ def test_reduction_equivalences():
                                          cfg1)
     assert np.array_equal(record1.weights, uniform)
     copied = AvglHeadParams(
-        w_proj=[params1.w_v[l][0] for l in range(L)],
-        b_proj=[params1.b_v[l][0] for l in range(L)],
+        w_proj=[Tensor(pair_part(params1, "w_v", l, 0))
+                for l in range(L)],
+        b_proj=[Tensor(pair_part(params1, "b_v", l, 0))
+                for l in range(L)],
         w_out=params1.w_out, b_out=params1.b_out)
     with no_grad():
         direct1 = avgl_forward(
@@ -192,15 +197,18 @@ def test_reduction_equivalences():
     tied = copy.deepcopy(params)
     for l in range(1, L):
         for j in range(J):
-            tied.w_v[l][j].data = tied.w_v[0][j].data.copy()
-            tied.b_v[l][j].data = tied.b_v[0][j].data.copy()
+            pair_part(tied, "w_v", l, j)[...] = pair_part(
+                tied, "w_v", 0, j)
+            pair_part(tied, "b_v", l, j)[...] = pair_part(
+                tied, "b_v", 0, j)
     h = Tensor(rng.normal(size=(n, cfg.hidden)))
     same_states = [h] * (L + 1)
     rescored = copy.deepcopy(tied)
     for l in range(L):
         for j in range(J):
-            rescored.w_a[l][j].data = rng.normal(size=(cfg.key_dim, 1)) * 3
-            rescored.b_a[l][j].data = rng.normal(size=1)
+            pair_part(rescored, "w_a", l, j)[...] = rng.normal(
+                size=(cfg.key_dim, 1)) * 3
+            pair_part(rescored, "b_a", l, j)[...] = rng.normal(size=1)
     with no_grad():
         out_a, _ = mhmla_forward(same_states, tied, cfg)
         out_b, _ = mhmla_forward(same_states, rescored, cfg)

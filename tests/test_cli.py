@@ -4,14 +4,16 @@ import json
 import struct
 
 import pytest
+from oracles import pair_part
 
 from gedlab.cli import build_parser, main, resolve_configs
 from gedlab.corpus import (
     LabeledSentence, SentencePair, dp_align_label, read_corpus_sentences,
     read_pair_file, write_corpus, write_pair_file,
 )
+from gedlab.model import named_parameters
 from gedlab.tensor import active_graph, reset_graph
-from gedlab.training import CHECKPOINT_MAGIC
+from gedlab.training import CHECKPOINT_MAGIC, load_checkpoint
 
 
 @pytest.fixture(autouse=True)
@@ -113,6 +115,43 @@ class TestExitCodes:
         errors = [line for line in err.splitlines()
                   if line.startswith("error: ")]
         assert len(errors) == 1 and "bad header" in errors[0]
+
+    def test_per_pair_head_checkpoint_is_data_error(self, tmp_path, trained,
+                                                    capsys):
+        # the older layout saved one head.att.LL.JJ.* tensor per (layer,
+        # head) pair; it is not read, however right its numbers are
+        model = load_checkpoint(trained)
+        head = model.head
+        L, J = len(head.w_v), model.config.layer_attn_heads
+        entries = [(n, t.data) for n, t in named_parameters(model)
+                   if not n.startswith("head.att.")]
+        entries += [(f"head.att.{l:02d}.{j:02d}.{name}",
+                     pair_part(head, name, l, j))
+                    for l in range(L) for j in range(J)
+                    for name in ("w_v", "b_v", "w_k", "b_k", "w_a", "b_a")]
+        manifest, chunks, offset = [], [], 0
+        for name, data in sorted(entries, key=lambda e: e[0]):
+            chunks.append(data.astype("<f4").tobytes())
+            manifest.append({"name": name, "shape": list(data.shape),
+                             "offset": offset})
+            offset += len(chunks[-1])
+        head_bytes = json.dumps({"config": model.config.to_dict(),
+                                 "manifest": manifest}).encode()
+        old = tmp_path / "per_pair.ckpt"
+        old.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(head_bytes))
+                        + head_bytes + b"".join(chunks))
+        out = tmp_path / "report.json"
+        assert run("eval", "--checkpoint", str(old),
+                   "--vocab", str(trained) + ".vocab",
+                   "--corpus", str(tmp_path / "unused.tsv"),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert "unknown parameter head.att.00.00." in errors[0]
+        assert list(tmp_path.iterdir()) == [old]
 
 
 class TestGenLabel:
@@ -366,6 +405,18 @@ class TestSweep:
                        "--dev", str(workdir / "dev.tsv"),
                        "--seed", "2", "--out-dir", str(tmp_path / "s")) == 1
             assert "argument --heads" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_repeated_head_count_is_usage_error(self, workdir, tmp_path,
+                                                capsys):
+        # "2,2" used to train J=2 twice, the second run overwriting the
+        # first's checkpoint and report, with one result in the manifest
+        assert run("sweep", "--heads", "1,2,2",
+                   "--corpus", str(workdir / "corpus.tsv"),
+                   "--dev", str(workdir / "dev.tsv"),
+                   "--seed", "2", "--out-dir", str(tmp_path / "s")) == 1
+        err = capsys.readouterr().err
+        assert "argument --heads" in err and "more than once" in err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("heads", ["3", "1,0"])

@@ -9,7 +9,7 @@ from gedlab.encoder import (
 )
 from gedlab.tensor import (
     Tensor, add, backward, cross_entropy, finite_diff_check, gather_rows,
-    no_grad, reset_graph, softmax,
+    linear, no_grad, reset_graph, softmax,
 )
 
 
@@ -210,10 +210,11 @@ class TestBlockGradients:
         targets = [0, 1, 0]
         out_w = Tensor(rng.normal(0, 0.5, size=(cfg.hidden, 2)),
                        requires_grad=True)
+        no_b = Tensor(np.zeros(2))
 
         def f():
             states = encode(ids, params, cfg)
-            probs = softmax(states[-1] @ out_w, axis=1)
+            probs = softmax(linear(states[-1], out_w, no_b), axis=1)
             return cross_entropy(probs, targets)
 
         names = list(params.named()) + [("out_w", out_w)]
@@ -226,12 +227,14 @@ class TestBlockGradients:
         cfg = tiny_config(max_len=16)
         params = init_encoder_params(cfg, rng, init_std=0.5)
         out_w = Tensor(rng.normal(0, 0.5, size=(cfg.hidden, 2)))
+        no_b = Tensor(np.zeros(2))
         sents = [rng.integers(4, cfg.vocab_size, size=n).tolist()
                  for n in (5, 2, 7, 1, 4)]
         targets = [rng.integers(0, 2, size=len(s)) for s in sents]
 
         def loss_of(state, rows, target):
-            probs = softmax(gather_rows(state, rows) @ out_w, axis=1)
+            probs = softmax(linear(gather_rows(state, rows), out_w, no_b),
+                            axis=1)
             return cross_entropy(probs, target)
 
         def grads():

@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from oracles import forced_depth_params, mhmla_reference
+from oracles import forced_depth_params, mhmla_reference, pair_part
 
 from gedlab.encoder import ModelConfig
 from gedlab.heads import (
@@ -113,7 +113,7 @@ class TestAttentionWeights:
         params = init_head_params(cfg, rng, init_std=0.5)
         states = random_states(rng, cfg)
         bumped = copy.deepcopy(params)
-        bumped.b_a[1][0].data[0] += 0.7
+        pair_part(bumped, "b_a", 1, 0)[0] += 0.7
         with no_grad():
             before = layer_attention_weights(states, params, cfg).weights
             after = layer_attention_weights(states, bumped, cfg).weights
@@ -152,9 +152,10 @@ class TestReductions:
                 states, forced_depth_params(params, keep_layer=L - 1), cfg)
         assert np.array_equal(record.weights, one_hot)
         # concat of last-layer value projections is a single linear map
-        w_cat = np.concatenate([params.w_v[L - 1][j].data for j in range(J)],
-                               axis=1)
-        b_cat = np.concatenate([params.b_v[L - 1][j].data for j in range(J)])
+        w_cat = np.concatenate(
+            [pair_part(params, "w_v", L - 1, j) for j in range(J)], axis=1)
+        b_cat = np.concatenate(
+            [pair_part(params, "b_v", L - 1, j) for j in range(J)])
         composed = FinalHeadParams(
             w_out=Tensor(w_cat @ params.w_out.data),
             b_out=Tensor(b_cat @ params.w_out.data + params.b_out.data))
@@ -174,8 +175,10 @@ class TestReductions:
                                            cfg)
         assert np.array_equal(record.weights, uniform)
         copied = AvglHeadParams(
-            w_proj=[params.w_v[l][0] for l in range(L)],
-            b_proj=[params.b_v[l][0] for l in range(L)],
+            w_proj=[Tensor(pair_part(params, "w_v", l, 0))
+                    for l in range(L)],
+            b_proj=[Tensor(pair_part(params, "b_v", l, 0))
+                    for l in range(L)],
             w_out=params.w_out, b_out=params.b_out)
         with no_grad():
             direct = avgl_forward(states, copied, cfg_for("avgl"))
@@ -187,15 +190,18 @@ class TestReductions:
         L, J = cfg.n_layers, cfg.layer_attn_heads
         for l in range(1, L):
             for j in range(J):
-                params.w_v[l][j].data = params.w_v[0][j].data.copy()
-                params.b_v[l][j].data = params.b_v[0][j].data.copy()
+                pair_part(params, "w_v", l, j)[...] = pair_part(
+                    params, "w_v", 0, j)
+                pair_part(params, "b_v", l, j)[...] = pair_part(
+                    params, "b_v", 0, j)
         h = Tensor(rng.normal(size=(5, cfg.hidden)))
         states = [h] * (L + 1)
         other = copy.deepcopy(params)
         for l in range(L):
             for j in range(J):
-                other.w_a[l][j].data = rng.normal(size=(cfg.key_dim, 1)) * 3
-                other.b_a[l][j].data = rng.normal(size=1)
+                pair_part(other, "w_a", l, j)[...] = rng.normal(
+                    size=(cfg.key_dim, 1)) * 3
+                pair_part(other, "b_a", l, j)[...] = rng.normal(size=1)
         with no_grad():
             a, _ = mhmla_forward(states, params, cfg)
             b, _ = mhmla_forward(states, other, cfg)
@@ -221,6 +227,34 @@ class TestLayout:
         assert np.array_equal(alone.weights, record.weights)
 
 
+class TestInit:
+    @pytest.mark.parametrize("L, J, dk, h", [
+        (1, 1, 3, 8), (3, 2, 5, 8), (4, 4, 16, 64)])
+    def test_draws_match_per_pair_order(self, L, J, dk, h):
+        # per kind, then layer, then head, one [h x H/J], [h x dk] or
+        # [dk x 1] draw per pair, as when every pair had its own tensors:
+        # a seed gives the same model as it always did
+        cfg = cfg_for(n_layers=L, layer_attn_heads=J, key_dim=dk, hidden=h)
+        params = init_head_params(cfg, np.random.default_rng(7), init_std=0.5)
+        rng = np.random.default_rng(7)
+        drawn = {name: [[rng.normal(0.0, 0.5, size=shape) for _ in range(J)]
+                        for _ in range(L)]
+                 for name, shape in (("w_v", (h, h // J)), ("w_k", (h, dk)),
+                                     ("w_a", (dk, 1)))}
+        w_out = rng.normal(0.0, 0.5, size=(h, cfg.n_classes))
+        for l in range(L):
+            for name in ("w_v", "w_k"):
+                assert np.array_equal(getattr(params, name)[l].data,
+                                      np.concatenate(drawn[name][l], axis=1))
+            assert np.array_equal(params.b_v[l].data, np.zeros(h))
+            assert np.array_equal(params.b_k[l].data, np.zeros(J * dk))
+        assert np.array_equal(
+            params.w_a.data,
+            np.concatenate([w for row in drawn["w_a"] for w in row]))
+        assert np.array_equal(params.b_a.data, np.zeros(L * J))
+        assert np.array_equal(params.w_out.data, w_out)
+
+
 class TestConvexity:
     def test_head_output_stays_in_value_hull(self, rng):
         cfg = cfg_for()
@@ -231,8 +265,9 @@ class TestConvexity:
         with no_grad():
             _, record = mhmla_forward(states, params, cfg)
         for j in range(J):
-            v = np.stack([states[l + 1].data @ params.w_v[l][j].data
-                          + params.b_v[l][j].data for l in range(L)])
+            v = np.stack([
+                states[l + 1].data @ pair_part(params, "w_v", l, j)
+                + pair_part(params, "b_v", l, j) for l in range(L)])
             mixed = np.einsum("nl,lnd->nd", record.weights[:, j, :], v)
             lo, hi = v.min(axis=0), v.max(axis=0)
             assert np.all(mixed >= lo - 1e-12)

@@ -9,7 +9,7 @@ import pytest
 from gedlab.tensor import (
     GradCheckReport, Tensor, active_graph, add, attention, backward, concat,
     cross_entropy, dropout, finite_diff_check, gather_rows, layer_norm,
-    linear, matmul, mul, no_grad, relu, reset_graph, reshape, scale, softmax,
+    linear, mul, no_grad, relu, reset_graph, reshape, scale, softmax,
     sum_all,
 )
 from oracles import layer_norm_reference, linear_reference
@@ -28,26 +28,30 @@ def rng():
 
 
 class TestForwardValues:
+    # the plain product is a linear with a zero bias
     def test_matmul_identity(self):
         i2 = Tensor(np.eye(2))
         v = Tensor([[3.0], [4.0]])
-        assert np.array_equal(matmul(i2, v).data, [[3.0], [4.0]])
+        assert np.array_equal(linear(i2, v, Tensor(np.zeros(1))).data,
+                              [[3.0], [4.0]])
 
     def test_matmul_small(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b).data, [[17.0], [39.0]])
+        assert np.array_equal(linear(a, b, Tensor(np.zeros(1))).data,
+                              [[17.0], [39.0]])
 
     def test_matmul_zero(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.ones((3, 4)))
-        assert np.array_equal(matmul(a, b).data, np.zeros((2, 4)))
+        assert np.array_equal(linear(a, b, Tensor(np.zeros(4))).data,
+                              np.zeros((2, 4)))
 
     def test_matmul_shape_error_names_both_shapes(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((4, 5)))
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
-            matmul(a, b)
+            linear(a, b, Tensor(np.zeros(5)))
 
     def test_softmax_uniform(self):
         y = softmax(Tensor([1.0, 1.0]), axis=0)
@@ -226,7 +230,9 @@ class TestFiniteDifferences:
     def test_matmul_chain(self, rng):
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        _fd_on(lambda: sum_all(mul(matmul(a, b), matmul(a, b))), [a, b])
+        zero = Tensor(np.zeros(2))
+        _fd_on(lambda: sum_all(mul(linear(a, b, zero), linear(a, b, zero))),
+               [a, b])
 
     def test_softmax_cross_entropy(self, rng):
         logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
