@@ -63,6 +63,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def numeric_environment() -> dict:
+    """What besides the inputs decides a run's last bits: the numpy
+    version, the BLAS numpy was built with, and the BLAS thread setting
+    (None when the count was left to the library)."""
+    blas = np.show_config(mode="dicts").get(
+        "Build Dependencies", {}).get("blas", {})
+    threads = (os.environ.get("OPENBLAS_NUM_THREADS")
+               or os.environ.get("OMP_NUM_THREADS"))
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "blas_threads": threads}
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -73,6 +85,7 @@ class RunManifest:
     duration_seconds: float
     checksums: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=numeric_environment)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2,
@@ -330,6 +343,7 @@ def cmd_gradcheck(args) -> int:
         "eps": args.eps, "tol": args.tol,
         "config": config.to_dict(), "seed": args.seed,
         "duration_seconds": time.monotonic() - started,
+        "environment": numeric_environment(),
     }
     sys.stdout.write(json.dumps(result, indent=2) + "\n")
     if not report.passed:

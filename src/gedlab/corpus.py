@@ -353,6 +353,9 @@ class TokenizedSentence:
             raise ValueError("words, labels and first_sub_index must align")
         if not self.sub_ids:
             raise ValueError("no sub-tokens")
+        for lab in self.labels:
+            if lab not in (LABEL_OK, LABEL_ERR):
+                raise ValueError(f"label must be c or i, got {lab!r}")
         prev = -1
         for k in self.first_sub_index:
             if not 0 <= k < len(self.sub_ids) or k <= prev:

@@ -8,13 +8,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LABEL_ERR, LABEL_OK, LabeledCorpus
-from .model import Model, predict_word_probs, word_attention
+from .corpus import LABEL_ERR, LABEL_OK, LabeledCorpus, TokenizedSentence
+# word_attention is not called here; the benchmark's tracer
+# (perfbench/spans.py) wraps it as an attribute of this module
+from .model import (  # noqa: F401
+    Model, forward_batch, predict_word_probs, word_attention,
+)
 from .tensor import no_grad
 
 # class indices; the error class is the positive one
 CLASS_OK = 0
 CLASS_ERR = 1
+
+# sentences per forward in evaluate and attention_summary.  gedlab eval
+# of a desk model on 1000 sentences (1 BLAS thread) took 1.40 s one
+# sentence per forward and 0.34 s at 16, 32 or 64; the process peaked
+# at 39.7 MB RSS one at a time, 41.1 at 16, 43.0 at 32 and 46.3 at 64.
+# Beside perfbench's own checks, infer_eval's peak went 42.5 -> 43.0 MB
+# at 16 but to 47.7 MB (+12%) at 64, past the benchmark's 10% bound
+EVAL_BATCH = 16
 
 
 def confusion_counts(predicted, gold) -> tuple[int, int, int, int]:
@@ -100,14 +112,32 @@ def predict_labels(model: Model, sub_ids, first_sub_index) -> list[str]:
     return [LABEL_ERR if k == CLASS_ERR else LABEL_OK for k in picks]
 
 
+def _length_sorted_batches(sentences: list[TokenizedSentence]):
+    """Corpus indices in batches of EVAL_BATCH, by sub-token count with
+    ties in corpus order, so each batch pads little."""
+    order = sorted(range(len(sentences)),
+                   key=lambda i: len(sentences[i].sub_ids))
+    for start in range(0, len(order), EVAL_BATCH):
+        yield order[start:start + EVAL_BATCH]
+
+
 def evaluate(model: Model, corpus: LabeledCorpus,
              seed: int | None = None) -> EvalReport:
-    """Corpus-wide counts first, then the metrics."""
+    """Corpus-wide counts first, then the metrics.  Eval mode, in
+    length-sorted batches under no_grad; a probability tie goes to the
+    clean class, as in predict_labels."""
+    sentences = corpus.tokenized
     tp = fp = fn = tn = 0
-    for t in corpus.tokenized:
-        pred = predict_labels(model, t.sub_ids, t.first_sub_index)
-        a, b, c, d = confusion_counts(pred, t.labels)
-        tp, fp, fn, tn = tp + a, fp + b, fn + c, tn + d
+    with no_grad():
+        for batch in _length_sorted_batches(sentences):
+            probs, _, targets = forward_batch(
+                model, [sentences[i] for i in batch])
+            flagged = np.argmax(probs.data, axis=1) == CLASS_ERR
+            gold = np.asarray(targets) == CLASS_ERR
+            tp += int(np.sum(flagged & gold))
+            fp += int(np.sum(flagged & ~gold))
+            fn += int(np.sum(~flagged & gold))
+            tn += int(np.sum(~flagged & ~gold))
     return report_from_counts(tp, fp, fn, tn,
                               n_sentences=corpus.n_sentences,
                               config_fingerprint=model.config.fingerprint(),
@@ -135,16 +165,27 @@ class AttentionSummary:
 
 
 def attention_summary(model: Model, corpus: LabeledCorpus) -> AttentionSummary:
-    """Token-weighted mean of the depth-attention distributions."""
+    """Token-weighted mean of the depth-attention distributions, in
+    length-sorted batches under no_grad.  Each sentence's weights are
+    summed on their own and those sums added in corpus order, so the
+    mean does not depend on how the corpus was batched."""
     if model.config.head_type != "mhmla":
         raise ValueError(
             f"head type {model.config.head_type!r} has no depth attention")
+    sentences = corpus.tokenized
+    sums = [None] * len(sentences)
+    with no_grad():
+        for batch in _length_sorted_batches(sentences):
+            _, record, _ = forward_batch(model, [sentences[i] for i in batch])
+            start = 0
+            for i in batch:
+                stop = start + len(sentences[i].first_sub_index)
+                sums[i] = record.weights[start:stop].sum(axis=0)
+                start = stop
     total = np.zeros((model.config.layer_attn_heads, model.config.n_layers))
-    n = 0
-    for t in corpus.tokenized:
-        record = word_attention(model, t.sub_ids, t.first_sub_index)
-        total += record.weights.sum(axis=0)
-        n += record.n_tokens
+    for part in sums:
+        total += part
+    n = sum(len(t.first_sub_index) for t in sentences)
     if n == 0:
         raise ValueError("corpus has no word positions to average over")
     return AttentionSummary(matrix=total / n, n_tokens=n)

@@ -1,16 +1,22 @@
 """Whole-model assembly: encoder plus classification head, a flat view
-of all trainable parameters, and word-level inference."""
+of all trainable parameters, and the one forward from sentences to word
+probabilities that training, evaluation and attention export share."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .encoder import (
-    INIT_STD, EncoderParams, ModelConfig, encode, init_encoder_params,
+from .corpus import LABEL_ERR, LABEL_OK, TokenizedSentence
+# encode and layer_attention_weights are not called here; the
+# benchmark's tracer (perfbench/spans.py) wraps them as attributes of
+# this module
+from .encoder import (  # noqa: F401
+    INIT_STD, EncoderParams, ModelConfig, encode, encode_batch,
+    init_encoder_params,
 )
-from .heads import (
+from .heads import (  # noqa: F401
     AttentionRecord, HeadParams, avgl_forward, final_layer_forward,
     init_head_params, layer_attention_weights, mhmla_forward,
 )
@@ -100,19 +106,59 @@ def head_forward(states: list[Tensor], model: Model,
                          rng=rng)
 
 
+def label_targets(labels: Sequence[str]) -> list[int]:
+    """Class index per label: clean 0, error 1."""
+    return [1 if lab == LABEL_ERR else 0 for lab in labels]
+
+
+def batch_word_rows(batch: Sequence[TokenizedSentence], padded_len: int):
+    """Row index of each word in the flattened [B*T x H] layout, plus
+    its class target, batch order."""
+    rows: list[int] = []
+    targets: list[int] = []
+    for b, sent in enumerate(batch):
+        base = b * padded_len
+        rows.extend(base + k for k in sent.first_sub_index)
+        targets.extend(label_targets(sent.labels))
+    return np.asarray(rows, dtype=np.int64), targets
+
+
+def forward_batch(model: Model, sentences: Sequence[TokenizedSentence],
+                  train_mode: bool = False,
+                  rng: np.random.Generator | None = None):
+    """Several sentences end to end as one padded batch: encode the
+    sub-tokens, keep the first sub-token row of each word, classify
+    those rows.
+
+    Returns (probs [n_words x n_classes], record or None, targets), the
+    words in batch order; record is None for head types that do not
+    attend over depth.
+    """
+    states, _ = encode_batch([s.sub_ids for s in sentences], model.encoder,
+                             model.config, train_mode=train_mode, rng=rng)
+    rows, targets = batch_word_rows(sentences,
+                                    states[0].shape[0] // len(sentences))
+    word_states = [gather_rows(s, rows) for s in states]
+    probs, record = head_forward(word_states, model, train_mode=train_mode,
+                                 rng=rng)
+    return probs, record, targets
+
+
 def predict_word_probs(model: Model, sub_ids, first_sub_index,
                        train_mode: bool = False,
                        rng: np.random.Generator | None = None):
-    """One sentence end to end: encode the sub-tokens, keep the first
-    sub-token row of each word, classify those rows.
+    """forward_batch on one sentence, given only its ids and word rows.
 
     Returns (probs [n_words x n_classes], record or None).
     """
-    states = encode(sub_ids, model.encoder, model.config,
-                    train_mode=train_mode, rng=rng)
-    word_states = [select_first_subtoken_states(s, first_sub_index)
-                   for s in states]
-    return head_forward(word_states, model, train_mode=train_mode, rng=rng)
+    first = np.asarray(first_sub_index, dtype=np.int64).tolist()
+    sentence = TokenizedSentence(words=[""] * len(first),
+                                 labels=[LABEL_OK] * len(first),
+                                 sub_ids=np.asarray(sub_ids).tolist(),
+                                 first_sub_index=first)
+    probs, record, _ = forward_batch(model, [sentence],
+                                     train_mode=train_mode, rng=rng)
+    return probs, record
 
 
 def word_attention(model: Model, sub_ids, first_sub_index) -> AttentionRecord:
@@ -123,7 +169,4 @@ def word_attention(model: Model, sub_ids, first_sub_index) -> AttentionRecord:
         raise ValueError(
             f"head type {model.config.head_type!r} has no depth attention")
     with no_grad():
-        states = encode(sub_ids, model.encoder, model.config)
-        word_states = [select_first_subtoken_states(s, first_sub_index)
-                       for s in states]
-        return layer_attention_weights(word_states, model.head, model.config)
+        return predict_word_probs(model, sub_ids, first_sub_index)[1]

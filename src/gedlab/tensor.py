@@ -382,7 +382,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows x[indices].  Backward scatter-adds, so repeated
-    indices accumulate (embedding lookups rely on this)."""
+    indices accumulate (embedding lookups rely on this); strictly
+    increasing indices, such as word rows, own one gradient row each,
+    which backward writes directly."""
     _need_2d(x, "gather_rows")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
@@ -396,7 +398,10 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     def bwd(g, pending):
         if x.requires_grad:
             dx = np.zeros_like(x.data)
-            np.add.at(dx, idx, g)
+            if idx.size < 2 or (idx[1:] > idx[:-1]).all():
+                dx[idx] = g
+            else:
+                np.add.at(dx, idx, g)
             _acc(pending, x, dx)
 
     return _record(out, (x,), bwd)

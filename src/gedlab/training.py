@@ -17,12 +17,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LABEL_ERR, LabeledCorpus, TokenizedSentence
-from .encoder import ModelConfig, check_field_types, encode_batch
-from .model import (
-    Model, head_forward, init_model, named_parameters, parameter_shapes,
+from .corpus import LabeledCorpus, TokenizedSentence
+# encode_batch, batch_word_rows and label_targets are not called here;
+# they stay importable from this module, where the benchmark
+# (perfbench/) binds the first two
+from .encoder import ModelConfig, check_field_types, encode_batch  # noqa: F401
+from .model import (  # noqa: F401
+    Model, batch_word_rows, forward_batch, init_model, label_targets,
+    named_parameters, parameter_shapes,
 )
-from .tensor import Tensor, backward, cross_entropy, gather_rows, reset_graph
+from .tensor import Tensor, backward, cross_entropy, reset_graph
 
 log = logging.getLogger(__name__)
 
@@ -170,35 +174,14 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
             f"non-finite value in {_first_nonfinite(params, flat)} at step {t}")
 
 
-# ------------------------------------------------------------- batch setup
-
-def label_targets(labels: Sequence[str]) -> list[int]:
-    """Class index per label: clean 0, error 1."""
-    return [1 if lab == LABEL_ERR else 0 for lab in labels]
-
-
-def batch_word_rows(batch: Sequence[TokenizedSentence], padded_len: int):
-    """Row index of each word in the flattened [B*T x H] layout, plus
-    its class target, batch order."""
-    rows: list[int] = []
-    targets: list[int] = []
-    for b, sent in enumerate(batch):
-        base = b * padded_len
-        rows.extend(base + k for k in sent.first_sub_index)
-        targets.extend(label_targets(sent.labels))
-    return np.asarray(rows, dtype=np.int64), targets
-
+# -------------------------------------------------------------- the loss
 
 def batch_loss(model: Model, batch: Sequence[TokenizedSentence],
                train_mode: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
     """Mean cross-entropy over the words of a batch."""
-    states, _ = encode_batch([s.sub_ids for s in batch], model.encoder,
-                             model.config, train_mode=train_mode, rng=rng)
-    padded_len = states[0].shape[0] // len(batch)
-    rows, targets = batch_word_rows(batch, padded_len)
-    word_states = [gather_rows(s, rows) for s in states]
-    probs, _ = head_forward(word_states, model, train_mode=train_mode, rng=rng)
+    probs, _, targets = forward_batch(model, batch, train_mode=train_mode,
+                                      rng=rng)
     return cross_entropy(probs, targets)
 
 

@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, manifests, config precedence, and
 the gen/label/train/eval pipeline invariants."""
 import json
+import os
 import struct
 
+import numpy as np
 import pytest
 from oracles import pair_part
 
@@ -209,6 +211,52 @@ class TestGenLabel:
         assert run("label", "--pairs", str(tmp_path / "a.tsv"),
                    "--pairs", str(tmp_path / "b.tsv"),
                    "--out", str(tmp_path / "m.tsv")) == 2
+
+
+class TestManifestEnvironment:
+    """Every manifest says which numpy and BLAS made it, and with what
+    thread setting, so two runs can tell whether they should match bit
+    for bit."""
+
+    @staticmethod
+    def environment(path):
+        env = json.loads(path.read_text())["environment"]
+        assert set(env) == {"numpy", "blas", "blas_version", "blas_threads"}
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["blas"], str) and env["blas"]
+        assert isinstance(env["blas_version"], str)
+        return env
+
+    @pytest.mark.parametrize("env, threads", [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"}, "1"),
+        ({"OMP_NUM_THREADS": "2"}, "2"),
+        ({}, None),
+    ])
+    def test_gen_records_the_thread_setting(self, tmp_path, monkeypatch,
+                                            env, threads):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "pairs.tsv"
+        assert run("gen", "--n", "3", "--seed", "1", "--out", str(out)) == 0
+        path = tmp_path / "pairs.tsv.manifest.json"
+        assert self.environment(path)["blas_threads"] == threads
+
+    def test_train_and_eval_record_it(self, workdir, trained, tmp_path,
+                                      monkeypatch):
+        threads = (os.environ.get("OPENBLAS_NUM_THREADS")
+                   or os.environ.get("OMP_NUM_THREADS"))
+        train_env = self.environment(workdir / "model.ckpt.manifest.json")
+        assert train_env["blas_threads"] == threads
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        out = tmp_path / "report.json"
+        assert run("eval", "--checkpoint", str(trained),
+                   "--vocab", str(trained) + ".vocab",
+                   "--corpus", str(workdir / "dev.tsv"),
+                   "--out", str(out)) == 0
+        eval_env = self.environment(tmp_path / "report.json.manifest.json")
+        assert eval_env == {**train_env, "blas_threads": "1"}
 
 
 class TestTrainEval:

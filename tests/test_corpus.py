@@ -6,7 +6,7 @@ from oracles import all_minimal_scripts, oracle_labels, random_pair
 
 from gedlab.corpus import (
     LABEL_ERR, LABEL_OK, RESERVED_PIECES,
-    CorpusFormatError, LabeledSentence, SentencePair,
+    CorpusFormatError, LabeledSentence, SentencePair, TokenizedSentence,
     build_corpus, build_vocabulary, dp_align_label, edit_distance,
     generate_synthetic_pairs, generator_vocabulary, merge_annotator_labels,
     pairs_to_labeled, read_corpus, read_corpus_sentences, read_pair_file,
@@ -230,6 +230,16 @@ class TestSubtokens:
         assert clipped.n_dropped_words == 1
         assert clipped.n_words + clipped.n_dropped_words == 5
         assert build_corpus(sentences).n_dropped_words == 0
+
+    def test_tokenized_sentence_rejects_labels_other_than_c_and_i(self):
+        # the loss and evaluate map every label that is not "i" to the
+        # clean class, so an "ERR" would train and score as clean
+        TokenizedSentence(words=["a", "b"], labels=[LABEL_OK, LABEL_ERR],
+                          sub_ids=[4, 5], first_sub_index=[0, 1])
+        for bad in ("ERR", "I", "", None):
+            with pytest.raises(ValueError, match="c or i"):
+                TokenizedSentence(words=["a", "b"], labels=["c", bad],
+                                  sub_ids=[4, 5], first_sub_index=[0, 1])
 
     def test_overlong_first_word_is_cut(self):
         vocab = build_vocabulary([["abcdef"], ["xyz"]])

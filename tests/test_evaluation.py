@@ -1,18 +1,20 @@
 """Scoring arithmetic against published triples and a counting oracle;
 attention summary export."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gedlab.corpus import (
-    LABEL_ERR, LABEL_OK, LabeledCorpus, TokenizedSentence, build_corpus,
-    generate_synthetic_pairs, pairs_to_labeled,
+    LABEL_ERR, LABEL_OK, LabeledCorpus, LabeledSentence, TokenizedSentence,
+    build_corpus, generate_synthetic_pairs, pairs_to_labeled,
 )
 from gedlab.encoder import ModelConfig
 from gedlab.evaluation import (
-    AttentionSummary, EvalReport, attention_summary, confusion_counts,
-    evaluate, f_beta, predict_labels, report_from_counts, summary_to_csv,
+    EVAL_BATCH, AttentionSummary, EvalReport, attention_summary,
+    confusion_counts, evaluate, f_beta, predict_labels, report_from_counts,
+    summary_to_csv,
 )
 from gedlab.model import init_model, word_attention
 from gedlab.tensor import active_graph, reset_graph
@@ -36,6 +38,53 @@ def small_setup(n=10, seed=4, head_type="mhmla", **overrides):
     model = init_model(ModelConfig(**base), np.random.default_rng(seed),
                        init_std=0.5)
     return model, corpus
+
+
+def ragged_corpus(model, n=37, seed=3) -> LabeledCorpus:
+    """n sentences of 1 to max_len sub-tokens, every length in turn, with
+    random word starts and random labels."""
+    rng = np.random.default_rng(seed)
+    cfg = model.config
+    sentences, tokenized = [], []
+    for k in range(n):
+        n_sub = 1 + (7 * k) % cfg.max_len
+        starts = sorted({0, *rng.integers(0, n_sub, size=n_sub // 2).tolist()})
+        words = [f"w{i}" for i in range(len(starts))]
+        labels = [LABEL_ERR if rng.random() < 0.4 else LABEL_OK
+                  for _ in starts]
+        sentences.append(LabeledSentence(words=words, labels=labels))
+        tokenized.append(TokenizedSentence(
+            words=words, labels=labels,
+            sub_ids=rng.integers(4, cfg.vocab_size, size=n_sub).tolist(),
+            first_sub_index=starts))
+    return LabeledCorpus(sentences=sentences, vocab=None, tokenized=tokenized)
+
+
+def shuffled(corpus: LabeledCorpus, seed=0) -> LabeledCorpus:
+    order = np.random.default_rng(seed).permutation(corpus.n_sentences)
+    return LabeledCorpus(sentences=[corpus.sentences[i] for i in order],
+                         vocab=corpus.vocab,
+                         tokenized=[corpus.tokenized[i] for i in order])
+
+
+def per_sentence_counts(model, corpus) -> tuple[int, int, int, int]:
+    total = np.zeros(4, dtype=int)
+    for t in corpus.tokenized:
+        pred = predict_labels(model, t.sub_ids, t.first_sub_index)
+        total += confusion_counts(pred, t.labels)
+    return tuple(int(x) for x in total)
+
+
+def per_sentence_csv(model, corpus) -> str:
+    """The attention CSV from one-sentence records, summed per sentence
+    and added in corpus order."""
+    total = np.zeros((model.config.layer_attn_heads, model.config.n_layers))
+    n = 0
+    for t in corpus.tokenized:
+        record = word_attention(model, t.sub_ids, t.first_sub_index)
+        total += record.weights.sum(axis=0)
+        n += record.n_tokens
+    return summary_to_csv(AttentionSummary(matrix=total / n, n_tokens=n))
 
 
 class TestConfusionCounts:
@@ -190,6 +239,78 @@ class TestEvaluate:
         rep = evaluate(model, corpus)
         assert (rep.tp, rep.fp) == (0, 0)
         assert (rep.precision, rep.recall, rep.f_half) == (0.0, 0.0, 0.0)
+
+
+class TestBatchedEvaluate:
+    """evaluate runs length-sorted batches of EVAL_BATCH sentences; its
+    counts must be those of the one-sentence path."""
+
+    def model_and_corpus(self):
+        model, _ = small_setup()
+        # shift the error logit so the random model flags close to half
+        # of the words, right and wrong
+        model.head.b_out.data[:] = [0.0, -0.15]
+        return model, ragged_corpus(model)
+
+    def test_corpus_spans_three_ragged_batches(self):
+        model, corpus = self.model_and_corpus()
+        lengths = {len(t.sub_ids) for t in corpus.tokenized}
+        assert lengths == set(range(1, model.config.max_len + 1))
+        assert 2 * EVAL_BATCH < corpus.n_sentences < 3 * EVAL_BATCH
+
+    def test_counts_match_per_sentence_predictions(self):
+        model, corpus = self.model_and_corpus()
+        rep = evaluate(model, corpus)
+        tp, fp, fn, tn = per_sentence_counts(model, corpus)
+        assert tp > 0 and fp > 0, "setup must produce tp and fp"
+        assert (rep.tp, rep.fp, rep.fn, rep.tn) == (tp, fp, fn, tn)
+        assert rep.n_sentences == 37
+
+    def test_shuffled_corpus_gives_an_equal_report(self):
+        model, corpus = self.model_and_corpus()
+        assert evaluate(model, shuffled(corpus)) == evaluate(model, corpus)
+
+    def test_one_sentence_corpus(self):
+        model, corpus = self.model_and_corpus()
+        one = LabeledCorpus(sentences=corpus.sentences[5:6], vocab=None,
+                            tokenized=corpus.tokenized[5:6])
+        rep = evaluate(model, one)
+        assert (rep.tp, rep.fp, rep.fn, rep.tn) == per_sentence_counts(
+            model, one)
+        assert rep.n_sentences == 1
+        assert summary_to_csv(attention_summary(model, one)) == \
+            per_sentence_csv(model, one)
+
+    def test_attention_csv_matches_per_sentence_records(self):
+        model, corpus = self.model_and_corpus()
+        for c in (corpus, shuffled(corpus)):
+            assert summary_to_csv(attention_summary(model, c)) == \
+                per_sentence_csv(model, c)
+
+    def test_peak_memory_of_one_batch_stays_small(self):
+        # desk width, 64 sentences of max_len words: evaluate peaked at
+        # 4.7 MiB in batches of 16, 9.4 MiB in batches of 32 and 18.5 MiB
+        # in batches of 64, which raised the eval benchmark's peak RSS
+        # 12%, past its 10% bound (see EVAL_BATCH)
+        rng = np.random.default_rng(0)
+        cfg = ModelConfig(vocab_size=40, key_dim=16, dropout=0.0,
+                          attn_dropout=0.0)
+        model = init_model(cfg, rng)
+        n = cfg.max_len
+        tokenized = [TokenizedSentence(
+            words=["w"] * n, labels=[LABEL_OK] * n,
+            sub_ids=rng.integers(4, 40, size=n).tolist(),
+            first_sub_index=list(range(n))) for _ in range(64)]
+        corpus = LabeledCorpus(
+            sentences=[LabeledSentence(["w"] * n, [LABEL_OK] * n)] * 64,
+            vocab=None, tokenized=tokenized)
+        tracemalloc.start()
+        try:
+            evaluate(model, corpus)
+            mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert mib <= 8, mib
 
 
 class TestAttentionSummary:

@@ -209,6 +209,19 @@ class TestBackward:
         backward(sum_all(gather_rows(x, [1, 1, 2])))
         assert np.array_equal(x.grad, [[0, 0], [2, 2], [1, 1]])
 
+    @pytest.mark.parametrize("idx", [[0, 2, 3, 5], [3], [], [0, 2, 2, 5],
+                                     [5, 2, 0]])
+    def test_gather_rows_backward_matches_scatter_add(self, idx):
+        # strictly increasing rows are written, not scatter-added; either
+        # way every row gets the sum of the gradients routed to it
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(len(idx), 3)))
+        backward(sum_all(mul(gather_rows(x, idx), w)))
+        want = np.zeros((6, 3))
+        np.add.at(want, idx, w.data)
+        assert np.array_equal(x.grad, want)
+
 
 def _fd_on(op_builder, tensors, tol=1e-6, eps=1e-5):
     """Finite-difference every input of a composed op."""

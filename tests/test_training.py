@@ -11,12 +11,15 @@ from gedlab.corpus import (
     PAD_ID, TokenizedSentence, build_corpus, generate_synthetic_pairs,
     pairs_to_labeled,
 )
-from gedlab.encoder import HEAD_TYPES, ModelConfig
+from gedlab.encoder import HEAD_TYPES, ModelConfig, encode_batch
 from gedlab.model import (
-    init_model, named_parameters, parameter_shapes, predict_word_probs,
-    select_first_subtoken_states,
+    forward_batch, head_forward, init_model, named_parameters,
+    parameter_shapes, predict_word_probs, select_first_subtoken_states,
 )
-from gedlab.tensor import Tensor, active_graph, backward, no_grad, reset_graph
+from gedlab.tensor import (
+    Tensor, active_graph, backward, cross_entropy, gather_rows, no_grad,
+    reset_graph,
+)
 from gedlab.training import (
     CHECKPOINT_MAGIC, AdamState, CheckpointError, TrainConfig, adam_step,
     batch_loss, batch_word_rows, checkpoint_bytes, label_targets,
@@ -142,6 +145,35 @@ class TestRowSelection:
 
     def test_label_targets(self):
         assert label_targets(["c", "i", "c"]) == [0, 1, 0]
+
+    @pytest.mark.parametrize("head_type", HEAD_TYPES)
+    def test_forward_batch_loss_is_the_unfolded_composition(self, head_type):
+        # encode the batch, gather the word rows, run the head: with
+        # dropout live, the same ops in the same order give the same
+        # loss, bit for bit
+        corpus = small_corpus()
+        model = init_model(config_for(corpus, head_type=head_type),
+                           np.random.default_rng(3))
+        batch = corpus.tokenized[:5]
+
+        def unfolded(rng):
+            states, _ = encode_batch([t.sub_ids for t in batch],
+                                     model.encoder, model.config,
+                                     train_mode=True, rng=rng)
+            rows, targets = batch_word_rows(batch,
+                                            states[0].shape[0] // len(batch))
+            probs, _ = head_forward([gather_rows(s, rows) for s in states],
+                                    model, train_mode=True, rng=rng)
+            return cross_entropy(probs, targets).item()
+
+        probs, _, targets = forward_batch(model, batch, train_mode=True,
+                                          rng=np.random.default_rng(9))
+        want = unfolded(np.random.default_rng(9))
+        assert cross_entropy(probs, targets).item() == want
+        assert batch_loss(model, batch, train_mode=True,
+                          rng=np.random.default_rng(9)).item() == want
+        assert targets == label_targets(
+            [lab for t in batch for lab in t.labels])
 
 
 def reference_adam_trace(x0, grad_fn, lr, steps,
