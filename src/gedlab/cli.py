@@ -66,9 +66,13 @@ class _Parser(argparse.ArgumentParser):
 def numeric_environment() -> dict:
     """What besides the inputs decides a run's last bits: the numpy
     version, the BLAS numpy was built with, and the BLAS thread setting
-    (None when the count was left to the library)."""
-    blas = np.show_config(mode="dicts").get(
-        "Build Dependencies", {}).get("blas", {})
+    (None when the count was left to the library).  numpy before 1.26
+    cannot report its BLAS as data; the BLAS fields are None there."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:   # no mode argument: it would only print
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
     threads = (os.environ.get("OPENBLAS_NUM_THREADS")
                or os.environ.get("OMP_NUM_THREADS"))
     return {"numpy": np.__version__, "blas": blas.get("name"),

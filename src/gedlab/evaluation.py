@@ -130,10 +130,12 @@ def evaluate(model: Model, corpus: LabeledCorpus,
     tp = fp = fn = tn = 0
     with no_grad():
         for batch in _length_sorted_batches(sentences):
-            probs, _, targets = forward_batch(
-                model, [sentences[i] for i in batch])
+            probs, _ = forward_batch(
+                model, [sentences[i].sub_ids for i in batch],
+                [sentences[i].first_sub_index for i in batch])
             flagged = np.argmax(probs.data, axis=1) == CLASS_ERR
-            gold = np.asarray(targets) == CLASS_ERR
+            gold = np.array([lab == LABEL_ERR for i in batch
+                             for lab in sentences[i].labels])
             tp += int(np.sum(flagged & gold))
             fp += int(np.sum(flagged & ~gold))
             fn += int(np.sum(~flagged & gold))
@@ -176,7 +178,9 @@ def attention_summary(model: Model, corpus: LabeledCorpus) -> AttentionSummary:
     sums = [None] * len(sentences)
     with no_grad():
         for batch in _length_sorted_batches(sentences):
-            _, record, _ = forward_batch(model, [sentences[i] for i in batch])
+            _, record = forward_batch(
+                model, [sentences[i].sub_ids for i in batch],
+                [sentences[i].first_sub_index for i in batch])
             start = 0
             for i in batch:
                 stop = start + len(sentences[i].first_sub_index)

@@ -8,14 +8,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import LABEL_ERR, LABEL_OK, TokenizedSentence
-# encode and layer_attention_weights are not called here; the
-# benchmark's tracer (perfbench/spans.py) wraps them as attributes of
-# this module
-from .encoder import (  # noqa: F401
-    INIT_STD, EncoderParams, ModelConfig, encode, encode_batch,
-    init_encoder_params,
+from .corpus import LABEL_ERR, TokenizedSentence
+from .encoder import (
+    INIT_STD, EncoderParams, ModelConfig, encode_batch, init_encoder_params,
 )
+# layer_attention_weights is not called here; the benchmark's tracer
+# (perfbench/spans.py) wraps it as an attribute of this module
 from .heads import (  # noqa: F401
     AttentionRecord, HeadParams, avgl_forward, final_layer_forward,
     init_head_params, layer_attention_weights, mhmla_forward,
@@ -78,15 +76,6 @@ def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple]]:
     yield "head.b_out", (c,)
 
 
-def select_first_subtoken_states(state: Tensor, first_sub_index) -> Tensor:
-    """One row per word: the row of the word's first sub-token.
-    Gradients scatter back to exactly those rows."""
-    idx = np.asarray(first_sub_index, dtype=np.int64)
-    if idx.size and np.any(np.diff(idx) <= 0):
-        raise ValueError("first_sub_index must be strictly increasing")
-    return gather_rows(state, idx)
-
-
 def head_forward(states: list[Tensor], model: Model,
                  train_mode: bool = False,
                  rng: np.random.Generator | None = None):
@@ -111,54 +100,68 @@ def label_targets(labels: Sequence[str]) -> list[int]:
     return [1 if lab == LABEL_ERR else 0 for lab in labels]
 
 
+def word_rows(first_sub_index: Sequence, padded_len: int) -> np.ndarray:
+    """Row of each word's first sub-token in the flattened [B*T x H]
+    layout, batch order; first_sub_index[b] holds sentence b's word
+    starts, which must be strictly increasing and below padded_len."""
+    starts = [np.asarray(f, dtype=np.int64) for f in first_sub_index]
+    local = np.concatenate(starts)
+    if local.size and (local.min() < 0 or local.max() >= padded_len):
+        raise ValueError(f"first sub-token index out of range: valid "
+                         f"[0, {padded_len}), got [{local.min()}, "
+                         f"{local.max()}]")
+    rows = local + np.repeat(np.arange(len(starts)) * padded_len,
+                             [s.size for s in starts])
+    # in range, the rows rise across sentence boundaries, so this only
+    # fails inside a sentence
+    if np.any(np.diff(rows) <= 0):
+        raise ValueError("first_sub_index must be strictly increasing")
+    return rows
+
+
 def batch_word_rows(batch: Sequence[TokenizedSentence], padded_len: int):
-    """Row index of each word in the flattened [B*T x H] layout, plus
-    its class target, batch order."""
-    rows: list[int] = []
-    targets: list[int] = []
-    for b, sent in enumerate(batch):
-        base = b * padded_len
-        rows.extend(base + k for k in sent.first_sub_index)
-        targets.extend(label_targets(sent.labels))
-    return np.asarray(rows, dtype=np.int64), targets
+    """word_rows of a batch of sentences, plus each word's class
+    target, batch order."""
+    rows = word_rows([s.first_sub_index for s in batch], padded_len)
+    return rows, label_targets([lab for s in batch for lab in s.labels])
 
 
-def forward_batch(model: Model, sentences: Sequence[TokenizedSentence],
+def encode(model: Model, sub_ids: Sequence, train_mode: bool = False,
+           rng: np.random.Generator | None = None) -> list[Tensor]:
+    """Every layer's states of several sentences' sub-token ids as one
+    padded batch: L+1 tensors of [B*T x hidden], row b*T + n for token
+    n of sentence b (encode_batch)."""
+    states, _ = encode_batch(sub_ids, model.encoder, model.config,
+                             train_mode=train_mode, rng=rng)
+    return states
+
+
+def forward_batch(model: Model, sub_ids: Sequence, first_sub_index: Sequence,
                   train_mode: bool = False,
                   rng: np.random.Generator | None = None):
     """Several sentences end to end as one padded batch: encode the
     sub-tokens, keep the first sub-token row of each word, classify
-    those rows.
+    those rows.  sub_ids[b] and first_sub_index[b] are sentence b's.
 
-    Returns (probs [n_words x n_classes], record or None, targets), the
-    words in batch order; record is None for head types that do not
-    attend over depth.
+    Returns (probs [n_words x n_classes], record or None), the words in
+    batch order; record is None for head types that do not attend over
+    depth.
     """
-    states, _ = encode_batch([s.sub_ids for s in sentences], model.encoder,
-                             model.config, train_mode=train_mode, rng=rng)
-    rows, targets = batch_word_rows(sentences,
-                                    states[0].shape[0] // len(sentences))
-    word_states = [gather_rows(s, rows) for s in states]
-    probs, record = head_forward(word_states, model, train_mode=train_mode,
-                                 rng=rng)
-    return probs, record, targets
+    states = encode(model, sub_ids, train_mode=train_mode, rng=rng)
+    rows = word_rows(first_sub_index, states[0].shape[0] // len(sub_ids))
+    return head_forward([gather_rows(s, rows) for s in states], model,
+                        train_mode=train_mode, rng=rng)
 
 
 def predict_word_probs(model: Model, sub_ids, first_sub_index,
                        train_mode: bool = False,
                        rng: np.random.Generator | None = None):
-    """forward_batch on one sentence, given only its ids and word rows.
+    """forward_batch on one sentence.
 
     Returns (probs [n_words x n_classes], record or None).
     """
-    first = np.asarray(first_sub_index, dtype=np.int64).tolist()
-    sentence = TokenizedSentence(words=[""] * len(first),
-                                 labels=[LABEL_OK] * len(first),
-                                 sub_ids=np.asarray(sub_ids).tolist(),
-                                 first_sub_index=first)
-    probs, record, _ = forward_batch(model, [sentence],
-                                     train_mode=train_mode, rng=rng)
-    return probs, record
+    return forward_batch(model, [sub_ids], [first_sub_index],
+                         train_mode=train_mode, rng=rng)
 
 
 def word_attention(model: Model, sub_ids, first_sub_index) -> AttentionRecord:

@@ -18,9 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import LabeledCorpus, TokenizedSentence
-# encode_batch, batch_word_rows and label_targets are not called here;
-# they stay importable from this module, where the benchmark
-# (perfbench/) binds the first two
+# encode_batch and batch_word_rows are not called here; the benchmark
+# (perfbench/) binds them as attributes of this module
 from .encoder import ModelConfig, check_field_types, encode_batch  # noqa: F401
 from .model import (  # noqa: F401
     Model, batch_word_rows, forward_batch, init_model, label_targets,
@@ -180,9 +179,12 @@ def batch_loss(model: Model, batch: Sequence[TokenizedSentence],
                train_mode: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
     """Mean cross-entropy over the words of a batch."""
-    probs, _, targets = forward_batch(model, batch, train_mode=train_mode,
-                                      rng=rng)
-    return cross_entropy(probs, targets)
+    probs, _ = forward_batch(model, [t.sub_ids for t in batch],
+                             [t.first_sub_index for t in batch],
+                             train_mode=train_mode, rng=rng)
+    return cross_entropy(probs,
+                         label_targets([lab for t in batch
+                                        for lab in t.labels]))
 
 
 # ---------------------------------------------------------------- the loop

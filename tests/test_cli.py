@@ -243,6 +243,21 @@ class TestManifestEnvironment:
         path = tmp_path / "pairs.tsv.manifest.json"
         assert self.environment(path)["blas_threads"] == threads
 
+    def test_numpy_without_dict_config_records_no_blas(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # numpy before 1.26: show_config takes no mode and only prints
+        def show_config():
+            print("blas_opt_info:")
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        out = tmp_path / "pairs.tsv"
+        assert run("gen", "--n", "3", "--seed", "1", "--out", str(out)) == 0
+        env = json.loads((tmp_path / "pairs.tsv.manifest.json").read_text())
+        env = env["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["blas"] is None and env["blas_version"] is None
+        assert "blas_opt_info" not in capsys.readouterr().out
+
     def test_train_and_eval_record_it(self, workdir, trained, tmp_path,
                                       monkeypatch):
         threads = (os.environ.get("OPENBLAS_NUM_THREADS")

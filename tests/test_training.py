@@ -14,7 +14,7 @@ from gedlab.corpus import (
 from gedlab.encoder import HEAD_TYPES, ModelConfig, encode_batch
 from gedlab.model import (
     forward_batch, head_forward, init_model, named_parameters,
-    parameter_shapes, predict_word_probs, select_first_subtoken_states,
+    parameter_shapes, predict_word_probs, word_rows,
 )
 from gedlab.tensor import (
     Tensor, active_graph, backward, cross_entropy, gather_rows, no_grad,
@@ -107,32 +107,39 @@ class TestTrainConfig:
 class TestRowSelection:
     def test_single_subtoken_words_are_identity(self):
         state = Tensor(np.arange(12.0).reshape(4, 3))
+        rows = word_rows([[0, 1, 2, 3]], 4)
         with no_grad():
-            out = select_first_subtoken_states(state, [0, 1, 2, 3])
+            out = gather_rows(state, rows)
         assert np.array_equal(out.data, state.data)
 
     def test_picks_first_subtoken_rows(self):
-        state = Tensor(np.arange(15.0).reshape(5, 3))
-        with no_grad():
-            out = select_first_subtoken_states(state, [0, 1, 3])
-        assert np.array_equal(out.data, state.data[[0, 1, 3]])
+        assert word_rows([[0, 1, 3]], 5).tolist() == [0, 1, 3]
+        assert word_rows([[0, 2], [], [1]], 4).tolist() == [0, 2, 9]
 
     def test_rejects_bad_indices(self):
-        state = Tensor(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="out of range"):
-            select_first_subtoken_states(state, [0, 9])
+            word_rows([[0, 9]], 4)
+        with pytest.raises(ValueError, match="out of range"):
+            word_rows([[0], [-1]], 4)
         with pytest.raises(ValueError, match="strictly increasing"):
-            select_first_subtoken_states(state, [0, 2, 2])
+            word_rows([[0, 2, 2]], 4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            word_rows([[0], [3, 1]], 4)
+        # predict_word_probs checks a caller's word starts the same way
+        model = init_model(config_for(small_corpus()),
+                           np.random.default_rng(0))
+        with no_grad(), pytest.raises(ValueError, match="out of range"):
+            predict_word_probs(model, [4, 5], [0, 2])
 
     def test_row_count_matches_label_count_corpus_wide(self):
         corpus = small_corpus(n=40)
-        state_rows = 64
         for t in corpus.tokenized:
             assert len(t.first_sub_index) == len(t.labels)
-            state = Tensor(np.zeros((max(state_rows, len(t.sub_ids)), 2)))
-            with no_grad():
-                out = select_first_subtoken_states(state, t.first_sub_index)
-            assert out.shape[0] == len(t.words)
+            rows = word_rows([t.first_sub_index], len(t.sub_ids))
+            assert rows.size == len(t.words)
+        rows, targets = batch_word_rows(corpus.tokenized, 16)
+        assert rows.size == len(targets) == sum(
+            len(t.words) for t in corpus.tokenized)
 
     def test_batch_rows_offset_by_padded_length(self):
         a = TokenizedSentence(words=["x", "yz"], labels=["c", "i"],
@@ -166,14 +173,15 @@ class TestRowSelection:
                                     model, train_mode=True, rng=rng)
             return cross_entropy(probs, targets).item()
 
-        probs, _, targets = forward_batch(model, batch, train_mode=True,
-                                          rng=np.random.default_rng(9))
+        probs, _ = forward_batch(model, [t.sub_ids for t in batch],
+                                 [t.first_sub_index for t in batch],
+                                 train_mode=True,
+                                 rng=np.random.default_rng(9))
+        targets = label_targets([lab for t in batch for lab in t.labels])
         want = unfolded(np.random.default_rng(9))
         assert cross_entropy(probs, targets).item() == want
         assert batch_loss(model, batch, train_mode=True,
                           rng=np.random.default_rng(9)).item() == want
-        assert targets == label_targets(
-            [lab for t in batch for lab in t.labels])
 
 
 def reference_adam_trace(x0, grad_fn, lr, steps,
