@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -122,7 +123,6 @@ class LayerParams:
     w_q: Tensor
     b_q: Tensor
     w_k: Tensor
-    b_k: Tensor
     w_v: Tensor
     b_v: Tensor
     w_o: Tensor
@@ -151,7 +151,6 @@ class EncoderParams:
             yield f"{base}.attn.w_q", lp.w_q
             yield f"{base}.attn.b_q", lp.b_q
             yield f"{base}.attn.w_k", lp.w_k
-            yield f"{base}.attn.b_k", lp.b_k
             yield f"{base}.attn.w_v", lp.w_v
             yield f"{base}.attn.b_v", lp.b_v
             yield f"{base}.attn.w_o", lp.w_o
@@ -166,48 +165,53 @@ class EncoderParams:
             yield f"{base}.ln2.bias", lp.ln2_bias
 
 
-def _weight(rng: np.random.Generator, *shape: int, std: float = INIT_STD) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
-
-
-def _zeros(*shape: int) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def _ones(*shape: int) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
+def draw_normal(rng: np.random.Generator, std: float,
+                *tensors: Tensor) -> None:
+    """Fill each tensor's data with N(0, std) in place, in turn: the
+    numbers rng.normal(0.0, std, size) would give, with no temporary."""
+    for t in tensors:
+        rng.standard_normal(out=t.data)
+        t.data *= std
 
 
 def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
+                        alloc: Callable[..., Tensor],
                         init_std: float = INIT_STD) -> EncoderParams:
     """Weights N(0, init_std), biases 0, layer-norm gain 1.  Training
     keeps the default; gradient checks pass a larger std so every path
-    carries a gradient comfortably above finite-difference noise."""
+    carries a gradient comfortably above finite-difference noise.
+
+    alloc(*shape) hands out the next zeroed tensor (init_model's are
+    views of the model's one buffer), taken in named() order; then each
+    layer's six weights are drawn in turn, then both embeddings."""
     h, f = config.hidden, config.ffn_dim
-    layers = [
-        LayerParams(
-            w_q=_weight(rng, h, h, std=init_std), b_q=_zeros(h),
-            w_k=_weight(rng, h, h, std=init_std), b_k=_zeros(h),
-            w_v=_weight(rng, h, h, std=init_std), b_v=_zeros(h),
-            w_o=_weight(rng, h, h, std=init_std), b_o=_zeros(h),
-            ln1_gain=_ones(h), ln1_bias=_zeros(h),
-            w_ff1=_weight(rng, h, f, std=init_std), b_ff1=_zeros(f),
-            w_ff2=_weight(rng, f, h, std=init_std), b_ff2=_zeros(h),
-            ln2_gain=_ones(h), ln2_bias=_zeros(h),
-        )
-        for _ in range(config.n_layers)
-    ]
-    return EncoderParams(
-        token_embedding=_weight(rng, config.vocab_size, h, std=init_std),
-        position_embedding=_weight(rng, config.max_len, h, std=init_std),
-        layers=layers,
-    )
+    params = EncoderParams(
+        token_embedding=alloc(config.vocab_size, h),
+        position_embedding=alloc(config.max_len, h),
+        layers=[LayerParams(
+            w_q=alloc(h, h), b_q=alloc(h), w_k=alloc(h, h),
+            w_v=alloc(h, h), b_v=alloc(h), w_o=alloc(h, h), b_o=alloc(h),
+            ln1_gain=alloc(h), ln1_bias=alloc(h),
+            w_ff1=alloc(h, f), b_ff1=alloc(f),
+            w_ff2=alloc(f, h), b_ff2=alloc(h),
+            ln2_gain=alloc(h), ln2_bias=alloc(h),
+        ) for _ in range(config.n_layers)])
+    for lp in params.layers:
+        draw_normal(rng, init_std, lp.w_q, lp.w_k, lp.w_v, lp.w_o,
+                    lp.w_ff1, lp.w_ff2)
+        lp.ln1_gain.data[...] = 1.0
+        lp.ln2_gain.data[...] = 1.0
+    draw_normal(rng, init_std, params.token_embedding,
+                params.position_embedding)
+    return params
 
 
 def _block(h: Tensor, lp: LayerParams, config: ModelConfig, key_real,
            train_mode: bool, rng: np.random.Generator | None) -> Tensor:
     q = linear(h, lp.w_q, lp.b_q)
-    k = linear(h, lp.w_k, lp.b_k)
+    # no key bias: it adds the same q.b_k to every score of a query, and
+    # the softmax over keys cancels that
+    k = linear(h, lp.w_k, Tensor(np.zeros(config.hidden)))
     v = linear(h, lp.w_v, lp.b_v)
     rate = config.attn_dropout if train_mode else 0.0
     mixed = attention(q, k, v, key_real, config.self_attn_heads, rate, rng)

@@ -19,15 +19,14 @@ state (index 0) never participates; depth attention runs over layers
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .encoder import ModelConfig
+from .encoder import INIT_STD, ModelConfig, draw_normal
 from .tensor import (
     Tensor, add, concat, dropout, linear, mul, relu, reshape, scale, softmax,
 )
-
-INIT_STD = 0.02
 
 
 @dataclass
@@ -105,40 +104,34 @@ class MhmlaHeadParams:
 HeadParams = FinalHeadParams | AvglHeadParams | MhmlaHeadParams
 
 
-def _weight(rng, std, *shape):
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
-
-
-def _zeros(*shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
 def init_head_params(config: ModelConfig, rng: np.random.Generator,
+                     alloc: Callable[..., Tensor],
                      init_std: float = INIT_STD) -> HeadParams:
-    h, c = config.hidden, config.n_classes
+    """Weights N(0, init_std), biases 0.  alloc(*shape) hands out the
+    next zeroed tensor, taken in named() order.  The MHMLA head draws
+    every w_v, then every w_k, each one head's block of columns at a
+    time, then w_a and w_out: the order in which one tensor per (layer,
+    head) pair was drawn, so a seed keeps its model."""
+    h, c, L = config.hidden, config.n_classes, config.n_layers
     if config.head_type == "final":
-        return FinalHeadParams(w_out=_weight(rng, init_std, h, c), b_out=_zeros(c))
-    if config.head_type == "avgl":
-        return AvglHeadParams(
-            w_proj=[_weight(rng, init_std, h, h) for _ in range(config.n_layers)],
-            b_proj=[_zeros(h) for _ in range(config.n_layers)],
-            w_out=_weight(rng, init_std, h, c), b_out=_zeros(c))
-    L, J, dk = config.n_layers, config.layer_attn_heads, config.key_dim
-
-    def side_by_side(width):
-        # J draws of [h x width] in turn, each head's block of columns
-        drawn = rng.normal(0.0, init_std, size=(J, h, width))
-        return Tensor(np.concatenate(drawn, axis=1), requires_grad=True)
-
-    # every w_v, then every w_k, w_a and w_out: the order in which one
-    # tensor per (layer, head) pair was drawn, so a seed keeps its model
-    w_v = [side_by_side(h // J) for _ in range(L)]
-    w_k = [side_by_side(dk) for _ in range(L)]
-    return MhmlaHeadParams(
-        w_v=w_v, b_v=[_zeros(h) for _ in range(L)],
-        w_k=w_k, b_k=[_zeros(J * dk) for _ in range(L)],
-        w_a=_weight(rng, init_std, L * J * dk, 1), b_a=_zeros(L * J),
-        w_out=_weight(rng, init_std, h, c), b_out=_zeros(c))
+        params = FinalHeadParams(alloc(h, c), alloc(c))
+    elif config.head_type == "avgl":
+        w, b = zip(*[(alloc(h, h), alloc(h)) for _ in range(L)])
+        params = AvglHeadParams(list(w), list(b), alloc(h, c), alloc(c))
+        draw_normal(rng, init_std, *params.w_proj)
+    else:
+        J, dk = config.layer_attn_heads, config.key_dim
+        per_layer = zip(*[(alloc(h, h), alloc(h), alloc(h, J * dk),
+                           alloc(J * dk)) for _ in range(L)])
+        params = MhmlaHeadParams(*map(list, per_layer), alloc(L * J * dk, 1),
+                                 alloc(L * J), alloc(h, c), alloc(c))
+        for w in params.w_v + params.w_k:
+            heads = w.data.reshape(h, J, -1)
+            for j in range(J):
+                heads[:, j] = rng.normal(0.0, init_std, size=heads[:, j].shape)
+        draw_normal(rng, init_std, params.w_a)
+    draw_normal(rng, init_std, params.w_out)
+    return params
 
 
 def _check_states(states, config: ModelConfig) -> None:

@@ -1,8 +1,10 @@
-"""Whole-model assembly: encoder plus classification head, a flat view
-of all trainable parameters, and the one forward from sentences to word
-probabilities that training, evaluation and attention export share."""
+"""Whole-model assembly: encoder plus classification head, all
+trainable parameters as views of one flat buffer, and the one forward
+from sentences to word probabilities that training, evaluation and
+attention export share."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -23,16 +25,31 @@ from .tensor import Tensor, gather_rows, no_grad
 
 @dataclass
 class Model:
+    """flat holds every parameter, laid out in named_parameters order;
+    each parameter's data is a view of it."""
     config: ModelConfig
     encoder: EncoderParams
     head: HeadParams
+    flat: np.ndarray
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator,
                init_std: float = INIT_STD) -> Model:
-    return Model(config=config,
-                 encoder=init_encoder_params(config, rng, init_std=init_std),
-                 head=init_head_params(config, rng, init_std=init_std))
+    """A fresh model whose parameters are views of one zeroed float64
+    buffer, sized by parameter_shapes, that the encoder and the head
+    then draw their weights into."""
+    flat = np.zeros(sum(math.prod(s) for _, s in parameter_shapes(config)))
+    cursor = 0
+
+    def alloc(*shape):
+        nonlocal cursor
+        size = math.prod(shape)
+        cursor += size
+        return Tensor(flat[cursor - size:cursor].reshape(shape),
+                      requires_grad=True)
+
+    return Model(config, init_encoder_params(config, rng, alloc, init_std),
+                 init_head_params(config, rng, alloc, init_std), flat)
 
 
 def named_parameters(model: Model) -> Iterator[tuple[str, Tensor]]:
@@ -40,6 +57,24 @@ def named_parameters(model: Model) -> Iterator[tuple[str, Tensor]]:
     deterministic: encoder first, then the head."""
     yield from model.encoder.named()
     yield from model.head.named()
+
+
+def check_views(named_params, flat: np.ndarray) -> None:
+    """Raise ValueError naming the first parameter whose data is not its
+    view of flat, at its offset in this order, or if the parameters do
+    not fill flat.  Run before reading or writing flat in place of the
+    tensors, so a rebound p.data is never saved or updated stale."""
+    base, start = flat.__array_interface__["data"][0], 0
+    for name, p in named_params:
+        if (p.data.base is not flat or p.data.__array_interface__["data"][0]
+                != base + start * flat.itemsize):
+            raise ValueError(f"{name} is not its view of the parameter "
+                             f"buffer at entry {start}: its data was "
+                             f"rebound, or the order differs")
+        start += p.data.size
+    if start != flat.size:
+        raise ValueError(f"the parameters fill {start} of the parameter "
+                         f"buffer's {flat.size} entries")
 
 
 def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple]]:
@@ -51,7 +86,7 @@ def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple]]:
     yield "embed.token", (config.vocab_size, h)
     yield "embed.position", (config.max_len, h)
     block = [(f"attn.{w}_{x}", (h, h) if w == "w" else (h,))
-             for x in "qkvo" for w in "wb"]
+             for x in "qkvo" for w in "wb" if w + x != "bk"]
     block += [("ln1.gain", (h,)), ("ln1.bias", (h,)), ("ffn.w1", (h, f)),
               ("ffn.b1", (f,)), ("ffn.w2", (f, h)), ("ffn.b2", (h,)),
               ("ln2.gain", (h,)), ("ln2.bias", (h,))]

@@ -507,10 +507,10 @@ def finite_diff_check(
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 
     Components where both estimates are below FD_ZERO_TOL count as exact
-    agreement: on a flat direction (a self-attention key bias shifts
-    every score of a query row equally, which softmax cancels) the true
-    derivative is zero and both sides measure only rounding jitter, so
-    their ratio says nothing about gradient correctness.  A non-finite
+    agreement: on a flat direction (one that moves every input of a
+    softmax equally, which it cancels) the true derivative is zero and
+    both sides measure only rounding jitter, so their ratio says nothing
+    about gradient correctness.  A non-finite
     estimate on either side is a relative error of inf, a failure.
     eps and tol must be finite and > 0.
     """

@@ -11,7 +11,7 @@ import json
 import logging
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Sequence
 
@@ -22,8 +22,8 @@ from .corpus import LabeledCorpus, TokenizedSentence
 # (perfbench/) binds them as attributes of this module
 from .encoder import ModelConfig, check_field_types, encode_batch  # noqa: F401
 from .model import (  # noqa: F401
-    Model, batch_word_rows, forward_batch, init_model, label_targets,
-    named_parameters, parameter_shapes,
+    Model, batch_word_rows, check_views, forward_batch, init_model,
+    label_targets, named_parameters, parameter_shapes,
 )
 from .tensor import Tensor, backward, cross_entropy, reset_graph
 
@@ -67,36 +67,15 @@ class TrainConfig:
 
 # -------------------------------------------------------------------- Adam
 
-@dataclass
 class AdamState:
-    """Adam's step count and moments over one flat float64 buffer.
+    """Adam's step count and moments over a model's flat float64
+    parameter buffer.  `m`, `v` and the joined gradient share its
+    layout, so one vectorized update covers every tensor."""
 
-    The first adam_step joins the parameters it is given into `flat`
-    and makes each p.data a view of it.  `m`, `v` and the joined
-    gradient share that layout, so one vectorized update covers every
-    tensor.  Later steps must pass the same parameters in the same
-    order."""
-    t: int = 0
-    flat: np.ndarray | None = None
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    grad: np.ndarray | None = None
-    scratch: np.ndarray | None = None
-    views: list = field(default_factory=list)
-
-
-def _adopt(params: list, state: AdamState) -> None:
-    """Join the parameters into state.flat and rebind each p.data to
-    its view there."""
-    state.flat = np.concatenate([p.data.reshape(-1) for _, p in params])
-    state.m, state.v, state.grad, state.scratch = (
-        np.zeros_like(state.flat) for _ in range(4))
-    start = 0
-    for _, p in params:
-        view = state.flat[start:start + p.data.size].reshape(p.data.shape)
-        start += view.size
-        state.views.append(view)
-        p.data = view
+    def __init__(self, flat: np.ndarray):
+        self.t, self.flat = 0, flat
+        self.m, self.v, self.grad, self.scratch = (
+            np.zeros_like(flat) for _ in range(4))
 
 
 def _first_nonfinite(params: list, joined: np.ndarray) -> str:
@@ -116,30 +95,22 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     A parameter whose grad is None keeps its value and moments.  A
     non-finite gradient raises FloatingPointError naming the first bad
     parameter before anything, t included, is written; a non-finite
-    value after the update raises it too, naming the parameter.  A
-    p.data rebound since the first step, so no longer a view of the
-    buffer, raises ValueError naming it."""
+    value after the update raises it too, naming the parameter.  The
+    parameters must be views of state.flat in its order (check_views):
+    a rebound p.data raises ValueError naming it."""
     params = list(named_params)
-    if state.flat is None:
-        _adopt(params, state)
-    elif len(params) != len(state.views):
-        raise ValueError(f"adam_step got {len(params)} parameters, its "
-                         f"buffer holds {len(state.views)}")
+    check_views(params, state.flat)
     grads, skipped, start = [], [], 0
-    for (name, p), view in zip(params, state.views):
-        if p.data is not view:
-            raise ValueError(
-                f"{name} is no longer a view of the Adam buffer: its data "
-                f"was rebound after the first step")
+    for name, p in params:
         g = p.grad
         if g is None:
-            g = np.zeros(view.shape)
-            skipped.append(slice(start, start + view.size))
-        elif g.shape != view.shape:
+            g = np.zeros(p.shape)
+            skipped.append(slice(start, start + g.size))
+        elif g.shape != p.shape:
             raise ValueError(
-                f"gradient shape {g.shape} does not match {name} {view.shape}")
+                f"gradient shape {g.shape} does not match {name} {p.shape}")
         grads.append(g.reshape(-1))
-        start += view.size
+        start += g.size
     flat, m, v, g, s = state.flat, state.m, state.v, state.grad, state.scratch
     np.concatenate(grads, out=g)
     t = state.t + 1
@@ -211,7 +182,7 @@ def train(corpus: LabeledCorpus, model_config: ModelConfig,
     rng = np.random.default_rng(train_config.seed)
     model = init_model(model_config, rng)
     params = list(named_parameters(model))
-    state = AdamState()
+    state = AdamState(model.flat)
     losses: list[float] = []
     for epoch in range(train_config.epochs):
         order = rng.permutation(len(sentences))
@@ -235,44 +206,34 @@ def train(corpus: LabeledCorpus, model_config: ModelConfig,
     # snap parameters onto the float32 grid checkpoints use, so the
     # returned model predicts bit-identically to its saved-and-reloaded
     # copy
-    for _, p in params:
-        p.data = p.data.astype("<f4").astype(np.float64)
+    model.flat[...] = model.flat.astype("<f4")
     return TrainResult(model=model, epoch_losses=losses, n_steps=state.t)
 
 
 # -------------------------------------------------------------- checkpoints
 
-def _sorted_entries(model: Model) -> list[tuple[str, Tensor]]:
-    entries = sorted(named_parameters(model), key=lambda kv: kv[0])
-    names = [n for n, _ in entries]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate parameter names in model")
-    return entries
-
-
 def checkpoint_bytes(model: Model) -> bytes:
     """Serialized form: magic, little-endian u32 header length, a
-    canonical JSON header (config plus name/shape/offset manifest,
-    sorted), then all parameters as little-endian float32."""
-    entries = _sorted_entries(model)
-    manifest = []
-    offset = 0
-    chunks = []
-    for name, t in entries:
-        raw = t.data.astype("<f4").tobytes()
-        manifest.append({"name": name, "shape": list(t.data.shape),
+    canonical JSON header (config plus a name/shape/offset manifest in
+    named_parameters order), then the parameter buffer as little-endian
+    float32."""
+    params = list(named_parameters(model))
+    check_views(params, model.flat)
+    manifest, offset = [], 0
+    for name, p in params:
+        manifest.append({"name": name, "shape": list(p.shape),
                          "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
+        offset += 4 * p.data.size
     header = {"config": model.config.to_dict(), "manifest": manifest}
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(head)), head,
-                     *chunks])
+                     model.flat.astype("<f4").data])
 
 
 def save_checkpoint(model: Model, path) -> None:
+    blob = checkpoint_bytes(model)
     with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(model))
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> Model:
@@ -280,9 +241,10 @@ def load_checkpoint(path) -> Model:
     copies of the stored float32 values, so re-saving is byte-identical.
 
     Nothing is allocated until the manifest matches the config's
-    parameter shapes name by name and the payload holds exactly 4 bytes
-    per float those shapes need, so a header cannot ask for more memory
-    than the file's own size accounts for."""
+    parameter shapes name by name, in named_parameters order, and the
+    payload holds exactly 4 bytes per float those shapes need, so a
+    header cannot ask for more memory than the file's own size accounts
+    for."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -342,11 +304,11 @@ def load_checkpoint(path) -> Model:
     if cursor != len(payload):
         raise CheckpointError(
             f"{path}: {len(payload) - cursor} trailing payload bytes")
+    for entry, want in zip(manifest, shapes):
+        if entry["name"] != want:
+            raise CheckpointError(
+                f"{path}: manifest lists {entry['name']} where the model "
+                f"wants {want} (out of order)")
     model = init_model(config, np.random.default_rng(0))
-    params = dict(named_parameters(model))
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        params[entry["name"]].data = np.frombuffer(
-            payload, dtype="<f4", count=math.prod(shape),
-            offset=entry["offset"]).astype(np.float64).reshape(shape)
+    model.flat[...] = np.frombuffer(payload, dtype="<f4")
     return model

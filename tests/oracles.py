@@ -8,7 +8,9 @@ own block out of the MHMLA head's joined parameters,
 forced_depth_params pins the depth weights to constants through those
 parameters, and mhmla_reference computes the MHMLA head one pair at a
 time in plain numpy.  adam_reference is Adam as one loop over the
-parameter tensors, with its moments in per-name dicts.
+parameter tensors, with its moments in per-name dicts.  fresh is the
+parameter allocator of direct init_encoder_params and init_head_params
+calls.
 """
 import copy
 import functools
@@ -16,9 +18,15 @@ import functools
 import numpy as np
 
 from gedlab.corpus import LABEL_ERR, LABEL_OK
-from gedlab.tensor import NORM_EPS
+from gedlab.tensor import NORM_EPS, Tensor
 
 _RANK = {"match": 0, "sub": 1, "del": 2, "ins": 3}
+
+
+def fresh(*shape):
+    """A new zeroed parameter tensor per call, not a view of any model's
+    buffer."""
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 def all_minimal_scripts(src, dst):
@@ -164,10 +172,12 @@ def layer_norm_reference(x, gain, bias, g):
 
 def adam_reference(named_params, state, config):
     """One bias-corrected Adam update, one parameter tensor at a time,
-    with the moments in per-name dicts on state.m and state.v.  A call
+    with the moments in per-name dicts on state.m and state.v (set up on
+    the first call, over whatever the state held).  A call
     signature-compatible with gedlab.training.adam_step, so train() can
-    run on it."""
-    if state.m is None:
+    run on it; it writes each p.data in place, so a parameter stays a
+    view of its model's buffer."""
+    if not isinstance(state.m, dict):
         state.m, state.v = {}, {}
     state.t += 1
     t, b1, b2 = state.t, config.beta1, config.beta2
@@ -191,7 +201,7 @@ def adam_reference(named_params, state, config):
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        p.data = p.data - config.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                          + config.adam_eps)
+        p.data -= config.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                  + config.adam_eps)
         if not np.isfinite(p.data).all():
             raise FloatingPointError(f"non-finite value in {name} at step {t}")

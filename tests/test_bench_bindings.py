@@ -2,15 +2,18 @@
 imports functions at load time and the tracer wraps the module
 attributes listed in spans.WRAPS.  A refactor of src/ that renames or
 moves one of them breaks the benchmark; these tests catch it without
-running the benchmark."""
+running the benchmark.  The last one runs the benchmark's own selftest,
+whose injected faults must still be caught after a change to src/."""
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def load(name: str):
@@ -35,3 +38,12 @@ def test_checks_imports_resolve():
                          ids=[f"{m}.{a}" for m, a, _ in WRAPS])
 def test_traced_name_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def test_benchmark_selftest_passes():
+    # about 25 s: every workload at a small scale, plus a skewed encoder
+    # and a truncated checkpoint that must count as failed operations
+    done = subprocess.run(
+        [sys.executable, "-m", "unittest", "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-4000:]

@@ -13,7 +13,8 @@ from gedlab.corpus import (
     LabeledSentence, SentencePair, dp_align_label, read_corpus_sentences,
     read_pair_file, write_corpus, write_pair_file,
 )
-from gedlab.model import named_parameters
+from gedlab.encoder import ModelConfig
+from gedlab.model import init_model, named_parameters
 from gedlab.tensor import active_graph, reset_graph
 from gedlab.training import CHECKPOINT_MAGIC, load_checkpoint
 
@@ -154,6 +155,57 @@ class TestExitCodes:
         assert len(errors) == 1
         assert "unknown parameter head.att.00.00." in errors[0]
         assert list(tmp_path.iterdir()) == [old]
+
+    def eval_exits_2(self, tmp_path, trained, config, entries, capsys):
+        """Write entries [(name, array)] in turn as a checkpoint of config,
+        run eval on it and return its one error line; nothing else may be
+        written."""
+        manifest, chunks, offset = [], [], 0
+        for name, data in entries:
+            chunks.append(np.asarray(data).astype("<f4").tobytes())
+            manifest.append({"name": name, "shape": list(np.shape(data)),
+                             "offset": offset})
+            offset += len(chunks[-1])
+        head = json.dumps({"config": config.to_dict(),
+                           "manifest": manifest}).encode()
+        ckpt = tmp_path / "given.ckpt"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(head))
+                         + head + b"".join(chunks))
+        assert run("eval", "--checkpoint", str(ckpt),
+                   "--vocab", str(trained) + ".vocab",
+                   "--corpus", str(tmp_path / "unused.tsv"),
+                   "--out", str(tmp_path / "report.json")) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert list(tmp_path.iterdir()) == [ckpt]
+        return errors[0]
+
+    def test_checkpoint_with_key_biases_is_data_error(self, tmp_path,
+                                                      trained, capsys):
+        # the older layout: each block's attn.b_k too, 86 tensors at the
+        # desk config, sorted by name
+        config = ModelConfig(vocab_size=load_checkpoint(
+            trained).config.vocab_size, key_dim=16)
+        model = init_model(config, np.random.default_rng(0))
+        entries = [(n, t.data) for n, t in named_parameters(model)] + [
+            (f"enc.{i:02d}.attn.b_k", np.zeros(config.hidden))
+            for i in range(config.n_layers)]
+        assert len(entries) == 86
+        error = self.eval_exits_2(tmp_path, trained, config,
+                                  sorted(entries, key=lambda e: e[0]), capsys)
+        assert "unknown parameter enc.00.attn.b_k" in error
+
+    def test_checkpoint_out_of_order_is_data_error(self, tmp_path, trained,
+                                                   capsys):
+        model = load_checkpoint(trained)
+        entries = [(n, t.data) for n, t in named_parameters(model)]
+        entries[3], entries[4] = entries[4], entries[3]
+        error = self.eval_exits_2(tmp_path, trained, model.config, entries,
+                                  capsys)
+        assert "out of order" in error and entries[3][0] in error
 
 
 class TestGenLabel:

@@ -2,6 +2,7 @@
 finite-difference pass over one block."""
 import numpy as np
 import pytest
+from oracles import fresh
 
 from gedlab.corpus import PAD_ID
 from gedlab.encoder import (
@@ -72,14 +73,14 @@ class TestModelConfig:
 
 class TestInit:
     def test_parameter_set_is_a_function_of_config(self, rng):
-        a = init_encoder_params(tiny_config(), np.random.default_rng(1))
-        b = init_encoder_params(tiny_config(), np.random.default_rng(2))
+        a = init_encoder_params(tiny_config(), np.random.default_rng(1), fresh)
+        b = init_encoder_params(tiny_config(), np.random.default_rng(2), fresh)
         assert [(n, p.shape) for n, p in a.named()] == \
                [(n, p.shape) for n, p in b.named()]
 
     def test_init_statistics(self, rng):
         cfg = tiny_config(hidden=64, ffn_dim=128, vocab_size=500)
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         w = params.layers[0].w_q.data
         assert abs(w.mean()) < 0.005
         assert 0.015 < w.std() < 0.025
@@ -88,14 +89,14 @@ class TestInit:
         assert np.all(params.layers[0].ln2_bias.data == 0.0)
 
     def test_everything_requires_grad(self, rng):
-        params = init_encoder_params(tiny_config(), rng)
+        params = init_encoder_params(tiny_config(), rng, fresh)
         assert all(p.requires_grad for _, p in params.named())
 
 
 class TestEmbed:
     def test_embedding_is_sum_of_lookups(self, rng):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         ids = [5, 9, 5]
         h0 = encode(ids, params, cfg)[0]
         tok = params.token_embedding.data
@@ -105,13 +106,13 @@ class TestEmbed:
 
     def test_rejects_long_input(self, rng):
         cfg = tiny_config(max_len=4)
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         with pytest.raises(ValueError, match="max_len"):
             encode([4] * 5, params, cfg)
 
     def test_rejects_bad_id(self, rng):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         with pytest.raises(ValueError, match="out of range"):
             encode([0, 25], params, cfg)
 
@@ -119,14 +120,14 @@ class TestEmbed:
 class TestEncode:
     def test_state_count_and_shapes(self, rng):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         states = encode([4, 5, 6, 7], params, cfg)
         assert len(states) == cfg.n_layers + 1
         assert all(s.shape == (4, cfg.hidden) for s in states)
 
     def test_eval_forward_is_deterministic(self, rng):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         with no_grad():
             a = encode([4, 5, 6], params, cfg)
             b = encode([4, 5, 6], params, cfg)
@@ -135,7 +136,7 @@ class TestEncode:
 
     def test_pad_invariance(self, rng):
         cfg = tiny_config(max_len=16)
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         for trial in range(10):
             n = int(rng.integers(2, 8))
             ids = rng.integers(4, cfg.vocab_size, size=n).tolist()
@@ -149,7 +150,7 @@ class TestEncode:
 
     def test_batch_matches_single(self, rng):
         cfg = tiny_config(max_len=16)
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         sents = [rng.integers(4, cfg.vocab_size, size=int(rng.integers(2, 9))).tolist()
                  for _ in range(5)]
         with no_grad():
@@ -169,7 +170,7 @@ class TestEncode:
         # every key but position 2 is a pad: row 2 of the block output
         # must not change when the pad rows of the input change
         cfg = tiny_config(n_layers=1)
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         ids = [PAD_ID, PAD_ID, 7, PAD_ID, PAD_ID]
         with no_grad():
             out_a = encode(ids, params, cfg)[1].data
@@ -180,7 +181,7 @@ class TestEncode:
 
     def test_outputs_stay_finite(self, rng):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         with no_grad():
             states = encode([4, 0, 5, 0], params, cfg)  # pads inside
         for s in states:
@@ -188,7 +189,7 @@ class TestEncode:
 
     def test_train_mode_consumes_rng(self, rng):
         cfg = tiny_config(dropout=0.2, attn_dropout=0.2)
-        params = init_encoder_params(cfg, rng)
+        params = init_encoder_params(cfg, rng, fresh)
         with no_grad():
             a = encode([4, 5, 6], params, cfg, train_mode=True,
                        rng=np.random.default_rng(3))
@@ -205,7 +206,7 @@ class TestBlockGradients:
         # init_std well above the default keeps every live gradient out
         # of the finite-difference noise floor
         cfg = tiny_config(n_layers=1)
-        params = init_encoder_params(cfg, rng, init_std=0.5)
+        params = init_encoder_params(cfg, rng, fresh, init_std=0.5)
         ids = [4, 9, 13]
         targets = [0, 1, 0]
         out_w = Tensor(rng.normal(0, 0.5, size=(cfg.hidden, 2)),
@@ -225,7 +226,7 @@ class TestBlockGradients:
     def test_batched_backward_is_sum_of_single_backwards(self, rng):
         # sentences of mixed lengths, so the batch pads all but one
         cfg = tiny_config(max_len=16)
-        params = init_encoder_params(cfg, rng, init_std=0.5)
+        params = init_encoder_params(cfg, rng, fresh, init_std=0.5)
         out_w = Tensor(rng.normal(0, 0.5, size=(cfg.hidden, 2)))
         no_b = Tensor(np.zeros(2))
         sents = [rng.integers(4, cfg.vocab_size, size=n).tolist()
@@ -260,9 +261,4 @@ class TestBlockGradients:
                 single[n] = single[n] + g
         for name, g in batched.items():
             err = np.abs(g - single[name]).max()
-            if name.endswith("attn.b_k"):
-                # softmax ignores a per-query shift: the true gradient
-                # is 0 and both sides hold rounding only
-                assert err < 1e-14, name
-            else:
-                assert err <= 1e-9 * np.abs(single[name]).max(), name
+            assert err <= 1e-9 * np.abs(single[name]).max(), name

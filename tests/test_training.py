@@ -83,6 +83,21 @@ def tape_bytes() -> int:
     return total
 
 
+def assert_views_of_flat(model):
+    """Every parameter is a view of model.flat at its offset in
+    named_parameters order, and together they fill it: numbering the
+    buffer's entries shows each tensor its own run of numbers."""
+    saved = model.flat.copy()
+    model.flat[...] = np.arange(model.flat.size)
+    start = 0
+    for name, p in named_parameters(model):
+        assert np.array_equal(p.data.reshape(-1),
+                              np.arange(start, start + p.data.size)), name
+        start += p.data.size
+    assert start == model.flat.size
+    model.flat[...] = saved
+
+
 class TestTrainConfig:
     def test_defaults(self):
         tc = TrainConfig()
@@ -200,25 +215,39 @@ def reference_adam_trace(x0, grad_fn, lr, steps,
     return trace
 
 
+def one_buffer(*arrays):
+    """Parameter tensors holding copies of arrays, as init_model makes
+    them: views of one flat buffer, laid out in turn.  Returns (flat,
+    tensors)."""
+    flat = np.concatenate([np.ravel(a) for a in arrays]).astype(np.float64)
+    tensors, start = [], 0
+    for a in arrays:
+        size = np.size(a)
+        tensors.append(Tensor(flat[start:start + size].reshape(np.shape(a)),
+                              requires_grad=True))
+        start += size
+    return flat, tensors
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        flat, (p,) = one_buffer(np.array([[1.0, -2.0]]))
         p.grad = np.zeros_like(p.data)
         before = p.data.copy()
-        adam_step([("p", p)], AdamState(), TrainConfig())
+        adam_step([("p", p)], AdamState(flat), TrainConfig())
         assert np.array_equal(p.data, before)
 
     def test_none_gradient_is_skipped(self):
-        p = Tensor(np.ones((2, 2)), requires_grad=True)
-        adam_step([("p", p)], AdamState(), TrainConfig())
+        flat, (p,) = one_buffer(np.ones((2, 2)))
+        adam_step([("p", p)], AdamState(flat), TrainConfig())
         assert np.array_equal(p.data, np.ones((2, 2)))
 
     def test_first_step_is_signed_learning_rate(self):
         tc = TrainConfig(learning_rate=0.01)
         for g in (0.37, -41.0, 5e-7):
-            p = Tensor(np.array([[2.0]]), requires_grad=True)
+            flat, (p,) = one_buffer(np.array([[2.0]]))
             p.grad = np.array([[g]])
-            adam_step([("p", p)], AdamState(), tc)
+            adam_step([("p", p)], AdamState(flat), tc)
             delta = p.data[0, 0] - 2.0
             expected = -tc.learning_rate * g / (abs(g) + tc.adam_eps)
             assert abs(delta - expected) < 1e-12
@@ -227,34 +256,35 @@ class TestAdam:
         tc = TrainConfig(learning_rate=0.1)
         expected = reference_adam_trace(
             x0=5.0, grad_fn=lambda x: x - 3.0, lr=0.1, steps=10)
-        p = Tensor(np.array([[5.0]]), requires_grad=True)
-        state = AdamState()
+        flat, (p,) = one_buffer(np.array([[5.0]]))
+        state = AdamState(flat)
         for want in expected:
             p.grad = p.data - 3.0
             adam_step([("p", p)], state, tc)
             assert abs(p.data[0, 0] - want) < 1e-12
 
     def test_nan_gradient_aborts_naming_parameter(self):
-        p = Tensor(np.ones((2,)), requires_grad=True)
+        flat, (p,) = one_buffer(np.ones((2,)))
         p.grad = np.array([1.0, np.nan])
         with pytest.raises(FloatingPointError, match="enc.00.attn.w_q"):
-            adam_step([("enc.00.attn.w_q", p)], AdamState(), TrainConfig())
+            adam_step([("enc.00.attn.w_q", p)], AdamState(flat),
+                      TrainConfig())
 
     def test_shape_mismatch_rejected(self):
-        p = Tensor(np.ones((2, 2)), requires_grad=True)
+        flat, (p,) = one_buffer(np.ones((2, 2)))
         p.grad = np.ones((2,))
         with pytest.raises(ValueError, match="shape"):
-            adam_step([("p", p)], AdamState(), TrainConfig())
+            adam_step([("p", p)], AdamState(flat), TrainConfig())
 
     def test_ten_steps_match_per_tensor_oracle_with_a_skipped_grad(self):
         rng = np.random.default_rng(5)
         shapes = [(3, 5), (5,), (1,)]
         start = [rng.normal(size=s) for s in shapes]
-        flat = [(f"p{i}", Tensor(x.copy(), requires_grad=True))
-                for i, x in enumerate(start)]
+        buffer, tensors = one_buffer(*start)
+        flat = [(f"p{i}", p) for i, p in enumerate(tensors)]
         ref = [(f"p{i}", Tensor(x.copy(), requires_grad=True))
                for i, x in enumerate(start)]
-        state, ref_state = AdamState(), AdamState()
+        state, ref_state = AdamState(buffer), AdamState(np.zeros(0))
         tc = TrainConfig(learning_rate=0.05)
         for step in range(1, 11):
             for (_, p), (_, q) in zip(flat, ref):
@@ -279,9 +309,9 @@ class TestAdam:
         assert state.t == ref_state.t == 10
 
     def test_nonfinite_gradient_writes_nothing(self):
-        params = [(name, Tensor(np.ones(shape), requires_grad=True))
-                  for name, shape in (("a", (2, 3)), ("b", (4,)), ("c", (1,)))]
-        state = AdamState()
+        buffer, tensors = one_buffer(np.ones((2, 3)), np.ones(4), np.ones(1))
+        params = list(zip("abc", tensors))
+        state = AdamState(buffer)
         tc = TrainConfig(learning_rate=0.1)
         for _, p in params:
             p.grad = np.full(p.shape, 0.5)
@@ -301,15 +331,24 @@ class TestAdam:
         assert np.array_equal(state.v, moments[1])
 
     def test_rebound_parameter_rejected(self):
-        params = [(name, Tensor(np.ones((2, 2)), requires_grad=True))
-                  for name in ("enc.00.ffn.w1", "enc.00.ffn.w2")]
-        state = AdamState()
+        buffer, tensors = one_buffer(np.ones((2, 2)), np.ones((2, 2)))
+        params = list(zip(("enc.00.ffn.w1", "enc.00.ffn.w2"), tensors))
+        state = AdamState(buffer)
         for _, p in params:
             p.grad = np.ones((2, 2))
         adam_step(params, state, TrainConfig())
         params[1][1].data = params[1][1].data.copy()
         with pytest.raises(ValueError, match="enc.00.ffn.w2"):
             adam_step(params, state, TrainConfig())
+
+    def test_parameters_out_of_buffer_order_rejected(self):
+        buffer, tensors = one_buffer(np.ones(3), np.ones(2))
+        params = list(zip(("a", "b"), tensors))
+        for _, p in params:
+            p.grad = np.ones(p.shape)
+        with pytest.raises(ValueError, match="b is not its view"):
+            adam_step(params[::-1], AdamState(buffer), TrainConfig())
+        assert np.array_equal(buffer, np.ones(5))
 
 
 class TestTrainLoop:
@@ -435,7 +474,7 @@ class TestTrainLoop:
         tracemalloc.start()
         try:
             backward(batch_loss(model, batch, train_mode=True, rng=rng))
-            adam_step(params, AdamState(), TrainConfig())
+            adam_step(params, AdamState(model.flat), TrainConfig())
             for _, p in params:
                 p.zero_grad()
             mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
@@ -507,6 +546,27 @@ class TestCheckpoints:
             built = init_model(cfg, np.random.default_rng(0))
             assert list(parameter_shapes(cfg)) == [
                 (n, t.shape) for n, t in named_parameters(built)]
+
+    @pytest.mark.parametrize("head_type", HEAD_TYPES)
+    def test_parameters_are_views_of_one_buffer(self, tmp_path, head_type):
+        corpus = small_corpus(n=6)
+        cfg = config_for(corpus, head_type=head_type)
+        model = init_model(cfg, np.random.default_rng(0))
+        assert_views_of_flat(model)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        assert_views_of_flat(load_checkpoint(path))
+        result = train(corpus, cfg, TrainConfig(
+            learning_rate=1e-3, batch_size=4, epochs=1, seed=2))
+        assert_views_of_flat(result.model)
+
+    def test_rebound_parameter_is_never_saved_stale(self, tmp_path):
+        model, _ = self.trained_model()
+        p = dict(named_parameters(model))["enc.00.attn.b_v"]
+        p.data = p.data + 1.0
+        with pytest.raises(ValueError, match="enc.00.attn.b_v"):
+            save_checkpoint(model, tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         model, _ = self.trained_model()
