@@ -174,18 +174,13 @@ def draw_normal(rng: np.random.Generator, std: float,
         t.data *= std
 
 
-def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
-                        alloc: Callable[..., Tensor],
-                        init_std: float = INIT_STD) -> EncoderParams:
-    """Weights N(0, init_std), biases 0, layer-norm gain 1.  Training
-    keeps the default; gradient checks pass a larger std so every path
-    carries a gradient comfortably above finite-difference noise.
-
-    alloc(*shape) hands out the next zeroed tensor (init_model's are
-    views of the model's one buffer), taken in named() order; then each
-    layer's six weights are drawn in turn, then both embeddings."""
+def alloc_encoder_params(config: ModelConfig,
+                         alloc: Callable[..., Tensor]) -> EncoderParams:
+    """Every encoder tensor, taken from alloc(*shape) in named() order
+    and left as alloc hands it out (init_model's are zeroed views of the
+    model's one buffer).  Draws nothing."""
     h, f = config.hidden, config.ffn_dim
-    params = EncoderParams(
+    return EncoderParams(
         token_embedding=alloc(config.vocab_size, h),
         position_embedding=alloc(config.max_len, h),
         layers=[LayerParams(
@@ -196,6 +191,15 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
             w_ff2=alloc(f, h), b_ff2=alloc(h),
             ln2_gain=alloc(h), ln2_bias=alloc(h),
         ) for _ in range(config.n_layers)])
+
+
+def draw_encoder_params(params: EncoderParams, rng: np.random.Generator,
+                        init_std: float = INIT_STD) -> None:
+    """Initialize zeroed encoder tensors in place: weights N(0,
+    init_std), biases left 0, layer-norm gain 1.  Each layer's six
+    weights are drawn in turn, then both embeddings.  Training keeps
+    the default std; gradient checks pass a larger one so every path
+    carries a gradient comfortably above finite-difference noise."""
     for lp in params.layers:
         draw_normal(rng, init_std, lp.w_q, lp.w_k, lp.w_v, lp.w_o,
                     lp.w_ff1, lp.w_ff2)
@@ -203,6 +207,15 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
         lp.ln2_gain.data[...] = 1.0
     draw_normal(rng, init_std, params.token_embedding,
                 params.position_embedding)
+
+
+def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
+                        alloc: Callable[..., Tensor],
+                        init_std: float = INIT_STD) -> EncoderParams:
+    """alloc_encoder_params, then draw_encoder_params: fresh encoder
+    parameters, alloc(*shape) handing out each zeroed tensor."""
+    params = alloc_encoder_params(config, alloc)
+    draw_encoder_params(params, rng, init_std)
     return params
 
 

@@ -104,33 +104,51 @@ class MhmlaHeadParams:
 HeadParams = FinalHeadParams | AvglHeadParams | MhmlaHeadParams
 
 
-def init_head_params(config: ModelConfig, rng: np.random.Generator,
-                     alloc: Callable[..., Tensor],
-                     init_std: float = INIT_STD) -> HeadParams:
-    """Weights N(0, init_std), biases 0.  alloc(*shape) hands out the
-    next zeroed tensor, taken in named() order.  The MHMLA head draws
-    every w_v, then every w_k, each one head's block of columns at a
-    time, then w_a and w_out: the order in which one tensor per (layer,
-    head) pair was drawn, so a seed keeps its model."""
+def alloc_head_params(config: ModelConfig,
+                      alloc: Callable[..., Tensor]) -> HeadParams:
+    """Every tensor of config's head, taken from alloc(*shape) in
+    named() order and left as alloc hands it out.  Draws nothing."""
     h, c, L = config.hidden, config.n_classes, config.n_layers
     if config.head_type == "final":
-        params = FinalHeadParams(alloc(h, c), alloc(c))
-    elif config.head_type == "avgl":
+        return FinalHeadParams(alloc(h, c), alloc(c))
+    if config.head_type == "avgl":
         w, b = zip(*[(alloc(h, h), alloc(h)) for _ in range(L)])
-        params = AvglHeadParams(list(w), list(b), alloc(h, c), alloc(c))
+        return AvglHeadParams(list(w), list(b), alloc(h, c), alloc(c))
+    keys = config.layer_attn_heads * config.key_dim
+    per_layer = zip(*[(alloc(h, h), alloc(h), alloc(h, keys), alloc(keys))
+                      for _ in range(L)])
+    return MhmlaHeadParams(*map(list, per_layer), alloc(L * keys, 1),
+                           alloc(L * config.layer_attn_heads), alloc(h, c),
+                           alloc(c))
+
+
+def draw_head_params(params: HeadParams, config: ModelConfig,
+                     rng: np.random.Generator,
+                     init_std: float = INIT_STD) -> None:
+    """Draw the weights of zeroed head tensors in place, N(0,
+    init_std); biases stay 0.  The MHMLA head draws every w_v, then
+    every w_k, each one head's block of columns at a time, then w_a and
+    w_out: the order in which one tensor per (layer, head) pair was
+    drawn, so a seed keeps its model."""
+    if config.head_type == "avgl":
         draw_normal(rng, init_std, *params.w_proj)
-    else:
-        J, dk = config.layer_attn_heads, config.key_dim
-        per_layer = zip(*[(alloc(h, h), alloc(h), alloc(h, J * dk),
-                           alloc(J * dk)) for _ in range(L)])
-        params = MhmlaHeadParams(*map(list, per_layer), alloc(L * J * dk, 1),
-                                 alloc(L * J), alloc(h, c), alloc(c))
+    elif config.head_type == "mhmla":
+        h, J = config.hidden, config.layer_attn_heads
         for w in params.w_v + params.w_k:
             heads = w.data.reshape(h, J, -1)
             for j in range(J):
                 heads[:, j] = rng.normal(0.0, init_std, size=heads[:, j].shape)
         draw_normal(rng, init_std, params.w_a)
     draw_normal(rng, init_std, params.w_out)
+
+
+def init_head_params(config: ModelConfig, rng: np.random.Generator,
+                     alloc: Callable[..., Tensor],
+                     init_std: float = INIT_STD) -> HeadParams:
+    """alloc_head_params, then draw_head_params: fresh head parameters,
+    alloc(*shape) handing out each zeroed tensor."""
+    params = alloc_head_params(config, alloc)
+    draw_head_params(params, config, rng, init_std)
     return params
 
 

@@ -12,13 +12,15 @@ import numpy as np
 
 from .corpus import LABEL_ERR, TokenizedSentence
 from .encoder import (
-    INIT_STD, EncoderParams, ModelConfig, encode_batch, init_encoder_params,
+    INIT_STD, EncoderParams, ModelConfig, alloc_encoder_params,
+    draw_encoder_params, encode_batch,
 )
 # layer_attention_weights is not called here; the benchmark's tracer
 # (perfbench/spans.py) wraps it as an attribute of this module
 from .heads import (  # noqa: F401
-    AttentionRecord, HeadParams, avgl_forward, final_layer_forward,
-    init_head_params, layer_attention_weights, mhmla_forward,
+    AttentionRecord, HeadParams, alloc_head_params, avgl_forward,
+    draw_head_params, final_layer_forward, layer_attention_weights,
+    mhmla_forward,
 )
 from .tensor import Tensor, gather_rows, no_grad
 
@@ -33,11 +35,10 @@ class Model:
     flat: np.ndarray
 
 
-def init_model(config: ModelConfig, rng: np.random.Generator,
-               init_std: float = INIT_STD) -> Model:
-    """A fresh model whose parameters are views of one zeroed float64
-    buffer, sized by parameter_shapes, that the encoder and the head
-    then draw their weights into."""
+def alloc_model(config: ModelConfig) -> Model:
+    """A model whose parameters are views of one zeroed float64 buffer,
+    sized by parameter_shapes.  Draws nothing: load_checkpoint fills
+    the buffer from a file."""
     flat = np.zeros(sum(math.prod(s) for _, s in parameter_shapes(config)))
     cursor = 0
 
@@ -48,8 +49,18 @@ def init_model(config: ModelConfig, rng: np.random.Generator,
         return Tensor(flat[cursor - size:cursor].reshape(shape),
                       requires_grad=True)
 
-    return Model(config, init_encoder_params(config, rng, alloc, init_std),
-                 init_head_params(config, rng, alloc, init_std), flat)
+    return Model(config, alloc_encoder_params(config, alloc),
+                 alloc_head_params(config, alloc), flat)
+
+
+def init_model(config: ModelConfig, rng: np.random.Generator,
+               init_std: float = INIT_STD) -> Model:
+    """A fresh model: alloc_model, then the encoder and the head draw
+    their weights into its buffer, in that order."""
+    model = alloc_model(config)
+    draw_encoder_params(model.encoder, rng, init_std)
+    draw_head_params(model.head, config, rng, init_std)
+    return model
 
 
 def named_parameters(model: Model) -> Iterator[tuple[str, Tensor]]:
@@ -135,18 +146,26 @@ def label_targets(labels: Sequence[str]) -> list[int]:
     return [1 if lab == LABEL_ERR else 0 for lab in labels]
 
 
-def word_rows(first_sub_index: Sequence, padded_len: int) -> np.ndarray:
+def word_rows(first_sub_index: Sequence, lengths: Sequence,
+              padded_len: int) -> np.ndarray:
     """Row of each word's first sub-token in the flattened [B*T x H]
-    layout, batch order; first_sub_index[b] holds sentence b's word
-    starts, which must be strictly increasing and below padded_len."""
+    layout, T = padded_len, batch order.  first_sub_index[b] holds the
+    word starts of sentence b, whose lengths[b] sub-tokens fill rows
+    b*T to b*T + lengths[b] - 1; its starts must be strictly increasing
+    and below lengths[b], so no word is read off a PAD row."""
     starts = [np.asarray(f, dtype=np.int64) for f in first_sub_index]
+    sizes = [s.size for s in starts]
     local = np.concatenate(starts)
-    if local.size and (local.min() < 0 or local.max() >= padded_len):
-        raise ValueError(f"first sub-token index out of range: valid "
-                         f"[0, {padded_len}), got [{local.min()}, "
-                         f"{local.max()}]")
-    rows = local + np.repeat(np.arange(len(starts)) * padded_len,
-                             [s.size for s in starts])
+    limit = np.repeat(np.asarray(lengths, dtype=np.int64), sizes)
+    bad = (local < 0) | (local >= limit)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"first sub-token index out of range: {local[i]} "
+                         f"in a sentence of {limit[i]} sub-tokens")
+    if max(lengths, default=0) > padded_len:
+        raise ValueError(f"a sentence of {max(lengths)} sub-tokens does not "
+                         f"fit a padded length of {padded_len}")
+    rows = local + np.repeat(np.arange(len(starts)) * padded_len, sizes)
     # in range, the rows rise across sentence boundaries, so this only
     # fails inside a sentence
     if np.any(np.diff(rows) <= 0):
@@ -157,7 +176,8 @@ def word_rows(first_sub_index: Sequence, padded_len: int) -> np.ndarray:
 def batch_word_rows(batch: Sequence[TokenizedSentence], padded_len: int):
     """word_rows of a batch of sentences, plus each word's class
     target, batch order."""
-    rows = word_rows([s.first_sub_index for s in batch], padded_len)
+    rows = word_rows([s.first_sub_index for s in batch],
+                     [len(s.sub_ids) for s in batch], padded_len)
     return rows, label_targets([lab for s in batch for lab in s.labels])
 
 
@@ -183,7 +203,8 @@ def forward_batch(model: Model, sub_ids: Sequence, first_sub_index: Sequence,
     depth.
     """
     states = encode(model, sub_ids, train_mode=train_mode, rng=rng)
-    rows = word_rows(first_sub_index, states[0].shape[0] // len(sub_ids))
+    rows = word_rows(first_sub_index, [len(s) for s in sub_ids],
+                     states[0].shape[0] // len(sub_ids))
     return head_forward([gather_rows(s, rows) for s in states], model,
                         train_mode=train_mode, rng=rng)
 

@@ -43,6 +43,10 @@ class Tensor:
     the tape produced, such as parameters and inputs.  An op's output
     keeps grad None.  Repeated backward passes accumulate into a leaf's
     grad (callers reset via zero_grad).
+
+    An op's backward closure holds the op's input Tensors, so any op
+    output a caller holds keeps its whole graph alive, reset_graph()
+    or not.  Drop it, or keep only its value, before the next forward.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward")

@@ -22,8 +22,8 @@ from .corpus import LabeledCorpus, TokenizedSentence
 # (perfbench/) binds them as attributes of this module
 from .encoder import ModelConfig, check_field_types, encode_batch  # noqa: F401
 from .model import (  # noqa: F401
-    Model, batch_word_rows, check_views, forward_batch, init_model,
-    label_targets, named_parameters, parameter_shapes,
+    Model, alloc_model, batch_word_rows, check_views, forward_batch,
+    init_model, label_targets, named_parameters, parameter_shapes,
 )
 from .tensor import Tensor, backward, cross_entropy, reset_graph
 
@@ -160,6 +160,26 @@ def batch_loss(model: Model, batch: Sequence[TokenizedSentence],
 
 # ---------------------------------------------------------------- the loop
 
+def _train_step(model: Model, params: list, state: AdamState,
+                batch: Sequence[TokenizedSentence], config: TrainConfig,
+                rng: np.random.Generator) -> float:
+    """One forward, backward and Adam update on a batch; returns the
+    batch's mean loss.
+
+    The loss Tensor must not outlive its step: every op's backward
+    closure holds its input Tensors, so the loss keeps the whole graph
+    of the step reachable after reset_graph() has emptied the tape.
+    Held across the next forward, it would double the step's peak
+    memory.  Returning a float lets the graph go with these locals."""
+    reset_graph()
+    loss = batch_loss(model, batch, train_mode=True, rng=rng)
+    backward(loss)
+    adam_step(params, state, config)
+    for _, p in params:
+        p.zero_grad()
+    return loss.item()
+
+
 @dataclass
 class TrainResult:
     model: Model
@@ -190,14 +210,9 @@ def train(corpus: LabeledCorpus, model_config: ModelConfig,
         word_count = 0
         for start in range(0, len(order), train_config.batch_size):
             batch = [sentences[i] for i in order[start:start + train_config.batch_size]]
-            reset_graph()
-            loss = batch_loss(model, batch, train_mode=True, rng=rng)
-            backward(loss)
-            adam_step(params, state, train_config)
-            for _, p in params:
-                p.zero_grad()
             n_words = sum(len(s.words) for s in batch)
-            loss_sum += loss.item() * n_words
+            loss_sum += _train_step(model, params, state, batch,
+                                    train_config, rng) * n_words
             word_count += n_words
         losses.append(loss_sum / word_count)
         log.info("epoch %d/%d  mean loss %.6f", epoch + 1,
@@ -309,6 +324,6 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(
                 f"{path}: manifest lists {entry['name']} where the model "
                 f"wants {want} (out of order)")
-    model = init_model(config, np.random.default_rng(0))
+    model = alloc_model(config)
     model.flat[...] = np.frombuffer(payload, dtype="<f4")
     return model

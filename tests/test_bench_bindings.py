@@ -10,7 +10,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from gedlab.corpus import TokenizedSentence
+from gedlab.encoder import ModelConfig, encode_batch
+from gedlab.model import init_model
+from gedlab.training import batch_word_rows
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -32,6 +38,27 @@ WRAPS = load("spans").WRAPS
 def test_checks_imports_resolve():
     # checks.py imports every gedlab name its output checks call
     load("checks")
+
+
+def test_reference_word_rows_call_shape():
+    # checks.py's batched reference (_batched_word_states) encodes a
+    # batch, then takes the word rows with the padded length read off
+    # the states: sentence b's word starting at n is row b * T + n
+    batch = [TokenizedSentence(words=list("ab"), labels=["c", "i"],
+                               sub_ids=[5, 6, 7], first_sub_index=[0, 2]),
+             TokenizedSentence(words=list("xyz"), labels=["i", "c", "c"],
+                               sub_ids=[5, 6, 7, 8, 9, 10],
+                               first_sub_index=[0, 1, 4]),
+             TokenizedSentence(words=["q"], labels=["c"], sub_ids=[11],
+                               first_sub_index=[0])]
+    model = init_model(ModelConfig(n_layers=1, hidden=8, ffn_dim=8,
+                                   vocab_size=12, max_len=8),
+                       np.random.default_rng(0))
+    states, _ = encode_batch([t.sub_ids for t in batch], model.encoder,
+                             model.config)
+    rows, targets = batch_word_rows(batch, states[0].shape[0] // len(batch))
+    assert rows.tolist() == [0, 2, 6, 7, 10, 12]
+    assert targets == [0, 1, 1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("module_name,attr", [(m, a) for m, a, _ in WRAPS],

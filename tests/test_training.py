@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from gedlab.corpus import (
-    PAD_ID, TokenizedSentence, build_corpus, generate_synthetic_pairs,
-    pairs_to_labeled,
+    PAD_ID, LabeledCorpus, LabeledSentence, TokenizedSentence, build_corpus,
+    generate_synthetic_pairs, pairs_to_labeled,
 )
 from gedlab.encoder import HEAD_TYPES, ModelConfig, encode_batch
 from gedlab.model import (
@@ -122,35 +122,53 @@ class TestTrainConfig:
 class TestRowSelection:
     def test_single_subtoken_words_are_identity(self):
         state = Tensor(np.arange(12.0).reshape(4, 3))
-        rows = word_rows([[0, 1, 2, 3]], 4)
+        rows = word_rows([[0, 1, 2, 3]], [4], 4)
         with no_grad():
             out = gather_rows(state, rows)
         assert np.array_equal(out.data, state.data)
 
     def test_picks_first_subtoken_rows(self):
-        assert word_rows([[0, 1, 3]], 5).tolist() == [0, 1, 3]
-        assert word_rows([[0, 2], [], [1]], 4).tolist() == [0, 2, 9]
+        assert word_rows([[0, 1, 3]], [5], 5).tolist() == [0, 1, 3]
+        assert word_rows([[0, 2], [], [1]], [3, 1, 2], 4).tolist() == [0, 2, 9]
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError, match="out of range"):
-            word_rows([[0, 9]], 4)
+            word_rows([[0, 9]], [4], 4)
         with pytest.raises(ValueError, match="out of range"):
-            word_rows([[0], [-1]], 4)
+            word_rows([[0], [-1]], [4, 4], 4)
         with pytest.raises(ValueError, match="strictly increasing"):
-            word_rows([[0, 2, 2]], 4)
+            word_rows([[0, 2, 2]], [4], 4)
         with pytest.raises(ValueError, match="strictly increasing"):
-            word_rows([[0], [3, 1]], 4)
+            word_rows([[0], [3, 1]], [4, 4], 4)
+        # a start past its own sentence, though inside the padded length
+        with pytest.raises(ValueError, match="out of range"):
+            word_rows([[0, 2]], [2], 4)
+        with pytest.raises(ValueError, match="does not fit"):
+            word_rows([[0]], [5], 4)
         # predict_word_probs checks a caller's word starts the same way
         model = init_model(config_for(small_corpus()),
                            np.random.default_rng(0))
         with no_grad(), pytest.raises(ValueError, match="out of range"):
             predict_word_probs(model, [4, 5], [0, 2])
 
+    def test_word_start_in_the_batch_padding_rejected(self):
+        # the second sentence pads the first to 6 sub-tokens: a start at
+        # 4 lies in the padding and must fail as it does on its own
+        model = init_model(config_for(small_corpus()),
+                           np.random.default_rng(0))
+        with no_grad():
+            with pytest.raises(ValueError, match="out of range"):
+                predict_word_probs(model, [5, 6, 7], [0, 4])
+            with pytest.raises(ValueError, match="out of range"):
+                forward_batch(model, [[5, 6, 7], [5, 6, 7, 8, 9, 10]],
+                              [[0, 4], [0, 1]])
+
     def test_row_count_matches_label_count_corpus_wide(self):
         corpus = small_corpus(n=40)
         for t in corpus.tokenized:
             assert len(t.first_sub_index) == len(t.labels)
-            rows = word_rows([t.first_sub_index], len(t.sub_ids))
+            rows = word_rows([t.first_sub_index], [len(t.sub_ids)],
+                             len(t.sub_ids))
             assert rows.size == len(t.words)
         rows, targets = batch_word_rows(corpus.tokenized, 16)
         assert rows.size == len(targets) == sum(
@@ -482,6 +500,32 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert mib <= 96, mib
 
+    def test_b64_train_steps_hold_one_graph_at_a_time(self):
+        # a step's loss Tensor reaches its whole graph through the
+        # backward closures: kept until the next step's forward, the
+        # second of two steps peaked at about 1.7 times a lone step.
+        # Every sentence has 16 words, so both steps have one shape
+        rng = np.random.default_rng(0)
+        words, labels = ["w"] * 16, ["c"] * 16
+        sentences = [TokenizedSentence(
+            words=words, labels=labels,
+            sub_ids=rng.integers(4, 40, size=16).tolist(),
+            first_sub_index=list(range(16))) for _ in range(128)]
+        peaks = {}
+        for n in (64, 128):     # one step, then two
+            corpus = LabeledCorpus(
+                sentences=[LabeledSentence(words, labels)] * n, vocab=None,
+                tokenized=sentences[:n])
+            tracemalloc.start()
+            try:
+                result = train(corpus, desk_config(),
+                               TrainConfig(batch_size=64, epochs=1))
+                peaks[n] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+            assert result.n_steps == n // 64
+        assert peaks[128] <= 1.05 * peaks[64], peaks
+
     @pytest.mark.parametrize("batch_size, dropout", [(16, 0.0), (4, 0.1)])
     def test_train_matches_per_tensor_adam(self, monkeypatch, batch_size,
                                            dropout):
@@ -559,6 +603,21 @@ class TestCheckpoints:
         result = train(corpus, cfg, TrainConfig(
             learning_rate=1e-3, batch_size=4, epochs=1, seed=2))
         assert_views_of_flat(result.model)
+
+    @pytest.mark.parametrize("head_type", HEAD_TYPES)
+    def test_load_draws_nothing(self, tmp_path, monkeypatch, head_type):
+        # the encoder and every head draw through draw_normal; load
+        # overwrites every parameter, so a draw there is wasted work
+        cfg = config_for(small_corpus(n=6), head_type=head_type)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(cfg, np.random.default_rng(0)), path)
+
+        def no_draw(*args):
+            raise AssertionError("load drew random weights")
+
+        for module in ("gedlab.encoder", "gedlab.heads"):
+            monkeypatch.setattr(f"{module}.draw_normal", no_draw)
+        assert checkpoint_bytes(load_checkpoint(path)) == path.read_bytes()
 
     def test_rebound_parameter_is_never_saved_stale(self, tmp_path):
         model, _ = self.trained_model()
