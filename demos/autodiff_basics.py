@@ -6,17 +6,18 @@
 import numpy as np
 
 from gedlab import Tensor, backward, finite_diff_check, reset_graph
-from gedlab.tensor import cross_entropy, linear, relu, softmax, sum_all
+from gedlab.tensor import cross_entropy, linear, linear_relu, softmax, sum_all
 
 # a two-layer scalar bowl: f(w) = sum(relu(x W1) W2)
 rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(4, 3)))  # constant: no grad requested
 w1 = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
 w2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-# linear(x, w, b) is x W + b as one tape node; a zero constant b drops it
+# linear(x, w, b) is x W + b as one tape node, and linear_relu(x, w, b)
+# relu(x W + b); a zero constant b drops it
 no_b1, no_b2 = Tensor(np.zeros(5)), Tensor(np.zeros(2))
 
-hidden = relu(linear(x, w1, no_b1))
+hidden = linear_relu(x, w1, no_b1)
 probs = softmax(linear(hidden, w2, no_b2))
 loss = cross_entropy(probs, np.array([0, 1, 1, 0]))
 print("loss:", loss.item())
@@ -33,7 +34,7 @@ w2.zero_grad()
 
 def f():
     return cross_entropy(
-        softmax(linear(relu(linear(x, w1, no_b1)), w2, no_b2)),
+        softmax(linear(linear_relu(x, w1, no_b1), w2, no_b2)),
         np.array([0, 1, 1, 0]))
 
 

@@ -5,10 +5,14 @@ multi-head scaled dot-product self-attention and a relu FFN, each with
 residual + layer norm.  All layer states are kept so heads can attend
 over depth.
 
-A batch is one padded [B*T x hidden] matrix.  Self-attention is the
-fused tensor.attention op: each sentence attends only over its own T
-positions, and PAD positions are masked out as keys.  They still flow
-through as queries; their rows are garbage and callers ignore them.
+A batch is one padded [B*T x hidden] matrix.  A block is four fused
+tape nodes: tensor.self_attention (the q, k and v projections and
+multi-head attention), tensor.residual_norm (the w_o map, dropout,
+residual and layer norm), tensor.linear_relu (the FFN's first map) and
+residual_norm again (its second map).  Each sentence attends only over
+its own T positions, and PAD positions are masked out as keys.  They
+still flow through as queries; their rows are garbage and callers
+ignore them.
 """
 from __future__ import annotations
 
@@ -22,7 +26,8 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .tensor import (
-    Tensor, add, attention, dropout, gather_rows, layer_norm, linear, relu,
+    Tensor, add, dropout, gather_rows, linear_relu, residual_norm,
+    self_attention,
 )
 
 HEAD_TYPES = ("final", "avgl", "mhmla")
@@ -221,22 +226,18 @@ def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
 
 def _block(h: Tensor, lp: LayerParams, config: ModelConfig, key_real,
            train_mode: bool, rng: np.random.Generator | None) -> Tensor:
-    q = linear(h, lp.w_q, lp.b_q)
-    # no key bias: it adds the same q.b_k to every score of a query, and
-    # the softmax over keys cancels that
-    k = linear(h, lp.w_k, Tensor(np.zeros(config.hidden)))
-    v = linear(h, lp.w_v, lp.b_v)
-    rate = config.attn_dropout if train_mode else 0.0
-    mixed = attention(q, k, v, key_real, config.self_attn_heads, rate, rng)
-    attn_out = linear(mixed, lp.w_o, lp.b_o)
-    if train_mode and config.dropout > 0.0:
-        attn_out = dropout(attn_out, config.dropout, rng)
-    h = layer_norm(add(h, attn_out), lp.ln1_gain, lp.ln1_bias)
-
-    ff = linear(relu(linear(h, lp.w_ff1, lp.b_ff1)), lp.w_ff2, lp.b_ff2)
-    if train_mode and config.dropout > 0.0:
-        ff = dropout(ff, config.dropout, rng)
-    return layer_norm(add(h, ff), lp.ln2_gain, lp.ln2_bias)
+    """One post-norm block as four tape nodes: self-attention with its
+    projections, the w_o residual and layer norm, the relu FFN's first
+    map, and its second map's residual and layer norm."""
+    attn_rate = config.attn_dropout if train_mode else 0.0
+    rate = config.dropout if train_mode else 0.0
+    mixed = self_attention(h, lp.w_q, lp.b_q, lp.w_k, lp.w_v, lp.b_v,
+                           key_real, config.self_attn_heads, attn_rate, rng)
+    h = residual_norm(h, mixed, lp.w_o, lp.b_o, lp.ln1_gain, lp.ln1_bias,
+                      rate, rng)
+    ff = linear_relu(h, lp.w_ff1, lp.b_ff1)
+    return residual_norm(h, ff, lp.w_ff2, lp.b_ff2, lp.ln2_gain, lp.ln2_bias,
+                         rate, rng)
 
 
 def encode(token_ids, params: EncoderParams, config: ModelConfig,

@@ -12,7 +12,8 @@ feed it:
   one score vector serves every (layer, head) pair.  Parameters are
   stored in those shapes, so no forward re-joins them.
 
-Every affine map x W + b is one tensor.linear node.  The embedding
+Every affine map x W + b is one tensor.linear node, and each relu
+key map one tensor.linear_relu node.  The embedding
 state (index 0) never participates; depth attention runs over layers
 1..L only.
 """
@@ -25,7 +26,8 @@ import numpy as np
 
 from .encoder import INIT_STD, ModelConfig, draw_normal
 from .tensor import (
-    Tensor, add, concat, dropout, linear, mul, relu, reshape, scale, softmax,
+    Tensor, add, concat, dropout, linear, linear_relu, mul, reshape, scale,
+    softmax,
 )
 
 
@@ -197,14 +199,14 @@ def _depth_weights(states, params: MhmlaHeadParams, config: ModelConfig,
     """The dropped-out states 1..L and the [n, L, J] depth-attention
     weights, [n, l, j] being head j's weight on encoder layer l+1.
 
-    One linear per layer gives all J heads' [n x J*dk] relu keys, and
+    One linear_relu per layer gives all J heads' [n x J*dk] keys, and
     one linear with w_a laid out block-diagonally scores them all."""
     _check_states(states, config)
     L, J, dk = config.n_layers, config.layer_attn_heads, config.key_dim
     states_d = [_maybe_drop(s, config.dropout, train_mode, rng)
                 for s in states[1:]]
     keys = concat([
-        _maybe_drop(relu(linear(states_d[l], params.w_k[l], params.b_k[l])),
+        _maybe_drop(linear_relu(states_d[l], params.w_k[l], params.b_k[l]),
                     config.dropout, train_mode, rng) for l in range(L)])
     # keys is [n x L*J*dk], pair (l, j) in the dk columns from
     # (l*J + j)*dk; its dk rows of w_a score them in column l*J + j

@@ -70,22 +70,32 @@ def named_parameters(model: Model) -> Iterator[tuple[str, Tensor]]:
     yield from model.head.named()
 
 
-def check_views(named_params, flat: np.ndarray) -> None:
+def check_views(named_params, flat: np.ndarray, checked=()) -> list:
     """Raise ValueError naming the first parameter whose data is not its
     view of flat, at its offset in this order, or if the parameters do
     not fill flat.  Run before reading or writing flat in place of the
-    tensors, so a rebound p.data is never saved or updated stale."""
+    tensors, so a rebound p.data is never saved or updated stale.
+
+    Returns the parameters' arrays in order.  Passed back as checked,
+    they reduce the next call to one identity test per parameter while
+    every p.data is still the array this call checked."""
+    named_params = list(named_params)
+    arrays = [p.data for _, p in named_params]
+    if len(arrays) == len(checked) and all(
+            a is c for a, c in zip(arrays, checked)):
+        return arrays
     base, start = flat.__array_interface__["data"][0], 0
-    for name, p in named_params:
-        if (p.data.base is not flat or p.data.__array_interface__["data"][0]
+    for (name, _), a in zip(named_params, arrays):
+        if (a.base is not flat or a.__array_interface__["data"][0]
                 != base + start * flat.itemsize):
             raise ValueError(f"{name} is not its view of the parameter "
                              f"buffer at entry {start}: its data was "
                              f"rebound, or the order differs")
-        start += p.data.size
+        start += a.size
     if start != flat.size:
         raise ValueError(f"the parameters fill {start} of the parameter "
                          f"buffer's {flat.size} entries")
+    return arrays
 
 
 def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple]]:

@@ -9,8 +9,15 @@ broadcasts into a's shape (a row [h] on [n x h] for a bias or a gain, a
 column [n x 1] for one weight per row), and backward sums b's gradient
 over the broadcast axes.  The result always has a's shape: a b that
 would grow it, or does not broadcast, is a ValueError naming both
-shapes.  No other op broadcasts: linear and layer_norm take their
-bias and gain rows at exactly the output width.
+shapes.  No other op broadcasts: linear, linear_relu, self_attention
+and residual_norm take their bias and gain rows at exactly the output
+width.
+
+The fused ops (linear, linear_relu, self_attention, residual_norm)
+record one node each and keep only the arrays their hand-written
+backwards read.  Each backward hands out its gradients in the order
+that separate nodes for the same arithmetic would, so a tensor that
+several ops read sums its gradients in the same order, bit for bit.
 """
 from __future__ import annotations
 
@@ -24,13 +31,14 @@ import numpy as np
 
 PROB_CLAMP = 1e-12      # floor applied to probabilities before log
 MASK_LOGIT = -1e30      # attention score of a masked (PAD) key
-NORM_EPS = 1e-12        # added to the row variance in layer_norm
+NORM_EPS = 1e-12        # added to the row variance in residual_norm
 FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 
 __all__ = [
     "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
-    "add", "mul", "scale", "linear", "relu", "softmax", "dropout",
-    "attention", "layer_norm", "gather_rows", "concat", "reshape", "sum_all",
+    "add", "mul", "scale", "linear", "linear_relu", "softmax", "dropout",
+    "self_attention", "residual_norm", "gather_rows", "concat", "reshape",
+    "sum_all",
     "cross_entropy", "finite_diff_check", "GradCheckReport",
     "PROB_CLAMP", "MASK_LOGIT", "NORM_EPS", "FD_ZERO_TOL",
 ]
@@ -212,38 +220,69 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+def _check_affine(op: str, x: Tensor, ws, bs,
+                  layout: str = "x [n x k], w [k x m] and b [m]") -> None:
+    """x [n x k], every w in ws [k x m] and every b in bs [m], or a
+    ValueError naming op's layout and all their shapes."""
+    w_shape = ws[0].shape
+    if not (x.data.ndim == 2 and len(w_shape) == 2
+            and w_shape[0] == x.shape[1]
+            and all(w.shape == w_shape for w in ws)
+            and all(b.shape == (w_shape[1],) for b in bs)):
+        shapes = [str(t.shape) for t in (x, *ws, *bs)]
+        raise ValueError(f"{op} needs {layout}, got "
+                         f"{', '.join(shapes[:-1])} and {shapes[-1]}")
+
+
+def _affine(x: Tensor, w: Tensor, b: Tensor | None) -> np.ndarray:
+    """x @ w + b as one new array; b None adds nothing."""
+    y = x.data @ w.data
+    if b is not None:
+        y += b.data
+    return y
+
+
+def _affine_grads(pending: dict, x: Tensor, w: Tensor, b: Tensor | None,
+                  g: np.ndarray) -> None:
+    """Hand out the gradients of x @ w + b for an upstream g, in the
+    order of linear's backward: b's (g summed over rows), x's g @ w.T,
+    then w's x.T @ g."""
+    if b is not None:
+        _acc(pending, b, g.sum(axis=0))
+    _acc(pending, x, g @ w.data.T)
+    _acc(pending, w, x.data.T @ g)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: the product is never kept apart from the
     sum.  With zero b it is the plain product.  Backward hands out, in
     this order, b's gradient g summed over rows, x's g @ w.T and w's
     x.T @ g."""
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape != (w.shape[1],)):
-        raise ValueError(f"linear needs x [n x k], w [k x m] and b [m], "
-                         f"got {x.shape}, {w.shape} and {b.shape}")
-    y = x.data @ w.data
-    y += b.data
+    _check_affine("linear", x, (w,), (b,))
+    out = Tensor(_affine(x, w, b))
+
+    def bwd(g, pending):
+        _affine_grads(pending, x, w, b, g)
+
+    return _record(out, (x, w, b), bwd)
+
+
+def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(x @ w + b) as one node: only the output is kept.  Backward
+    masks g where the output is not above 0 (the pre-activation's sign;
+    subgradient 0 at exactly 0), then runs linear's backward."""
+    _check_affine("linear_relu", x, (w,), (b,))
+    y = _affine(x, w, b)
+    np.maximum(y, 0.0, out=y)
     out = Tensor(y)
 
     def bwd(g, pending):
-        _acc(pending, b, g.sum(axis=0))
-        _acc(pending, x, g @ w.data.T)
-        _acc(pending, w, x.data.T @ g)
+        _affine_grads(pending, x, w, b, g * (y > 0.0))
 
     return _record(out, (x, w, b), bwd)
 
 
 # -------------------------------------------------------------- nonlinearity
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-
-    def bwd(g, pending):
-        # subgradient 0 at exactly 0
-        _acc(pending, x, g * (x.data > 0.0))
-
-    return _record(out, (x,), bwd)
-
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Row-stable softmax along one axis (max subtraction)."""
@@ -276,13 +315,23 @@ def _check_rate(rate: float, rng) -> None:
                          f"got None")
 
 
+def _keep_mask(shape, rate: float, rng) -> np.ndarray | None:
+    """Inverted dropout's multiplier: 1/(1-rate) where an entry is kept,
+    0 where dropped, written over the uniform draws it is made from;
+    None at rate 0, which draws nothing."""
+    if rate == 0.0:
+        return None
+    keep = rng.random(shape)
+    return np.divide(keep >= rate, 1.0 - rate, out=keep)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: kept entries scaled by 1/(1-rate).  rate=0 is
     the identity (returns x itself, no tape node)."""
     _check_rate(rate, rng)
     if rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    keep = _keep_mask(x.data.shape, rate, rng)
     out = Tensor(x.data * keep)
 
     def bwd(g, pending):
@@ -291,83 +340,103 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, key_real, n_heads: int,
-              rate: float = 0.0,
-              rng: np.random.Generator | None = None) -> Tensor:
+def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
+                   w_v: Tensor, b_v: Tensor, key_real, n_heads: int,
+                   rate: float = 0.0,
+                   rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention within each sentence
-    of a padded batch, as one op.
+    of a padded batch, projections included, as one node.
 
-    q, k and v are [B*T x H], row b * T + n holding token n of sentence
-    b; key_real is the [B, T] bool mask of real tokens.  Per sentence
-    and head: softmax((Q Kt) / sqrt(H / n_heads)) over its own keys,
-    PAD keys set to MASK_LOGIT first, so exp() gives them exactly zero
-    weight.  With rate > 0, inverted dropout on those weights draws one
+    h is [B*T x k], row b * T + n holding token n of sentence b;
+    key_real is the [B, T] bool mask of real tokens.  Queries are
+    h @ w_q + b_q, keys h @ w_k (a key bias would add one constant to
+    all of a query's scores, which the softmax cancels) and values
+    h @ w_v + b_v, each [B*T x m].  Per sentence and head:
+    softmax((Q Kt) / sqrt(m / n_heads)) over its own keys, PAD keys set
+    to MASK_LOGIT first, so exp() gives them exactly zero weight.  With
+    rate > 0, inverted dropout on those weights draws one
     [B, n_heads, T, T] mask from rng.  Returns the heads' P V merged
-    back to [B*T x H].  No [B*T x B*T] array is ever built.
+    back to [B*T x m].  No [B*T x B*T] array is ever built, and only
+    the per-head Q, K, V and weights are kept for backward, which
+    hands h its gradients through v, then k, then q.
     """
-    for name, t in (("q", q), ("k", k), ("v", v)):
-        _need_2d(t, "attention")
-        if t.shape != q.shape:
-            raise ValueError(f"attention: {name} has shape {t.shape}, "
-                             f"q has {q.shape}")
+    _check_affine("self_attention", h, (w_q, w_k, w_v), (b_q, b_v),
+                  "h [n x k], w_q, w_k and w_v [k x m], b_q and b_v [m]")
     real = np.asarray(key_real, dtype=bool)
-    if real.ndim != 2 or real.size != q.shape[0]:
-        raise ValueError(f"attention: key_real of shape {real.shape} does "
-                         f"not match {q.shape[0]} rows as [B, T]")
-    width = q.shape[1]
+    if real.ndim != 2 or real.size != h.shape[0]:
+        raise ValueError(f"self_attention: key_real of shape {real.shape} "
+                         f"does not match {h.shape[0]} rows as [B, T]")
+    width = w_q.shape[1]
     if n_heads < 1 or width % n_heads:
-        raise ValueError(f"attention: {width} columns do not split into "
-                         f"{n_heads} heads")
+        raise ValueError(f"self_attention: {width} columns do not split "
+                         f"into {n_heads} heads")
     _check_rate(rate, rng)
     b, t = real.shape
     dh = width // n_heads
     inv_sqrt = 1.0 / math.sqrt(dh)
 
-    def heads(x):       # [B*T x H] -> contiguous [B, heads, T, dh]
+    def heads(x):       # [B*T x m] -> contiguous [B, heads, T, dh]
         return np.ascontiguousarray(
             x.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3))
 
-    def merge(x):       # [B, heads, T, dh] -> [B*T x H]
+    def merge(x):       # [B, heads, T, dh] -> [B*T x m]
         return x.transpose(0, 2, 1, 3).reshape(b * t, width)
 
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    scores = np.where(real[:, None, None, :],
-                      (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt, MASK_LOGIT)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    keep = None
-    if rate > 0.0:
-        keep = (rng.random(p.shape) >= rate) / (1.0 - rate)
-    pd = p if keep is None else p * keep
-    out = Tensor(merge(pd @ vh))
+    qh = heads(_affine(h, w_q, b_q))
+    kh = heads(_affine(h, w_k, None))
+    vh = heads(_affine(h, w_v, b_v))
+    p = np.where(real[:, None, None, :],
+                 (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt, MASK_LOGIT)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    keep = _keep_mask(p.shape, rate, rng)
+    out = Tensor(merge((p if keep is None else p * keep) @ vh))
 
     def bwd(g, pending):
         go = heads(g)
-        _acc(pending, v, merge(pd.transpose(0, 1, 3, 2) @ go))
+        pd = p if keep is None else p * keep
+        gv = merge(pd.transpose(0, 1, 3, 2) @ go)
         dp = go @ vh.transpose(0, 1, 3, 2)
         if keep is not None:
             dp *= keep
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_sqrt
-        _acc(pending, q, merge(ds @ kh))
-        _acc(pending, k, merge(ds.transpose(0, 1, 3, 2) @ qh))
+        _affine_grads(pending, h, w_v, b_v, gv)
+        _affine_grads(pending, h, w_k, None,
+                      merge(ds.transpose(0, 1, 3, 2) @ qh))
+        _affine_grads(pending, h, w_q, b_q, merge(ds @ kh))
 
-    return _record(out, (q, k, v), bwd)
+    return _record(out, (h, w_q, b_q, w_k, w_v, b_v), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Affine layer norm as one node: each row standardized,
-    y = (row - mean) / sqrt(pop_var + NORM_EPS), then y * gain + bias.
+def residual_norm(h: Tensor, x: Tensor, w: Tensor, b: Tensor, gain: Tensor,
+                  bias: Tensor, rate: float = 0.0,
+                  rng: np.random.Generator | None = None) -> Tensor:
+    """A post-norm sublayer's exit as one node:
+    layer_norm(h + dropout(x @ w + b)), the layer norm affine, each row
+    s of the sum standardized, y = (s - mean) / sqrt(pop_var +
+    NORM_EPS), then y * gain + bias.  With rate > 0, inverted dropout
+    draws one mask of h's shape from rng.
+
     Only the output is recorded; y stays in the closure for backward,
-    which gives bias, then gain, then x their gradients."""
-    if (x.data.ndim != 2 or gain.shape != (x.shape[1],)
-            or bias.shape != (x.shape[1],)):
-        raise ValueError(f"layer_norm needs x [n x h], gain [h] and bias "
-                         f"[h], got {x.shape}, {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    y = xc * inv
+    which gives bias, then gain, then h (the residual), then b, x and w
+    their gradients."""
+    _check_affine("residual_norm", x, (w,), (b,))
+    width = w.shape[1]
+    if (h.shape != (x.shape[0], width) or gain.shape != (width,)
+            or bias.shape != (width,)):
+        raise ValueError(f"residual_norm needs h [n x m], gain [m] and bias "
+                         f"[m] beside x @ w of {(x.shape[0], width)}, got "
+                         f"{h.shape}, {gain.shape} and {bias.shape}")
+    _check_rate(rate, rng)
+    y = _affine(x, w, b)
+    keep = _keep_mask(y.shape, rate, rng)
+    if keep is not None:
+        y *= keep
+    y += h.data                     # s = h + dropout(x @ w + b)
+    y -= y.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((y * y).mean(axis=1, keepdims=True) + NORM_EPS)
+    y *= inv                        # s standardized: y
     out = y * gain.data
     out += bias.data
 
@@ -377,9 +446,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gy = g * gain.data
         gm = gy.mean(axis=1, keepdims=True)
         gyy = (gy * y).mean(axis=1, keepdims=True)
-        _acc(pending, x, inv * (gy - gm - y * gyy))
+        gs = inv * (gy - gm - y * gyy)
+        _acc(pending, h, gs)
+        _affine_grads(pending, x, w, b, gs if keep is None else gs * keep)
 
-    return _record(Tensor(out), (x, gain, bias), bwd)
+    return _record(Tensor(out), (h, x, w, b, gain, bias), bwd)
 
 
 # ------------------------------------------------------------ shape plumbing

@@ -70,10 +70,11 @@ class TrainConfig:
 class AdamState:
     """Adam's step count and moments over a model's flat float64
     parameter buffer.  `m`, `v` and the joined gradient share its
-    layout, so one vectorized update covers every tensor."""
+    layout, so one vectorized update covers every tensor.  `views` are
+    the parameter arrays the last step's check_views passed."""
 
     def __init__(self, flat: np.ndarray):
-        self.t, self.flat = 0, flat
+        self.t, self.flat, self.views = 0, flat, []
         self.m, self.v, self.grad, self.scratch = (
             np.zeros_like(flat) for _ in range(4))
 
@@ -99,7 +100,7 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     parameters must be views of state.flat in its order (check_views):
     a rebound p.data raises ValueError naming it."""
     params = list(named_params)
-    check_views(params, state.flat)
+    state.views = check_views(params, state.flat, state.views)
     grads, skipped, start = [], [], 0
     for name, p in params:
         g = p.grad

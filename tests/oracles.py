@@ -7,7 +7,12 @@ deletion beats insertion.  pair_part reads one (layer, head) pair's
 own block out of the MHMLA head's joined parameters,
 forced_depth_params pins the depth weights to constants through those
 parameters, and mhmla_reference computes the MHMLA head one pair at a
-time in plain numpy.  adam_reference is Adam as one loop over the
+time in plain numpy.  linear_reference and layer_norm_reference are
+the unfused numpy forms of an affine map and an affine layer norm;
+linear_relu_reference, residual_norm_reference and
+self_attention_reference build the fused encoder ops from them (and
+numpy attention), handing out gradients in the order separate tape
+nodes would.  adam_reference is Adam as one loop over the
 parameter tensors, with its moments in per-name dicts.  fresh is the
 parameter allocator of direct init_encoder_params and init_head_params
 calls.
@@ -18,7 +23,7 @@ import functools
 import numpy as np
 
 from gedlab.corpus import LABEL_ERR, LABEL_OK
-from gedlab.tensor import NORM_EPS, Tensor
+from gedlab.tensor import MASK_LOGIT, NORM_EPS, Tensor
 
 _RANK = {"match": 0, "sub": 1, "del": 2, "ins": 3}
 
@@ -168,6 +173,68 @@ def layer_norm_reference(x, gain, bias, g):
     dx = inv * (gy - gy.mean(axis=1, keepdims=True)
                 - y * (gy * y).mean(axis=1, keepdims=True))
     return y * gain + bias, dx, (g * y).sum(axis=0), g.sum(axis=0)
+
+
+def linear_relu_reference(x, w, b, g):
+    """relu(x @ w + b), then its gradients for an upstream g:
+    (out, dx, dw, db).  The mask is the pre-activation's sign, 0 at 0."""
+    pre = linear_reference(x, w, b, g)[0]
+    _, dx, dw, db = linear_reference(x, w, b, g * (pre > 0.0))
+    return np.maximum(pre, 0.0), dx, dw, db
+
+
+def residual_norm_reference(h, x, w, b, gain, bias, keep, g):
+    """layer_norm(h + (x @ w + b) * keep), keep None for no dropout,
+    then its gradients for an upstream g: (out, dh, dx, dw, db, dgain,
+    dbias).  dh is the layer norm's input gradient, which the residual
+    add passes on unchanged."""
+    a = linear_reference(x, w, b, g)[0]
+    s = h + (a if keep is None else a * keep)
+    out, ds, dgain, dbias = layer_norm_reference(s, gain, bias, g)
+    _, dx, dw, db = linear_reference(
+        x, w, b, ds if keep is None else ds * keep)
+    return out, ds, dx, dw, db, dgain, dbias
+
+
+def self_attention_reference(h, w_q, b_q, w_k, w_v, b_v, key_real,
+                             n_heads, keep, g, dh_held=0.0):
+    """Multi-head self-attention within each sentence of a padded
+    batch, from separate projections (keys without a bias) and numpy
+    attention, then its gradients for an upstream g: (out, dh, dw_q,
+    db_q, dw_k, dw_v, db_v).  keep is the [B, heads, T, T] dropout
+    multiplier on the weights, or None.  dh adds to dh_held, the
+    gradient h already holds from nodes later on the tape, the value,
+    key and query paths in that order, the reverse of their forward."""
+    bsz, t = key_real.shape
+    width = w_q.shape[1]
+    per_head = width // n_heads
+    inv_sqrt = 1.0 / np.sqrt(per_head)
+
+    def heads(x):
+        return np.ascontiguousarray(
+            x.reshape(bsz, t, n_heads, per_head).transpose(0, 2, 1, 3))
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(bsz * t, width)
+
+    qh, kh, vh = heads(h @ w_q + b_q), heads(h @ w_k), heads(h @ w_v + b_v)
+    scores = np.where(key_real[:, None, None, :],
+                      (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt,
+                      MASK_LOGIT)
+    p = _softmax(scores, axis=-1)
+    pd = p if keep is None else p * keep
+    out = merge(pd @ vh)
+    go = heads(g)
+    dv = merge(pd.transpose(0, 1, 3, 2) @ go)
+    dp = go @ vh.transpose(0, 1, 3, 2)
+    if keep is not None:
+        dp = dp * keep
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_sqrt
+    dq, dk = merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh)
+    _, dh_v, dw_v, db_v = linear_reference(h, w_v, b_v, dv)
+    _, dh_k, dw_k, _ = linear_reference(h, w_k, np.zeros(width), dk)
+    _, dh_q, dw_q, db_q = linear_reference(h, w_q, b_q, dq)
+    return out, dh_held + dh_v + dh_k + dh_q, dw_q, db_q, dw_k, dw_v, db_v
 
 
 def adam_reference(named_params, state, config):

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from gedlab.tensor import (
-    GradCheckReport, Tensor, active_graph, add, attention, backward, concat,
-    cross_entropy, dropout, finite_diff_check, gather_rows, layer_norm,
-    linear, mul, no_grad, relu, reset_graph, reshape, scale, softmax,
-    sum_all,
+    GradCheckReport, Tensor, active_graph, add, backward, concat,
+    cross_entropy, dropout, finite_diff_check, gather_rows, linear,
+    linear_relu, mul, no_grad, reset_graph, reshape, residual_norm, scale,
+    self_attention, softmax, sum_all,
 )
-from oracles import layer_norm_reference, linear_reference
+from oracles import (
+    layer_norm_reference, linear_reference, linear_relu_reference,
+    residual_norm_reference, self_attention_reference,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -25,6 +28,21 @@ def clean_tape():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+def bare_relu(x: Tensor) -> Tensor:
+    """relu alone: linear_relu through the identity with a zero bias
+    (x @ I is x, bit for bit)."""
+    n = x.shape[1]
+    return linear_relu(x, Tensor(np.eye(n)), Tensor(np.zeros(n)))
+
+
+def bare_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """The affine layer norm alone: residual_norm with x as the residual
+    and a zero sublayer (0 + x is x, bit for bit)."""
+    n, h = x.shape
+    return residual_norm(x, Tensor(np.zeros((n, 1))), Tensor(np.zeros((1, h))),
+                         Tensor(np.zeros(h)), gain, bias)
 
 
 class TestForwardValues:
@@ -78,17 +96,17 @@ class TestForwardValues:
             softmax(Tensor(np.zeros((3, 0))), axis=1)
 
     def test_relu_values(self):
-        y = relu(Tensor([-1.0, 0.0, 2.0]))
-        assert np.array_equal(y.data, [0.0, 0.0, 2.0])
+        y = bare_relu(Tensor([[-1.0, 0.0, 2.0]]))
+        assert np.array_equal(y.data, [[0.0, 0.0, 2.0]])
 
     def test_relu_matches_mask_product(self, rng):
         x = rng.normal(size=(4, 6))
-        assert np.array_equal(relu(Tensor(x)).data, x * (x > 0))
+        assert np.array_equal(bare_relu(Tensor(x)).data, x * (x > 0))
 
     def test_row_norm_standardizes(self, rng):
-        # layer_norm with gain 1 and bias 0 is the bare row norm
+        # the layer norm with gain 1 and bias 0 is the bare row norm
         x = Tensor(rng.normal(loc=3.0, scale=2.0, size=(10, 16)))
-        y = layer_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16))).data
+        y = bare_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16))).data
         assert np.all(np.abs(y.mean(axis=1)) < 1e-8)
         assert np.all(np.abs(y.var(axis=1) - 1.0) < 1e-8)
 
@@ -165,9 +183,11 @@ class TestBackward:
             backward(add(x, x))
 
     def test_relu_subgradient_zero_at_zero(self):
-        x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
-        backward(sum_all(relu(x)))
-        assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+        # a zero x @ w leaves the pre-activation b: -1, exactly 0 and 2
+        b = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
+        backward(sum_all(linear_relu(Tensor(np.zeros((1, 1))),
+                                     Tensor(np.zeros((1, 3))), b)))
+        assert np.array_equal(b.grad, [0.0, 0.0, 1.0])
 
     def test_no_grad_blocks_recording(self):
         x = Tensor([1.0], requires_grad=True)
@@ -258,7 +278,7 @@ class TestFiniteDifferences:
         gain = Tensor(rng.normal(size=8), requires_grad=True)
         bias = Tensor(rng.normal(size=8), requires_grad=True)
         _fd_on(
-            lambda: sum_all(mul(y := layer_norm(x, gain, bias), y)),
+            lambda: sum_all(mul(y := bare_norm(x, gain, bias), y)),
             [x, gain, bias])
 
     def test_linear(self, rng):
@@ -270,7 +290,7 @@ class TestFiniteDifferences:
     def test_relu_away_from_kink(self, rng):
         x = Tensor(rng.normal(size=(6, 6)) + np.sign(rng.normal(size=(6, 6))) * 0.5,
                    requires_grad=True)
-        _fd_on(lambda: sum_all(mul(relu(x), relu(x))), [x])
+        _fd_on(lambda: sum_all(mul(y := bare_relu(x), y)), [x])
 
     def test_shape_plumbing_ops(self, rng):
         a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
@@ -318,9 +338,35 @@ def _grads_through(op, inputs, upstream):
     return out.data, [t.grad for t in tensors]
 
 
+# three sentences padded to T = 4: unpadded, two real tokens, one real token
+KEY_REAL = np.array([[True, True, True, True],
+                     [True, True, False, False],
+                     [True, False, False, False]])
+
+
+def _keeps(seed, rate, *shapes):
+    """The dropout multipliers a generator seeded with seed hands out
+    for shapes in turn, as the fused ops draw them; None at rate 0."""
+    if rate == 0.0:
+        return [None] * len(shapes)
+    draw = np.random.default_rng(seed)
+    return [(draw.random(s) >= rate) / (1.0 - rate) for s in shapes]
+
+
+BAD_AFFINE_SHAPES = [
+    pytest.param((4,), (4, 2), (2,), id="x_not_2d"),
+    pytest.param((3, 4), (5, 2), (2,), id="inner_mismatch"),
+    pytest.param((3, 4), (4, 2), (4,), id="bias_not_w_cols"),
+    pytest.param((3, 4), (4, 2), (1, 2), id="bias_is_a_row_matrix"),
+    pytest.param((3, 4), (4,), (2,), id="w_not_2d"),
+]
+
+
 class TestFusedOps:
-    """linear and layer_norm against their unfused numpy forms: the same
-    expressions in the same order, so every value is bit-identical."""
+    """Each fused op against its unfused numpy form (tests/oracles.py):
+    the same expressions in the same order, so every value and every
+    gradient is bit-identical, a tensor that several ops read summing
+    its gradients in the order separate tape nodes would."""
 
     @pytest.mark.parametrize("n, k, m", [(1, 3, 2), (5, 4, 3), (7, 1, 6)])
     def test_linear_matches_unfused_reference(self, rng, n, k, m):
@@ -332,34 +378,135 @@ class TestFusedOps:
         for got, want in zip(grads, ref_grads):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n, h", [(1, 4), (6, 8), (3, 2)])
-    def test_layer_norm_matches_unfused_reference(self, rng, n, h):
-        x = rng.normal(loc=1.0, scale=3.0, size=(n, h))
-        gain, bias = rng.normal(size=h), rng.normal(size=h)
-        upstream = rng.normal(size=(n, h))
-        out, grads = _grads_through(layer_norm, (x, gain, bias), upstream)
-        ref_out, *ref_grads = layer_norm_reference(x, gain, bias, upstream)
+    @pytest.mark.parametrize("n, k, m", [(1, 3, 2), (5, 4, 3), (7, 1, 6)])
+    def test_linear_relu_matches_unfused_reference(self, rng, n, k, m):
+        x, w, b = (rng.normal(size=s) for s in ((n, k), (k, m), (m,)))
+        w[:, 0] = b[0] = 0.0    # output column 0 sits on the kink
+        upstream = rng.normal(size=(n, m))
+        out, grads = _grads_through(linear_relu, (x, w, b), upstream)
+        ref_out, *ref_grads = linear_relu_reference(x, w, b, upstream)
         assert np.array_equal(out, ref_out)
         for got, want in zip(grads, ref_grads):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n, h", [(1, 4), (6, 8), (3, 2)])
+    def test_layer_norm_matches_unfused_reference(self, rng, n, h):
+        # residual_norm with a zero sublayer is the bare affine layer norm
+        x = rng.normal(loc=1.0, scale=3.0, size=(n, h))
+        gain, bias = rng.normal(size=h), rng.normal(size=h)
+        upstream = rng.normal(size=(n, h))
+        out, grads = _grads_through(
+            residual_norm, (x, np.zeros((n, 1)), np.zeros((1, h)),
+                            np.zeros(h), gain, bias), upstream)
+        ref_out, *ref_grads = layer_norm_reference(x, gain, bias, upstream)
+        assert np.array_equal(out, ref_out)
+        for got, want in zip([grads[0], *grads[4:]], ref_grads):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("n, k, m", [(1, 3, 2), (6, 5, 8)])
+    def test_residual_norm_matches_unfused_reference(self, rng, n, k, m,
+                                                     rate):
+        inputs = [rng.normal(size=s)
+                  for s in ((n, m), (n, k), (k, m), (m,), (m,), (m,))]
+        upstream = rng.normal(size=(n, m))
+        out, grads = _grads_through(
+            lambda *t: residual_norm(*t, rate, np.random.default_rng(4)),
+            inputs, upstream)
+        (keep,) = _keeps(4, rate, (n, m))
+        ref_out, *ref_grads = residual_norm_reference(*inputs, keep, upstream)
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_self_attention_matches_unfused_reference(self, rng, n_heads,
+                                                      rate):
+        b, t = KEY_REAL.shape
+        inputs = [rng.normal(size=s)
+                  for s in ((b * t, 3), (3, 4), (4,), (3, 4), (3, 4), (4,))]
+        upstream = rng.normal(size=(b * t, 4))
+        out, grads = _grads_through(
+            lambda *x: self_attention(*x, KEY_REAL, n_heads, rate,
+                                      np.random.default_rng(4)),
+            inputs, upstream)
+        (keep,) = _keeps(4, rate, (b, n_heads, t, t))
+        ref_out, *ref_grads = self_attention_reference(
+            *inputs, KEY_REAL, n_heads, keep, upstream)
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_block_matches_unfused_reference(self, rng, rate):
+        # the encoder's block: h feeds the attention sublayer's residual
+        # and its q, k and v maps, and the result h1 the FFN's residual
+        # and first map, so each sums its gradients in the unfused
+        # reverse-tape order: the residual first, then v, k and q (h),
+        # or the FFN (h1)
+        b, t = KEY_REAL.shape
+        hid, ffn, n_heads = 4, 6, 2
+        shapes = [(b * t, hid), (hid, hid), (hid,), (hid, hid), (hid, hid),
+                  (hid,), (hid, hid), (hid,), (hid,), (hid,), (hid, ffn),
+                  (ffn,), (ffn, hid), (hid,), (hid,), (hid,)]
+        arrays = [rng.normal(size=s) for s in shapes]
+        upstream = rng.normal(size=(b * t, hid))
+        (h, w_q, b_q, w_k, w_v, b_v, w_o, b_o, g1, c1, w_1, b_1, w_2, b_2,
+         g2, c2) = tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        drop = np.random.default_rng(9)
+        mixed = self_attention(h, w_q, b_q, w_k, w_v, b_v, KEY_REAL,
+                               n_heads, rate, drop)
+        h1 = residual_norm(h, mixed, w_o, b_o, g1, c1, rate, drop)
+        out = residual_norm(h1, linear_relu(h1, w_1, b_1), w_2, b_2, g2, c2,
+                            rate, drop)
+        backward(sum_all(mul(out, Tensor(upstream))))
+
+        keeps = _keeps(9, rate, (b, n_heads, t, t), (b * t, hid),
+                       (b * t, hid))
+        (ha, wq, bq, wk, wv, bv, wo, bo, ga1, ca1, w1, b1, w2, b2, ga2,
+         ca2) = arrays
+        zero = np.zeros_like(upstream)
+        mix = self_attention_reference(ha, wq, bq, wk, wv, bv, KEY_REAL,
+                                       n_heads, keeps[0], zero)[0]
+        r1 = residual_norm_reference(ha, mix, wo, bo, ga1, ca1, keeps[1],
+                                     zero)[0]
+        act = linear_relu_reference(r1, w1, b1, np.zeros((b * t, ffn)))[0]
+        ref_out, d_r1, d_act, dw2, db2, dg2, dc2 = residual_norm_reference(
+            r1, act, w2, b2, ga2, ca2, keeps[2], upstream)
+        _, d_r1_ffn, dw1, db1 = linear_relu_reference(r1, w1, b1, d_act)
+        _, dh, d_mix, dwo, dbo, dg1, dc1 = residual_norm_reference(
+            ha, mix, wo, bo, ga1, ca1, keeps[1], d_r1 + d_r1_ffn)
+        _, dh, dwq, dbq, dwk, dwv, dbv = self_attention_reference(
+            ha, wq, bq, wk, wv, bv, KEY_REAL, n_heads, keeps[0], d_mix, dh)
+        assert np.array_equal(out.data, ref_out)
+        want = [dh, dwq, dbq, dwk, dwv, dbv, dwo, dbo, dg1, dc1, dw1, db1,
+                dw2, db2, dg2, dc2]
+        for i, (got, w) in enumerate(zip(tensors, want)):
+            assert np.array_equal(got.grad, w), shapes[i]
+
     def test_each_op_records_one_node(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        h = linear(x, Tensor(np.ones((4, 4))), Tensor(np.zeros(4)))
-        layer_norm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)))
-        assert len(active_graph().nodes) == 2
+        ones, zeros = Tensor(np.ones((4, 4))), Tensor(np.zeros(4))
+        h = linear(x, ones, zeros)
+        r = linear_relu(h, ones, zeros)
+        mixed = self_attention(r, ones, zeros, ones, ones, zeros,
+                               np.ones((1, 3), dtype=bool), 2)
+        residual_norm(r, mixed, ones, zeros, Tensor(np.ones(4)), zeros)
+        assert len(active_graph().nodes) == 4
 
-    @pytest.mark.parametrize("x, w, b", [
-        pytest.param((4,), (4, 2), (2,), id="x_not_2d"),
-        pytest.param((3, 4), (5, 2), (2,), id="inner_mismatch"),
-        pytest.param((3, 4), (4, 2), (4,), id="bias_not_w_cols"),
-        pytest.param((3, 4), (4, 2), (1, 2), id="bias_is_a_row_matrix"),
-        pytest.param((3, 4), (4,), (2,), id="w_not_2d"),
-    ])
+    @pytest.mark.parametrize("x, w, b", BAD_AFFINE_SHAPES)
     def test_linear_rejects_bad_shapes(self, x, w, b):
         with pytest.raises(ValueError, match=re.escape(
                 f"got {x}, {w} and {b}")):
             linear(*(Tensor(np.ones(s)) for s in (x, w, b)))
+
+    @pytest.mark.parametrize("x, w, b", BAD_AFFINE_SHAPES)
+    def test_linear_relu_rejects_bad_shapes(self, x, w, b):
+        with pytest.raises(ValueError, match=re.escape(
+                f"linear_relu needs x [n x k], w [k x m] and b [m], "
+                f"got {x}, {w} and {b}")):
+            linear_relu(*(Tensor(np.ones(s)) for s in (x, w, b)))
 
     @pytest.mark.parametrize("x, gain, bias", [
         pytest.param((4,), (4,), (4,), id="x_not_2d"),
@@ -367,9 +514,42 @@ class TestFusedOps:
         pytest.param((3, 4), (4,), (1, 4), id="bias_not_x_cols"),
     ])
     def test_layer_norm_rejects_bad_shapes(self, x, gain, bias):
+        # x here is residual_norm's residual h, beside a [3 x 4] x @ w
+        sublayer = (Tensor(np.ones(s)) for s in ((3, 2), (2, 4), (4,)))
         with pytest.raises(ValueError, match=re.escape(
                 f"got {x}, {gain} and {bias}")):
-            layer_norm(*(Tensor(np.ones(s)) for s in (x, gain, bias)))
+            residual_norm(Tensor(np.ones(x)), *sublayer,
+                          Tensor(np.ones(gain)), Tensor(np.ones(bias)))
+
+    @pytest.mark.parametrize("x, w, b", [
+        pytest.param((3,), (3, 4), (4,), id="x_not_2d"),
+        pytest.param((3, 2), (3, 4), (4,), id="inner_mismatch"),
+        pytest.param((3, 3), (3, 4), (3,), id="bias_not_w_cols"),
+    ])
+    def test_residual_sublayer_rejects_bad_shapes(self, x, w, b):
+        ones = [Tensor(np.ones(s)) for s in ((3, 4), x, w, b, (4,), (4,))]
+        with pytest.raises(ValueError, match=re.escape(
+                f"residual_norm needs x [n x k], w [k x m] and b [m], "
+                f"got {x}, {w} and {b}")):
+            residual_norm(*ones)
+
+    @pytest.mark.parametrize("shapes", [
+        pytest.param([(12,), (12, 4), (4,), (12, 4), (12, 4), (4,)],
+                     id="h_not_2d"),
+        pytest.param([(12, 3), (3, 4), (4,), (3, 2), (3, 4), (4,)],
+                     id="w_k_differs"),
+        pytest.param([(12, 3), (3, 4), (4,), (3, 4), (3, 4), (2,)],
+                     id="b_v_not_w_cols"),
+        pytest.param([(12, 3), (4, 4), (4,), (4, 4), (4, 4), (4,)],
+                     id="inner_mismatch"),
+    ])
+    def test_self_attention_rejects_bad_shapes(self, shapes):
+        h, w_q, b_q, w_k, w_v, b_v = shapes
+        with pytest.raises(ValueError, match=re.escape(
+                "self_attention needs h [n x k], w_q, w_k and w_v [k x m], "
+                f"b_q and b_v [m], got {h}, {w_q}, {w_k}, {w_v}, {b_q} and "
+                f"{b_v}")):
+            self_attention(*(Tensor(np.ones(s)) for s in shapes), KEY_REAL, 2)
 
 
 class TestBroadcasting:
@@ -466,17 +646,21 @@ class TestFiniteDifferenceInputs:
                                   **{name: eps})
 
 
-# three sentences padded to T = 4: unpadded, two real tokens, one real token
-KEY_REAL = np.array([[True, True, True, True],
-                     [True, True, False, False],
-                     [True, False, False, False]])
+def _attention_inputs(rng, width, scale=1.0):
+    """h [B*T x 3] and the q, k and v maps of a self_attention of the
+    given width over KEY_REAL's batch, as arrays in argument order."""
+    b, t = KEY_REAL.shape
+    return [rng.normal(size=s) * scale for s in
+            ((b * t, 3), (3, width), (width,), (3, width), (3, width),
+             (width,))]
 
 
 class TestAttention:
     def test_matches_per_sentence_per_head_oracle(self, rng):
         b, t, width, n_heads = *KEY_REAL.shape, 6, 2
-        q, k, v = (rng.normal(size=(b * t, width)) for _ in range(3))
-        out = attention(Tensor(q), Tensor(k), Tensor(v), KEY_REAL, n_heads)
+        h, w_q, b_q, w_k, w_v, b_v = inputs = _attention_inputs(rng, width)
+        out = self_attention(*map(Tensor, inputs), KEY_REAL, n_heads)
+        q, k, v = h @ w_q + b_q, h @ w_k, h @ w_v + b_v
         dh = width // n_heads
         for s in range(b):
             n_real = int(KEY_REAL[s].sum())
@@ -492,15 +676,18 @@ class TestAttention:
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_pad_key_gets_exactly_zero_weight(self, rng, n_heads, rate):
-        # v is one-hot per key position within each head, so the output
-        # row of a query is its attention weights over the T keys
+        # h is one-hot per key position within each head and v = h, so
+        # the output row of a query is its attention weights over the T
+        # keys
         b, t = KEY_REAL.shape
         width = n_heads * t
         eye = np.tile(np.eye(t), (b, n_heads))
-        q = Tensor(rng.normal(size=(b * t, width)) * 3)
-        k = Tensor(rng.normal(size=(b * t, width)) * 3)
-        out = attention(q, k, Tensor(eye), KEY_REAL, n_heads, rate,
-                        np.random.default_rng(3))
+        out = self_attention(
+            Tensor(eye), Tensor(rng.normal(size=(width, width)) * 3),
+            Tensor(rng.normal(size=width)),
+            Tensor(rng.normal(size=(width, width)) * 3),
+            Tensor(np.eye(width)), Tensor(np.zeros(width)), KEY_REAL,
+            n_heads, rate, np.random.default_rng(3))
         weights = out.data.reshape(b, t, n_heads, t)
         pad_key = ~KEY_REAL[:, None, None, :].repeat(t, 1).repeat(n_heads, 2)
         assert np.all(weights[pad_key] == 0.0)
@@ -511,30 +698,73 @@ class TestAttention:
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize("n_heads", [1, 2])
     def test_gradients_pass_fd(self, rng, n_heads, rate):
-        b, t = KEY_REAL.shape
-        q, k, v = (Tensor(rng.normal(size=(b * t, 4)), requires_grad=True)
-                   for _ in range(3))
-        w = Tensor(rng.normal(size=(b * t, 4)))
+        inputs = [Tensor(a, requires_grad=True)
+                  for a in _attention_inputs(rng, 4)]
+        w = Tensor(rng.normal(size=(inputs[0].shape[0], 4)))
 
         def f():
             # a fresh generator per call draws the same dropout mask
             drop_rng = np.random.default_rng(11)
-            out = attention(q, k, v, KEY_REAL, n_heads, rate, drop_rng)
+            out = self_attention(*inputs, KEY_REAL, n_heads, rate, drop_rng)
             return sum_all(mul(out, w))
 
-        _fd_on(f, [q, k, v])
+        # some of h's components carry gradients near 1e-5 of the
+        # largest, where central differences read about 2e-6 of rounding
+        # error; test_self_attention_matches_unfused_reference holds
+        # every gradient bit for bit
+        _fd_on(f, inputs, tol=1e-5)
 
-    def test_dropout_without_rng_rejected(self):
-        x = Tensor(np.zeros((12, 4)))
+    def test_dropout_without_rng_rejected(self, rng):
+        inputs = map(Tensor, _attention_inputs(rng, 4))
         with pytest.raises(ValueError, match="above 0 and needs an rng"):
-            attention(x, x, x, KEY_REAL, 2, rate=0.1)
+            self_attention(*inputs, KEY_REAL, 2, rate=0.1)
 
     @pytest.mark.parametrize("n_heads, key_real, match", [
         pytest.param(3, KEY_REAL, "heads", id="indivisible-width"),
         pytest.param(2, KEY_REAL.reshape(-1), r"\[B, T\]", id="flat-mask"),
         pytest.param(2, KEY_REAL[:2], r"\[B, T\]", id="too-few-rows"),
     ])
-    def test_bad_layout_rejected(self, n_heads, key_real, match):
-        x = Tensor(np.zeros((12, 4)))
+    def test_bad_layout_rejected(self, rng, n_heads, key_real, match):
+        inputs = map(Tensor, _attention_inputs(rng, 4))
         with pytest.raises(ValueError, match=match):
-            attention(x, x, x, key_real, n_heads)
+            self_attention(*inputs, key_real, n_heads)
+
+
+class TestFusedFiniteDifferences:
+    """The fused ops' hand-written backwards against central
+    differences, dropout live on a fixed generator."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_residual_norm_passes_fd(self, rng, rate):
+        inputs = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in ((5, 4), (5, 3), (3, 4), (4,), (4,), (4,))]
+        w = Tensor(rng.normal(size=(5, 4)))
+
+        def f():
+            drop_rng = np.random.default_rng(11)
+            return sum_all(mul(residual_norm(*inputs, rate, drop_rng), w))
+
+        _fd_on(f, inputs)
+
+    def test_linear_relu_passes_fd(self, rng):
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((5, 3), (3, 4), (4,)))
+        _fd_on(lambda: sum_all(mul(y := linear_relu(x, w, b), y)), [x, w, b])
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_block_passes_fd(self, rng, rate):
+        b, t = KEY_REAL.shape
+        shapes = [(b * t, 4), (4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4),
+                  (4,), (4,), (4,), (4, 6), (6,), (6, 4), (4,), (4,), (4,)]
+        p = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        w = Tensor(rng.normal(size=(b * t, 4)))
+
+        def f():
+            drop = np.random.default_rng(11)
+            mixed = self_attention(*p[:6], KEY_REAL, 2, rate, drop)
+            h1 = residual_norm(p[0], mixed, *p[6:10], rate, drop)
+            out = residual_norm(h1, linear_relu(h1, *p[10:12]), *p[12:],
+                                rate, drop)
+            return sum_all(mul(out, w))
+
+        _fd_on(f, p)
