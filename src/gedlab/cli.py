@@ -525,7 +525,8 @@ def main(argv=None) -> int:
                        if a in parser.commands), parser)
         sys.stderr.write(chosen.format_usage())
         return 1
-    except (ValueError, OSError, FloatingPointError, KeyError) as exc:
+    except (ValueError, OSError, FloatingPointError, KeyError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

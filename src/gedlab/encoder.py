@@ -20,7 +20,8 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -148,26 +149,33 @@ class EncoderParams:
     position_embedding: Tensor
     layers: list[LayerParams] = field(default_factory=list)
 
-    def named(self):
-        yield "embed.token", self.token_embedding
-        yield "embed.position", self.position_embedding
-        for i, lp in enumerate(self.layers):
-            base = f"enc.{i:02d}"
-            yield f"{base}.attn.w_q", lp.w_q
-            yield f"{base}.attn.b_q", lp.b_q
-            yield f"{base}.attn.w_k", lp.w_k
-            yield f"{base}.attn.w_v", lp.w_v
-            yield f"{base}.attn.b_v", lp.b_v
-            yield f"{base}.attn.w_o", lp.w_o
-            yield f"{base}.attn.b_o", lp.b_o
-            yield f"{base}.ln1.gain", lp.ln1_gain
-            yield f"{base}.ln1.bias", lp.ln1_bias
-            yield f"{base}.ffn.w1", lp.w_ff1
-            yield f"{base}.ffn.b1", lp.b_ff1
-            yield f"{base}.ffn.w2", lp.w_ff2
-            yield f"{base}.ffn.b2", lp.b_ff2
-            yield f"{base}.ln2.gain", lp.ln2_gain
-            yield f"{base}.ln2.bias", lp.ln2_bias
+
+def encoder_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple]]:
+    """The checkpoint name and shape of every encoder tensor, in buffer
+    order: both embeddings, then each block's tensors in LayerParams
+    field order.  Lazy: a config may ask for any number of layers."""
+    h, f = config.hidden, config.ffn_dim
+    yield "embed.token", (config.vocab_size, h)
+    yield "embed.position", (config.max_len, h)
+    block = [("attn.w_q", (h, h)), ("attn.b_q", (h,)), ("attn.w_k", (h, h)),
+             ("attn.w_v", (h, h)), ("attn.b_v", (h,)), ("attn.w_o", (h, h)),
+             ("attn.b_o", (h,)), ("ln1.gain", (h,)), ("ln1.bias", (h,)),
+             ("ffn.w1", (h, f)), ("ffn.b1", (f,)), ("ffn.w2", (f, h)),
+             ("ffn.b2", (h,)), ("ln2.gain", (h,)), ("ln2.bias", (h,))]
+    for i in range(config.n_layers):
+        for name, shape in block:
+            yield f"enc.{i:02d}.{name}", shape
+
+
+def take_encoder_params(config: ModelConfig,
+                        tensors: Iterator[Tensor]) -> EncoderParams:
+    """The encoder's tensors, taken from the iterator in encoder_shapes
+    order."""
+    token, position = next(tensors), next(tensors)
+    per_block = len(fields(LayerParams))
+    return EncoderParams(token, position, [
+        LayerParams(*islice(tensors, per_block))
+        for _ in range(config.n_layers)])
 
 
 def draw_normal(rng: np.random.Generator, std: float,
@@ -177,25 +185,6 @@ def draw_normal(rng: np.random.Generator, std: float,
     for t in tensors:
         rng.standard_normal(out=t.data)
         t.data *= std
-
-
-def alloc_encoder_params(config: ModelConfig,
-                         alloc: Callable[..., Tensor]) -> EncoderParams:
-    """Every encoder tensor, taken from alloc(*shape) in named() order
-    and left as alloc hands it out (init_model's are zeroed views of the
-    model's one buffer).  Draws nothing."""
-    h, f = config.hidden, config.ffn_dim
-    return EncoderParams(
-        token_embedding=alloc(config.vocab_size, h),
-        position_embedding=alloc(config.max_len, h),
-        layers=[LayerParams(
-            w_q=alloc(h, h), b_q=alloc(h), w_k=alloc(h, h),
-            w_v=alloc(h, h), b_v=alloc(h), w_o=alloc(h, h), b_o=alloc(h),
-            ln1_gain=alloc(h), ln1_bias=alloc(h),
-            w_ff1=alloc(h, f), b_ff1=alloc(f),
-            w_ff2=alloc(f, h), b_ff2=alloc(h),
-            ln2_gain=alloc(h), ln2_bias=alloc(h),
-        ) for _ in range(config.n_layers)])
 
 
 def draw_encoder_params(params: EncoderParams, rng: np.random.Generator,
@@ -212,16 +201,6 @@ def draw_encoder_params(params: EncoderParams, rng: np.random.Generator,
         lp.ln2_gain.data[...] = 1.0
     draw_normal(rng, init_std, params.token_embedding,
                 params.position_embedding)
-
-
-def init_encoder_params(config: ModelConfig, rng: np.random.Generator,
-                        alloc: Callable[..., Tensor],
-                        init_std: float = INIT_STD) -> EncoderParams:
-    """alloc_encoder_params, then draw_encoder_params: fresh encoder
-    parameters, alloc(*shape) handing out each zeroed tensor."""
-    params = alloc_encoder_params(config, alloc)
-    draw_encoder_params(params, rng, init_std)
-    return params
 
 
 def _block(h: Tensor, lp: LayerParams, config: ModelConfig, key_real,

@@ -16,11 +16,17 @@ Every affine map x W + b is one tensor.linear node, and each relu
 key map one tensor.linear_relu node.  The embedding
 state (index 0) never participates; depth attention runs over layers
 1..L only.
+
+head_shapes is the one statement of a head's parameter layout: each
+tensor's checkpoint name and shape, in the model buffer's order.
+take_head_params builds the head's dataclass from tensors in that
+order, so a field's place in the dataclass is its place in the layout.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -54,10 +60,6 @@ class FinalHeadParams:
     w_out: Tensor
     b_out: Tensor
 
-    def named(self):
-        yield "head.w_out", self.w_out
-        yield "head.b_out", self.b_out
-
 
 @dataclass
 class AvglHeadParams:
@@ -65,13 +67,6 @@ class AvglHeadParams:
     b_proj: list[Tensor]
     w_out: Tensor
     b_out: Tensor
-
-    def named(self):
-        for l, (w, b) in enumerate(zip(self.w_proj, self.b_proj)):
-            yield f"head.proj.{l:02d}.w", w
-            yield f"head.proj.{l:02d}.b", b
-        yield "head.w_out", self.w_out
-        yield "head.b_out", self.b_out
 
 
 @dataclass
@@ -90,38 +85,46 @@ class MhmlaHeadParams:
     w_out: Tensor
     b_out: Tensor
 
-    def named(self):
-        for l in range(len(self.w_v)):
-            base = f"head.att.{l:02d}"
-            yield f"{base}.w_v", self.w_v[l]
-            yield f"{base}.b_v", self.b_v[l]
-            yield f"{base}.w_k", self.w_k[l]
-            yield f"{base}.b_k", self.b_k[l]
-        yield "head.att.w_a", self.w_a
-        yield "head.att.b_a", self.b_a
-        yield "head.w_out", self.w_out
-        yield "head.b_out", self.b_out
-
 
 HeadParams = FinalHeadParams | AvglHeadParams | MhmlaHeadParams
 
 
-def alloc_head_params(config: ModelConfig,
-                      alloc: Callable[..., Tensor]) -> HeadParams:
-    """Every tensor of config's head, taken from alloc(*shape) in
-    named() order and left as alloc hands it out.  Draws nothing."""
-    h, c, L = config.hidden, config.n_classes, config.n_layers
-    if config.head_type == "final":
-        return FinalHeadParams(alloc(h, c), alloc(c))
+def head_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple]]:
+    """The checkpoint name and shape of every tensor of config's head, in
+    buffer order: layer by layer the entries of the dataclass's list
+    fields, then its other fields in field order.  Lazy, as
+    encoder_shapes."""
+    h, L = config.hidden, config.n_layers
     if config.head_type == "avgl":
-        w, b = zip(*[(alloc(h, h), alloc(h)) for _ in range(L)])
-        return AvglHeadParams(list(w), list(b), alloc(h, c), alloc(c))
-    keys = config.layer_attn_heads * config.key_dim
-    per_layer = zip(*[(alloc(h, h), alloc(h), alloc(h, keys), alloc(keys))
-                      for _ in range(L)])
-    return MhmlaHeadParams(*map(list, per_layer), alloc(L * keys, 1),
-                           alloc(L * config.layer_attn_heads), alloc(h, c),
-                           alloc(c))
+        for l in range(L):
+            yield f"head.proj.{l:02d}.w", (h, h)
+            yield f"head.proj.{l:02d}.b", (h,)
+    elif config.head_type == "mhmla":
+        J = config.layer_attn_heads
+        keys = J * config.key_dim
+        att = [("w_v", (h, h)), ("b_v", (h,)), ("w_k", (h, keys)),
+               ("b_k", (keys,))]
+        per_layer = ((f"{l:02d}.{name}", shape)
+                     for l in range(L) for name, shape in att)
+        for name, shape in chain(per_layer, [("w_a", (L * keys, 1)),
+                                             ("b_a", (L * J,))]):
+            yield f"head.att.{name}", shape
+    yield "head.w_out", (h, config.n_classes)
+    yield "head.b_out", (config.n_classes,)
+
+
+def take_head_params(config: ModelConfig,
+                     tensors: Iterator[Tensor]) -> HeadParams:
+    """config's head tensors, taken from the iterator in head_shapes
+    order."""
+    if config.head_type == "final":
+        return FinalHeadParams(*islice(tensors, 2))
+    per_layer = 2 if config.head_type == "avgl" else 4
+    columns = map(list, zip(*[tuple(islice(tensors, per_layer))
+                              for _ in range(config.n_layers)]))
+    if config.head_type == "avgl":
+        return AvglHeadParams(*columns, *islice(tensors, 2))
+    return MhmlaHeadParams(*columns, *islice(tensors, 4))
 
 
 def draw_head_params(params: HeadParams, config: ModelConfig,
@@ -142,16 +145,6 @@ def draw_head_params(params: HeadParams, config: ModelConfig,
                 heads[:, j] = rng.normal(0.0, init_std, size=heads[:, j].shape)
         draw_normal(rng, init_std, params.w_a)
     draw_normal(rng, init_std, params.w_out)
-
-
-def init_head_params(config: ModelConfig, rng: np.random.Generator,
-                     alloc: Callable[..., Tensor],
-                     init_std: float = INIT_STD) -> HeadParams:
-    """alloc_head_params, then draw_head_params: fresh head parameters,
-    alloc(*shape) handing out each zeroed tensor."""
-    params = alloc_head_params(config, alloc)
-    draw_head_params(params, config, rng, init_std)
-    return params
 
 
 def _check_states(states, config: ModelConfig) -> None:

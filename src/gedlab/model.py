@@ -1,7 +1,8 @@
 """Whole-model assembly: encoder plus classification head, all
-trainable parameters as views of one flat buffer, and the one forward
-from sentences to word probabilities that training, evaluation and
-attention export share."""
+trainable parameters as views of one flat buffer, laid out by the
+encoder's and the head's layout lists (encoder_shapes, head_shapes),
+and the one forward from sentences to word probabilities that
+training, evaluation and attention export share."""
 from __future__ import annotations
 
 import math
@@ -12,45 +13,54 @@ import numpy as np
 
 from .corpus import LABEL_ERR, TokenizedSentence
 from .encoder import (
-    INIT_STD, EncoderParams, ModelConfig, alloc_encoder_params,
-    draw_encoder_params, encode_batch,
+    INIT_STD, EncoderParams, ModelConfig, draw_encoder_params, encode_batch,
+    encoder_shapes, take_encoder_params,
 )
 # layer_attention_weights is not called here; the benchmark's tracer
 # (perfbench/spans.py) wraps it as an attribute of this module
 from .heads import (  # noqa: F401
-    AttentionRecord, HeadParams, alloc_head_params, avgl_forward,
-    draw_head_params, final_layer_forward, layer_attention_weights,
-    mhmla_forward,
+    AttentionRecord, HeadParams, avgl_forward, draw_head_params,
+    final_layer_forward, head_shapes, layer_attention_weights,
+    mhmla_forward, take_head_params,
 )
 from .tensor import Tensor, gather_rows, no_grad
 
 
 @dataclass
 class Model:
-    """flat holds every parameter, laid out in named_parameters order;
-    each parameter's data is a view of it."""
+    """flat holds every parameter, laid out in parameter_shapes order;
+    named lists each parameter with its checkpoint name in that order,
+    and each one's data is its view of flat."""
     config: ModelConfig
     encoder: EncoderParams
     head: HeadParams
     flat: np.ndarray
+    named: list[tuple[str, Tensor]]
+
+
+def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple]]:
+    """The checkpoint name and shape of every parameter of a model of
+    config, encoder first, then the head, without allocating any of
+    them.  Lazy, so a caller can stop after as many entries as it is
+    willing to hold: a config may ask for any number of layers."""
+    yield from encoder_shapes(config)
+    yield from head_shapes(config)
 
 
 def alloc_model(config: ModelConfig) -> Model:
     """A model whose parameters are views of one zeroed float64 buffer,
-    sized by parameter_shapes.  Draws nothing: load_checkpoint fills
-    the buffer from a file."""
+    one per parameter_shapes entry, in turn.  Draws nothing:
+    load_checkpoint fills the buffer from a file."""
     flat = np.zeros(sum(math.prod(s) for _, s in parameter_shapes(config)))
-    cursor = 0
-
-    def alloc(*shape):
-        nonlocal cursor
+    named, cursor = [], 0
+    for name, shape in parameter_shapes(config):
         size = math.prod(shape)
+        named.append((name, Tensor(flat[cursor:cursor + size].reshape(shape),
+                                   requires_grad=True)))
         cursor += size
-        return Tensor(flat[cursor - size:cursor].reshape(shape),
-                      requires_grad=True)
-
-    return Model(config, alloc_encoder_params(config, alloc),
-                 alloc_head_params(config, alloc), flat)
+    tensors = (t for _, t in named)
+    return Model(config, take_encoder_params(config, tensors),
+                 take_head_params(config, tensors), flat, named)
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator,
@@ -63,11 +73,10 @@ def init_model(config: ModelConfig, rng: np.random.Generator,
     return model
 
 
-def named_parameters(model: Model) -> Iterator[tuple[str, Tensor]]:
-    """Every trainable tensor with a stable dotted name.  The order is
-    deterministic: encoder first, then the head."""
-    yield from model.encoder.named()
-    yield from model.head.named()
+def named_parameters(model: Model) -> list[tuple[str, Tensor]]:
+    """Every trainable tensor with its checkpoint name, in buffer order:
+    the encoder first, then the head."""
+    return model.named
 
 
 def check_views(named_params, flat: np.ndarray, checked=()) -> list:
@@ -96,40 +105,6 @@ def check_views(named_params, flat: np.ndarray, checked=()) -> list:
         raise ValueError(f"the parameters fill {start} of the parameter "
                          f"buffer's {flat.size} entries")
     return arrays
-
-
-def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple]]:
-    """The name and shape of every tensor named_parameters yields for
-    init_model(config), in the same order, without allocating any of
-    them.  Lazy, so a caller can stop after as many entries as it is
-    willing to hold: a config may ask for any number of layers."""
-    h, f, c = config.hidden, config.ffn_dim, config.n_classes
-    yield "embed.token", (config.vocab_size, h)
-    yield "embed.position", (config.max_len, h)
-    block = [(f"attn.{w}_{x}", (h, h) if w == "w" else (h,))
-             for x in "qkvo" for w in "wb" if w + x != "bk"]
-    block += [("ln1.gain", (h,)), ("ln1.bias", (h,)), ("ffn.w1", (h, f)),
-              ("ffn.b1", (f,)), ("ffn.w2", (f, h)), ("ffn.b2", (h,)),
-              ("ln2.gain", (h,)), ("ln2.bias", (h,))]
-    for i in range(config.n_layers):
-        for name, shape in block:
-            yield f"enc.{i:02d}.{name}", shape
-    if config.head_type == "avgl":
-        for l in range(config.n_layers):
-            yield f"head.proj.{l:02d}.w", (h, h)
-            yield f"head.proj.{l:02d}.b", (h,)
-    elif config.head_type == "mhmla":
-        pairs = config.n_layers * config.layer_attn_heads
-        keys = config.layer_attn_heads * config.key_dim
-        att = [("w_v", (h, h)), ("b_v", (h,)), ("w_k", (h, keys)),
-               ("b_k", (keys,))]
-        for l in range(config.n_layers):
-            for name, shape in att:
-                yield f"head.att.{l:02d}.{name}", shape
-        yield "head.att.w_a", (pairs * config.key_dim, 1)
-        yield "head.att.b_a", (pairs,)
-    yield "head.w_out", (h, c)
-    yield "head.b_out", (c,)
 
 
 def head_forward(states: list[Tensor], model: Model,

@@ -13,9 +13,7 @@ linear_relu_reference, residual_norm_reference and
 self_attention_reference build the fused encoder ops from them (and
 numpy attention), handing out gradients in the order separate tape
 nodes would.  adam_reference is Adam as one loop over the
-parameter tensors, with its moments in per-name dicts.  fresh is the
-parameter allocator of direct init_encoder_params and init_head_params
-calls.
+parameter tensors, with its moments in per-name dicts.
 """
 import copy
 import functools
@@ -23,15 +21,9 @@ import functools
 import numpy as np
 
 from gedlab.corpus import LABEL_ERR, LABEL_OK
-from gedlab.tensor import MASK_LOGIT, NORM_EPS, Tensor
+from gedlab.tensor import MASK_LOGIT, NORM_EPS
 
 _RANK = {"match": 0, "sub": 1, "del": 2, "ins": 3}
-
-
-def fresh(*shape):
-    """A new zeroed parameter tensor per call, not a view of any model's
-    buffer."""
-    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 def all_minimal_scripts(src, dst):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 from oracles import (
-    forced_depth_params, fresh, oracle_labels, pair_part, random_pair,
+    forced_depth_params, oracle_labels, pair_part, random_pair,
 )
 
 from gedlab.cli import main, random_probe_batch
@@ -20,14 +20,15 @@ from gedlab.corpus import (
     PAD_ID, build_corpus, dp_align_label, generate_synthetic_pairs,
     pairs_to_labeled, read_corpus_sentences, write_corpus,
 )
-from gedlab.encoder import ModelConfig, encode, init_encoder_params
+from gedlab.encoder import ModelConfig, draw_encoder_params, encode
 from gedlab.evaluation import evaluate, f_beta, report_from_counts
 from gedlab.heads import (
-    AvglHeadParams, FinalHeadParams, avgl_forward, final_layer_forward,
-    init_head_params, mhmla_forward,
+    AvglHeadParams, FinalHeadParams, avgl_forward, draw_head_params,
+    final_layer_forward, mhmla_forward,
 )
 from gedlab.model import (
-    init_model, named_parameters, predict_word_probs, word_attention,
+    alloc_model, init_model, named_parameters, predict_word_probs,
+    word_attention,
 )
 from gedlab.tensor import Tensor, finite_diff_check, no_grad, reset_graph
 from gedlab.training import (
@@ -142,7 +143,8 @@ def test_reduction_equivalences():
                       layer_attn_heads=2, vocab_size=20, max_len=12,
                       dropout=0.0, attn_dropout=0.0)
     rng = np.random.default_rng(2024)
-    params = init_head_params(cfg, rng, fresh, init_std=0.5)
+    params = alloc_model(cfg).head
+    draw_head_params(params, cfg, rng, init_std=0.5)
     states = [Tensor(rng.normal(size=(5, cfg.hidden)))
               for _ in range(cfg.n_layers + 1)]
     n, J, L = 5, cfg.layer_attn_heads, cfg.n_layers
@@ -173,7 +175,8 @@ def test_reduction_equivalences():
     cfg1 = ModelConfig(n_layers=3, hidden=8, self_attn_heads=2, ffn_dim=16,
                        layer_attn_heads=1, vocab_size=20, max_len=12,
                        dropout=0.0, attn_dropout=0.0)
-    params1 = init_head_params(cfg1, rng, fresh, init_std=0.5)
+    params1 = alloc_model(cfg1).head
+    draw_head_params(params1, cfg1, rng, init_std=0.5)
     uniform = np.full((n, 1, L), 1.0 / L)
     with no_grad():
         forced1, record1 = mhmla_forward(states, forced_depth_params(params1),
@@ -305,7 +308,8 @@ def test_pad_invariance():
                          ffn_dim=32, layer_attn_heads=2, vocab_size=40,
                          max_len=12, dropout=0.0, attn_dropout=0.0)
     rng = np.random.default_rng(77)
-    params = init_encoder_params(config, rng, fresh, init_std=0.5)
+    params = alloc_model(config).encoder
+    draw_encoder_params(params, rng, init_std=0.5)
     for _ in range(50):
         n = int(rng.integers(1, 9))
         ids = rng.integers(4, config.vocab_size, size=n).tolist()

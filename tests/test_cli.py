@@ -492,6 +492,16 @@ class TestGradcheck:
                   if line.startswith("error: ")]
         assert len(errors) == 1 and "--vocab-size" in errors[0]
 
+    def test_oversize_model_is_data_error(self, capsys):
+        # 146 TiB of parameters: more than a 47-bit address space, so
+        # the buffer's allocation fails at once without touching memory
+        assert run("gradcheck", "--hidden", "1000000", "--heads", "1") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1 and "allocate" in errors[0]
+
 
 class TestSweep:
     def test_one_report_per_head_count(self, workdir, tmp_path):

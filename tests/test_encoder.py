@@ -2,12 +2,12 @@
 finite-difference pass over one block."""
 import numpy as np
 import pytest
-from oracles import fresh
 
 from gedlab.corpus import PAD_ID
 from gedlab.encoder import (
-    EncoderParams, ModelConfig, encode, encode_batch, init_encoder_params,
+    INIT_STD, ModelConfig, draw_encoder_params, encode, encode_batch,
 )
+from gedlab.model import alloc_model, named_parameters
 from gedlab.tensor import (
     Tensor, add, backward, cross_entropy, finite_diff_check, gather_rows,
     linear, no_grad, reset_graph, softmax,
@@ -32,6 +32,18 @@ def tiny_config(**overrides) -> ModelConfig:
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+def drawn_encoder(cfg, rng, init_std=INIT_STD):
+    """A zeroed model of cfg with fresh draws in its encoder tensors."""
+    model = alloc_model(cfg)
+    draw_encoder_params(model.encoder, rng, init_std)
+    return model
+
+
+def encoder_named(model):
+    return [(n, p) for n, p in named_parameters(model)
+            if n.startswith(("embed.", "enc."))]
 
 
 class TestModelConfig:
@@ -72,15 +84,9 @@ class TestModelConfig:
 
 
 class TestInit:
-    def test_parameter_set_is_a_function_of_config(self, rng):
-        a = init_encoder_params(tiny_config(), np.random.default_rng(1), fresh)
-        b = init_encoder_params(tiny_config(), np.random.default_rng(2), fresh)
-        assert [(n, p.shape) for n, p in a.named()] == \
-               [(n, p.shape) for n, p in b.named()]
-
     def test_init_statistics(self, rng):
         cfg = tiny_config(hidden=64, ffn_dim=128, vocab_size=500)
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         w = params.layers[0].w_q.data
         assert abs(w.mean()) < 0.005
         assert 0.015 < w.std() < 0.025
@@ -89,14 +95,14 @@ class TestInit:
         assert np.all(params.layers[0].ln2_bias.data == 0.0)
 
     def test_everything_requires_grad(self, rng):
-        params = init_encoder_params(tiny_config(), rng, fresh)
-        assert all(p.requires_grad for _, p in params.named())
+        model = drawn_encoder(tiny_config(), rng)
+        assert all(p.requires_grad for _, p in encoder_named(model))
 
 
 class TestEmbed:
     def test_embedding_is_sum_of_lookups(self, rng):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         ids = [5, 9, 5]
         h0 = encode(ids, params, cfg)[0]
         tok = params.token_embedding.data
@@ -106,13 +112,13 @@ class TestEmbed:
 
     def test_rejects_long_input(self, rng):
         cfg = tiny_config(max_len=4)
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         with pytest.raises(ValueError, match="max_len"):
             encode([4] * 5, params, cfg)
 
     def test_rejects_bad_id(self, rng):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         with pytest.raises(ValueError, match="out of range"):
             encode([0, 25], params, cfg)
 
@@ -120,14 +126,14 @@ class TestEmbed:
 class TestEncode:
     def test_state_count_and_shapes(self, rng):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         states = encode([4, 5, 6, 7], params, cfg)
         assert len(states) == cfg.n_layers + 1
         assert all(s.shape == (4, cfg.hidden) for s in states)
 
     def test_eval_forward_is_deterministic(self, rng):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         with no_grad():
             a = encode([4, 5, 6], params, cfg)
             b = encode([4, 5, 6], params, cfg)
@@ -136,7 +142,7 @@ class TestEncode:
 
     def test_pad_invariance(self, rng):
         cfg = tiny_config(max_len=16)
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         for trial in range(10):
             n = int(rng.integers(2, 8))
             ids = rng.integers(4, cfg.vocab_size, size=n).tolist()
@@ -150,7 +156,7 @@ class TestEncode:
 
     def test_batch_matches_single(self, rng):
         cfg = tiny_config(max_len=16)
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         sents = [rng.integers(4, cfg.vocab_size, size=int(rng.integers(2, 9))).tolist()
                  for _ in range(5)]
         with no_grad():
@@ -170,7 +176,7 @@ class TestEncode:
         # every key but position 2 is a pad: row 2 of the block output
         # must not change when the pad rows of the input change
         cfg = tiny_config(n_layers=1)
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         ids = [PAD_ID, PAD_ID, 7, PAD_ID, PAD_ID]
         with no_grad():
             out_a = encode(ids, params, cfg)[1].data
@@ -181,7 +187,7 @@ class TestEncode:
 
     def test_outputs_stay_finite(self, rng):
         cfg = tiny_config()
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         with no_grad():
             states = encode([4, 0, 5, 0], params, cfg)  # pads inside
         for s in states:
@@ -189,7 +195,7 @@ class TestEncode:
 
     def test_train_mode_consumes_rng(self, rng):
         cfg = tiny_config(dropout=0.2, attn_dropout=0.2)
-        params = init_encoder_params(cfg, rng, fresh)
+        params = drawn_encoder(cfg, rng).encoder
         with no_grad():
             a = encode([4, 5, 6], params, cfg, train_mode=True,
                        rng=np.random.default_rng(3))
@@ -206,7 +212,8 @@ class TestBlockGradients:
         # init_std well above the default keeps every live gradient out
         # of the finite-difference noise floor
         cfg = tiny_config(n_layers=1)
-        params = init_encoder_params(cfg, rng, fresh, init_std=0.5)
+        model = drawn_encoder(cfg, rng, init_std=0.5)
+        params = model.encoder
         ids = [4, 9, 13]
         targets = [0, 1, 0]
         out_w = Tensor(rng.normal(0, 0.5, size=(cfg.hidden, 2)),
@@ -218,7 +225,7 @@ class TestBlockGradients:
             probs = softmax(linear(states[-1], out_w, no_b), axis=1)
             return cross_entropy(probs, targets)
 
-        names = list(params.named()) + [("out_w", out_w)]
+        names = encoder_named(model) + [("out_w", out_w)]
         report = finite_diff_check(f, names, eps=1e-5, tol=1e-4)
         assert report.passed, (
             f"max rel err {report.max_rel_err:.3e} at {report.worst_param}")
@@ -226,7 +233,8 @@ class TestBlockGradients:
     def test_batched_backward_is_sum_of_single_backwards(self, rng):
         # sentences of mixed lengths, so the batch pads all but one
         cfg = tiny_config(max_len=16)
-        params = init_encoder_params(cfg, rng, fresh, init_std=0.5)
+        model = drawn_encoder(cfg, rng, init_std=0.5)
+        params = model.encoder
         out_w = Tensor(rng.normal(0, 0.5, size=(cfg.hidden, 2)))
         no_b = Tensor(np.zeros(2))
         sents = [rng.integers(4, cfg.vocab_size, size=n).tolist()
@@ -239,8 +247,8 @@ class TestBlockGradients:
             return cross_entropy(probs, target)
 
         def grads():
-            out = {n: p.grad.copy() for n, p in params.named()}
-            for _, p in params.named():
+            out = {n: p.grad.copy() for n, p in encoder_named(model)}
+            for _, p in encoder_named(model):
                 p.zero_grad()
             reset_graph()
             return out

@@ -4,14 +4,15 @@ import copy
 
 import numpy as np
 import pytest
-from oracles import forced_depth_params, fresh, mhmla_reference, pair_part
+from oracles import forced_depth_params, mhmla_reference, pair_part
 
-from gedlab.encoder import ModelConfig
+from gedlab.encoder import INIT_STD, ModelConfig
 from gedlab.heads import (
-    AttentionRecord, AvglHeadParams, FinalHeadParams, MhmlaHeadParams,
-    avgl_forward, final_layer_forward, init_head_params,
-    layer_attention_weights, mhmla_forward,
+    AttentionRecord, AvglHeadParams, FinalHeadParams, avgl_forward,
+    draw_head_params, final_layer_forward, layer_attention_weights,
+    mhmla_forward,
 )
+from gedlab.model import alloc_model, named_parameters
 from gedlab.tensor import (
     Tensor, cross_entropy, finite_diff_check, no_grad, reset_graph,
 )
@@ -37,6 +38,18 @@ def cfg_for(head_type="mhmla", **overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def drawn_head(cfg, rng, init_std=INIT_STD):
+    """A zeroed model of cfg with fresh draws in its head tensors."""
+    model = alloc_model(cfg)
+    draw_head_params(model.head, cfg, rng, init_std)
+    return model
+
+
+def head_named(model):
+    return [(n, p) for n, p in named_parameters(model)
+            if n.startswith("head.")]
+
+
 def random_states(rng, cfg, n_tokens=5):
     return [Tensor(rng.normal(size=(n_tokens, cfg.hidden)))
             for _ in range(cfg.n_layers + 1)]
@@ -45,7 +58,7 @@ def random_states(rng, cfg, n_tokens=5):
 class TestShapes:
     def test_probs_shape_and_rows_sum(self, rng):
         cfg = cfg_for()
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         with no_grad():
             probs, record = mhmla_forward(states, params, cfg)
@@ -56,7 +69,7 @@ class TestShapes:
     @pytest.mark.parametrize("j", [1, 8])
     def test_head_count_degeneracy(self, rng, j):
         cfg = cfg_for(layer_attn_heads=j)
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         with no_grad():
             probs, record = mhmla_forward(states, params, cfg)
@@ -65,14 +78,14 @@ class TestShapes:
 
     def test_rejects_wrong_state_count(self, rng):
         cfg = cfg_for()
-        params = init_head_params(cfg, rng, fresh)
+        params = drawn_head(cfg, rng).head
         states = random_states(rng, cfg)[:-1]
         with pytest.raises(ValueError, match="layer states"):
             mhmla_forward(states, params, cfg)
 
     def test_final_head_matches_numpy(self, rng):
         cfg = cfg_for("final")
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         with no_grad():
             probs = final_layer_forward(states, params, cfg)
@@ -83,7 +96,7 @@ class TestShapes:
 
     def test_avgl_head_matches_numpy(self, rng):
         cfg = cfg_for("avgl")
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         with no_grad():
             probs = avgl_forward(states, params, cfg)
@@ -100,7 +113,7 @@ class TestAttentionWeights:
     def test_normalized_on_random_inputs(self, rng):
         cfg = cfg_for()
         for _ in range(100):
-            params = init_head_params(cfg, rng, fresh, init_std=0.5)
+            params = drawn_head(cfg, rng, init_std=0.5).head
             states = random_states(rng, cfg, n_tokens=int(rng.integers(1, 7)))
             with no_grad():
                 record = layer_attention_weights(states, params, cfg)
@@ -110,7 +123,7 @@ class TestAttentionWeights:
 
     def test_raising_a_layer_logit_raises_its_weight(self, rng):
         cfg = cfg_for()
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         bumped = copy.deepcopy(params)
         pair_part(bumped, "b_a", 1, 0)[0] += 0.7
@@ -123,7 +136,7 @@ class TestAttentionWeights:
 
     def test_attention_dropout_zeroes_without_renormalizing(self, rng):
         cfg = cfg_for(attn_dropout=0.5)
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg, n_tokens=40)
         with no_grad():
             record = layer_attention_weights(
@@ -142,7 +155,7 @@ class TestAttentionWeights:
 class TestReductions:
     def test_one_hot_forcing_equals_composed_final_head(self, rng):
         cfg = cfg_for()
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         n, J, L = 5, cfg.layer_attn_heads, cfg.n_layers
         one_hot = np.zeros((n, J, L))
@@ -166,7 +179,7 @@ class TestReductions:
 
     def test_uniform_forcing_single_head_equals_avgl(self, rng):
         cfg = cfg_for(layer_attn_heads=1)
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         n, L = 5, cfg.n_layers
         uniform = np.full((n, 1, L), 1.0 / L)
@@ -186,7 +199,7 @@ class TestReductions:
 
     def test_tied_params_identical_layers_ignore_score_logits(self, rng):
         cfg = cfg_for()
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         L, J = cfg.n_layers, cfg.layer_attn_heads
         for l in range(1, L):
             for j in range(J):
@@ -215,7 +228,7 @@ class TestLayout:
         (1, 1, 3, 8), (3, 2, 3, 8), (4, 4, 16, 64), (2, 8, 5, 64)])
     def test_matches_per_pair_reference(self, rng, L, J, dk, h):
         cfg = cfg_for(n_layers=L, layer_attn_heads=J, key_dim=dk, hidden=h)
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg, n_tokens=6)
         want_probs, want_weights = mhmla_reference(states, params, cfg)
         with no_grad():
@@ -235,8 +248,8 @@ class TestInit:
         # [dk x 1] draw per pair, as when every pair had its own tensors:
         # a seed gives the same model as it always did
         cfg = cfg_for(n_layers=L, layer_attn_heads=J, key_dim=dk, hidden=h)
-        params = init_head_params(cfg, np.random.default_rng(7), fresh,
-                                  init_std=0.5)
+        params = drawn_head(cfg, np.random.default_rng(7),
+                            init_std=0.5).head
         rng = np.random.default_rng(7)
         drawn = {name: [[rng.normal(0.0, 0.5, size=shape) for _ in range(J)]
                         for _ in range(L)]
@@ -259,7 +272,7 @@ class TestInit:
 class TestConvexity:
     def test_head_output_stays_in_value_hull(self, rng):
         cfg = cfg_for()
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         L, J = cfg.n_layers, cfg.layer_attn_heads
         width = cfg.hidden // J
@@ -281,7 +294,8 @@ class TestGradients:
         # square shape cannot hide a transposed reshape
         for cfg in (cfg_for(n_layers=2),
                     cfg_for(n_layers=3, layer_attn_heads=2, key_dim=3)):
-            params = init_head_params(cfg, rng, fresh, init_std=0.5)
+            model = drawn_head(cfg, rng, init_std=0.5)
+            params = model.head
             states = random_states(rng, cfg, n_tokens=4)
             targets = [0, 1, 1, 0]
 
@@ -289,7 +303,7 @@ class TestGradients:
                 probs, _ = mhmla_forward(states, params, cfg)
                 return cross_entropy(probs, targets)
 
-            report = finite_diff_check(f, list(params.named()), eps=1e-5,
+            report = finite_diff_check(f, head_named(model), eps=1e-5,
                                        tol=1e-4)
             assert report.passed, (
                 f"max rel err {report.max_rel_err:.3e} at "
@@ -297,13 +311,14 @@ class TestGradients:
 
     def test_avgl_params_pass_fd(self, rng):
         cfg = cfg_for("avgl", n_layers=2)
-        params = init_head_params(cfg, rng, fresh, init_std=0.5)
+        model = drawn_head(cfg, rng, init_std=0.5)
+        params = model.head
         states = random_states(rng, cfg, n_tokens=4)
         targets = [1, 0, 0, 1]
 
         def f():
             return cross_entropy(avgl_forward(states, params, cfg), targets)
 
-        report = finite_diff_check(f, list(params.named()), eps=1e-5, tol=1e-4)
+        report = finite_diff_check(f, head_named(model), eps=1e-5, tol=1e-4)
         assert report.passed, (
             f"max rel err {report.max_rel_err:.3e} at {report.worst_param}")

@@ -3,6 +3,7 @@ checkpoint byte format."""
 import json
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from gedlab.corpus import (
     PAD_ID, LabeledCorpus, LabeledSentence, TokenizedSentence, build_corpus,
     generate_synthetic_pairs, pairs_to_labeled,
 )
-from gedlab.encoder import HEAD_TYPES, ModelConfig, encode_batch
+from gedlab.encoder import HEAD_TYPES, LayerParams, ModelConfig, encode_batch
 from gedlab.model import (
     forward_batch, head_forward, init_model, named_parameters,
     parameter_shapes, predict_word_probs, word_rows,
@@ -577,6 +578,22 @@ class TestTrainLoop:
         assert result.epoch_losses != still.epoch_losses
 
 
+# checkpoint name -> dataclass field, written out apart from the layout
+# lists; "{:02d}" marks a per-layer entry of a list field
+BLOCK_NAMES = {
+    "attn.w_q": "w_q", "attn.b_q": "b_q", "attn.w_k": "w_k",
+    "attn.w_v": "w_v", "attn.b_v": "b_v", "attn.w_o": "w_o",
+    "attn.b_o": "b_o", "ln1.gain": "ln1_gain", "ln1.bias": "ln1_bias",
+    "ffn.w1": "w_ff1", "ffn.b1": "b_ff1", "ffn.w2": "w_ff2",
+    "ffn.b2": "b_ff2", "ln2.gain": "ln2_gain", "ln2.bias": "ln2_bias"}
+HEAD_NAMES = {
+    "final": {},
+    "avgl": {"proj.{:02d}.w": "w_proj", "proj.{:02d}.b": "b_proj"},
+    "mhmla": {"att.{:02d}.w_v": "w_v", "att.{:02d}.b_v": "b_v",
+              "att.{:02d}.w_k": "w_k", "att.{:02d}.b_k": "b_k",
+              "att.w_a": "w_a", "att.b_a": "b_a"}}
+
+
 class TestCheckpoints:
     def trained_model(self, seed=5):
         corpus = small_corpus(n=6)
@@ -594,6 +611,39 @@ class TestCheckpoints:
             built = init_model(cfg, np.random.default_rng(0))
             assert list(parameter_shapes(cfg)) == [
                 (n, t.shape) for n, t in named_parameters(built)]
+
+    @pytest.mark.parametrize("head_type", HEAD_TYPES)
+    def test_every_field_is_its_named_tensor(self, head_type):
+        # the forwards and the save/load round trip read parameters
+        # through the fields, so only this table catches two fields of
+        # one shape swapped in a dataclass or a layout list; at this
+        # config every block weight is [8 x 8], both embeddings are
+        # [8 x 8], and the MHMLA w_v and w_k are both [8 x 8] (J*dk == H)
+        cfg = ModelConfig(n_layers=2, hidden=8, self_attn_heads=2,
+                          ffn_dim=8, layer_attn_heads=2, key_dim=4,
+                          vocab_size=8, max_len=8, head_type=head_type)
+        model = init_model(cfg, np.random.default_rng(0))
+        enc, head = model.encoder, model.head
+        table = {**HEAD_NAMES[head_type], "w_out": "w_out", "b_out": "b_out"}
+        assert set(BLOCK_NAMES.values()) == {
+            f.name for f in fields(LayerParams)}
+        assert set(table.values()) == {f.name for f in fields(head)}
+        want = {"embed.token": enc.token_embedding,
+                "embed.position": enc.position_embedding}
+        for i, lp in enumerate(enc.layers):
+            for name, field in BLOCK_NAMES.items():
+                want[f"enc.{i:02d}.{name}"] = getattr(lp, field)
+        for l in range(cfg.n_layers):
+            for name, field in table.items():
+                if "{" in name:
+                    want["head." + name.format(l)] = getattr(head, field)[l]
+        for name, field in table.items():
+            if "{" not in name:
+                want["head." + name] = getattr(head, field)
+        got = named_parameters(model)
+        assert [n for n, _ in got] == list(want)
+        for name, t in got:
+            assert t is want[name], name
 
     @pytest.mark.parametrize("head_type", HEAD_TYPES)
     def test_parameters_are_views_of_one_buffer(self, tmp_path, head_type):
