@@ -6,9 +6,9 @@ train on, and the gradient/equivalence checks that keep it honest.
 """
 
 from .corpus import (
-    LabeledCorpus, LabeledSentence, SentencePair, Vocabulary, build_corpus,
-    dp_align_label, generate_synthetic_pairs, pairs_to_labeled, read_corpus,
-    write_corpus,
+    LabeledCorpus, LabeledSentence, SentencePair, Vocabulary, align_labels,
+    build_corpus, dp_align_label, generate_synthetic_pairs, pairs_to_labeled,
+    read_corpus, write_corpus,
 )
 from .encoder import ModelConfig
 from .evaluation import (
@@ -22,11 +22,11 @@ from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 __all__ = [
     "EvalReport", "LabeledCorpus", "LabeledSentence", "Model",
     "ModelConfig", "SentencePair", "Tensor", "TrainConfig", "Vocabulary",
-    "attention_summary", "backward", "build_corpus", "dp_align_label",
-    "evaluate", "f_beta", "finite_diff_check", "generate_synthetic_pairs",
-    "init_model", "load_checkpoint", "no_grad", "pairs_to_labeled",
-    "predict_labels", "predict_word_probs", "read_corpus", "reset_graph",
-    "save_checkpoint", "summary_to_csv", "train", "word_attention",
-    "write_corpus",
+    "align_labels", "attention_summary", "backward", "build_corpus",
+    "dp_align_label", "evaluate", "f_beta", "finite_diff_check",
+    "generate_synthetic_pairs", "init_model", "load_checkpoint", "no_grad",
+    "pairs_to_labeled", "predict_labels", "predict_word_probs",
+    "read_corpus", "reset_graph", "save_checkpoint", "summary_to_csv",
+    "train", "word_attention", "write_corpus",
 ]
 __version__ = "0.1.0"

@@ -21,11 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import (
-    LABEL_ERR, LABEL_OK, LabeledSentence, TokenizedSentence, build_corpus,
-    dp_align_label, generate_synthetic_pairs, merge_annotator_labels,
+    LABEL_ERR, LABEL_OK, LabeledSentence, TokenizedSentence, align_labels,
+    build_corpus, generate_synthetic_pairs, merge_annotator_labels,
     read_corpus_sentences, read_pair_file, read_vocab_file, write_corpus,
     write_pair_file, write_vocab_file,
 )
+# label aligns a whole file with align_labels and calls this no more, but
+# perfbench/spans.py still traces the name gedlab.cli.dp_align_label
+from .corpus import dp_align_label  # noqa: F401
 from .encoder import ModelConfig
 from .evaluation import attention_summary, evaluate, summary_to_csv
 from .model import init_model, named_parameters
@@ -172,13 +175,13 @@ def cmd_label(args) -> int:
                 raise ValueError(
                     f"{args.pairs[k - 1]}: pair {i + 1} source differs "
                     f"from the first annotator's")
-    sentences = []
-    for i, pair in enumerate(first):
-        labels = [dp_align_label(ann[i].source, ann[i].corrected)
-                  for ann in annotations]
-        sentences.append(LabeledSentence(
-            words=list(pair.source),
-            labels=merge_annotator_labels(labels)))
+    marks = [align_labels([(p.source, p.corrected) for p in pairs])
+             for pairs in annotations]
+    sentences = [
+        LabeledSentence(words=list(pair.source), labels=merge_annotator_labels(
+            [labels[i] for labels in marks]))
+        for i, pair in enumerate(first)
+    ]
     write_corpus(sentences, args.out)
     n_err = sum(s.labels.count("i") for s in sentences)
     log.info("labeled %d sentences (%d error tokens) to %s",

@@ -11,7 +11,8 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,8 +39,22 @@ class CorpusFormatError(ValueError):
 def _check_token(tok: str, what: str) -> None:
     if not tok:
         raise ValueError(f"{what} contains an empty token")
-    if any(ch.isspace() for ch in tok):
+    if tok.split() != [tok]:
         raise ValueError(f"{what} token {tok!r} contains whitespace")
+
+
+def _check_tokens(tokens: list[str], what: str) -> None:
+    # valid tokens joined by spaces split back into themselves; only a
+    # side that fails that is checked token by token, for the message
+    if " ".join(tokens).split() != tokens:
+        for tok in tokens:
+            _check_token(tok, what)
+
+
+def _check_labels(labels: Sequence[str]) -> None:
+    if not {LABEL_OK, LABEL_ERR}.issuperset(labels):
+        bad = next(lab for lab in labels if lab not in (LABEL_OK, LABEL_ERR))
+        raise ValueError(f"label must be c or i, got {bad!r}")
 
 
 @dataclass
@@ -50,10 +65,8 @@ class SentencePair:
     def __post_init__(self):
         if not self.source or not self.corrected:
             raise ValueError("both sides of a pair must be non-empty")
-        for tok in self.source:
-            _check_token(tok, "source")
-        for tok in self.corrected:
-            _check_token(tok, "corrected")
+        _check_tokens(self.source, "source")
+        _check_tokens(self.corrected, "corrected")
 
 
 @dataclass
@@ -67,66 +80,134 @@ class LabeledSentence:
         if len(self.words) != len(self.labels):
             raise ValueError(
                 f"{len(self.words)} words vs {len(self.labels)} labels")
-        for w in self.words:
-            _check_token(w, "sentence")
-        for lab in self.labels:
-            if lab not in (LABEL_OK, LABEL_ERR):
-                raise ValueError(f"label must be c or i, got {lab!r}")
+        _check_tokens(self.words, "sentence")
+        _check_labels(self.labels)
 
 
 # ------------------------------------------------------------- alignment
 
+# padded cells, pairs x (M+1) x (N+1), of one aligner chunk: 512 KiB of
+# int64.  A pair larger than this is a chunk of its own.
+CELL_BUDGET = 1 << 16
+
+
 def edit_distance(source: Sequence[str], corrected: Sequence[str]) -> int:
-    return int(_distance_matrix(list(source), list(corrected))[-1, -1])
+    ((_, d),) = _distance_matrices([(list(source), list(corrected))])
+    return int(d[-1, -1])
 
 
-def _distance_matrix(src: list[str], dst: list[str]) -> np.ndarray:
-    m, n = len(src), len(dst)
-    d = np.zeros((m + 1, n + 1), dtype=np.int64)
-    d[:, 0] = np.arange(m + 1)
-    d[0, :] = np.arange(n + 1)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            same = src[i - 1] == dst[j - 1]
-            d[i, j] = min(
-                d[i - 1, j - 1] + (0 if same else 1),
-                d[i - 1, j] + 1,
-                d[i, j - 1] + 1,
-            )
-    return d
+def _chunks(shapes: list[tuple[int, int]]) -> Iterator[list[int]]:
+    """Pair indices in (source, corrected) length order, cut so each
+    chunk's padded matrices hold at most CELL_BUDGET cells."""
+    chunk: list[int] = []
+    rows = cols = 0
+    for k in sorted(range(len(shapes)), key=shapes.__getitem__):
+        m, n = shapes[k]
+        r, c = max(rows, m + 1), max(cols, n + 1)
+        if chunk and (len(chunk) + 1) * r * c > CELL_BUDGET:
+            yield chunk
+            chunk, r, c = [], m + 1, n + 1
+        chunk.append(k)
+        rows, cols = r, c
+    if chunk:
+        yield chunk
 
 
-def dp_align_label(source: Sequence[str], corrected: Sequence[str]) -> list[str]:
-    """Token labels for source against corrected.
+def _padded(seqs: list[list[int]], width: int, pad: int) -> np.ndarray:
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    out = np.full((len(seqs), width), pad, dtype=np.int64)
+    out[np.arange(width) < lengths[:, None]] = list(chain.from_iterable(seqs))
+    return out
 
-    Levenshtein backtrace from the end, ties broken match > substitution
-    > deletion > insertion (this pins the leftmost-match alignment).
-    Substituted and deleted source tokens are labeled i; an insertion on
-    the corrected side labels the following source token i, and an
-    insertion at sentence end labels the last source token.
+
+def _distance_matrices(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]
+                       ) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, d) for every pair k, chunk by chunk in length order: d is the
+    pair's (m+1, n+1) Levenshtein matrix (Wagner and Fischer, 1974).
+
+    A chunk maps its tokens to int ids and pads every pair to the
+    chunk's longest source and corrected side; cell (i, j) reads only
+    cells above it and to its left, so padding never reaches a real
+    cell.  One numpy step per source row serves the whole chunk:
+    c = min(diagonal + substitution cost, above + 1) with c[0] = i, and
+    the insertion term d[i, j] = min over k <= j of c[k] + (j - k) is
+    the running minimum of c - j, plus j.
     """
-    src, dst = list(source), list(corrected)
-    if not src or not dst:
-        raise ValueError("both sides must be non-empty")
-    d = _distance_matrix(src, dst)
+    shapes = [(len(s), len(t)) for s, t in pairs]
+    for chunk in _chunks(shapes):
+        ids: dict[str, int] = {}
+        src = _padded([[ids.setdefault(tok, len(ids)) for tok in pairs[k][0]]
+                       for k in chunk], max(shapes[k][0] for k in chunk), -1)
+        dst = _padded([[ids.setdefault(tok, len(ids)) for tok in pairs[k][1]]
+                       for k in chunk], max(shapes[k][1] for k in chunk), -2)
+        n_rows, n_cols = src.shape[1] + 1, dst.shape[1] + 1
+        j = np.arange(n_cols)
+        d = np.empty((n_rows, len(chunk), n_cols), dtype=np.int64)
+        d[0] = j
+        c = np.empty((len(chunk), n_cols), dtype=np.int64)
+        for i in range(1, n_rows):
+            up = d[i - 1]
+            np.minimum(up[:, :-1] + (src[:, i - 1, None] != dst),
+                       up[:, 1:] + 1, out=c[:, 1:])
+            c[:, 0] = i
+            c -= j
+            np.minimum.accumulate(c, axis=1, out=d[i])
+            d[i] += j
+        for row, k in enumerate(chunk):
+            m, n = shapes[k]
+            yield k, d[:m + 1, row, :n + 1]
+
+
+def _backtrace(src: Sequence[str], dst: Sequence[str],
+               d: np.ndarray) -> list[str]:
+    """Labels from the end of d.  It reads two rows of d at a time, as
+    lists cut at the column it stands in (j only falls), so a long pair
+    holds no Python int per cell."""
     labels = [LABEL_OK] * len(src)
     i, j = len(src), len(dst)
+    row, up = d[i].tolist(), d[i - 1].tolist()
     while i > 0 or j > 0:
-        here = d[i, j]
+        here = row[j]
         if (i > 0 and j > 0 and src[i - 1] == dst[j - 1]
-                and d[i - 1, j - 1] == here):
+                and up[j - 1] == here):
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and d[i - 1, j - 1] + 1 == here:
+        elif i > 0 and j > 0 and up[j - 1] + 1 == here:
             labels[i - 1] = LABEL_ERR
             i, j = i - 1, j - 1
-        elif i > 0 and d[i - 1, j] + 1 == here:
+        elif i > 0 and up[j] + 1 == here:
             labels[i - 1] = LABEL_ERR
             i = i - 1
         else:
             # insertion: dst[j-1] is missing from source
             labels[min(i, len(src) - 1)] = LABEL_ERR
             j = j - 1
+            continue
+        row, up = up, d[i - 1, :j + 1].tolist() if i else []
     return labels
+
+
+def align_labels(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]
+                 ) -> list[list[str]]:
+    """Token labels for each (source, corrected) pair, in input order.
+
+    Levenshtein backtrace from the end, ties broken match > substitution
+    > deletion > insertion (this pins the leftmost-match alignment).
+    Substituted and deleted source tokens are labeled i; an insertion on
+    the corrected side labels the following source token i, and an
+    insertion at sentence end labels the last source token.  The
+    distance matrices are built a chunk of pairs at a time.
+    """
+    if not all(s and t for s, t in pairs):
+        raise ValueError("both sides must be non-empty")
+    labels: list[list[str]] = [[] for _ in pairs]
+    for k, d in _distance_matrices(pairs):
+        labels[k] = _backtrace(*pairs[k], d)
+    return labels
+
+
+def dp_align_label(source: Sequence[str], corrected: Sequence[str]) -> list[str]:
+    """Token labels for source against corrected: align_labels on one pair."""
+    return align_labels([(list(source), list(corrected))])[0]
 
 
 def merge_annotator_labels(label_lists: Sequence[Sequence[str]]) -> list[str]:
@@ -138,14 +219,9 @@ def merge_annotator_labels(label_lists: Sequence[Sequence[str]]) -> list[str]:
         if len(labels) != length:
             raise ValueError(
                 f"annotator {k} has {len(labels)} labels, expected {length}")
-        for lab in labels:
-            if lab not in (LABEL_OK, LABEL_ERR):
-                raise ValueError(f"label must be c or i, got {lab!r}")
-    return [
-        LABEL_ERR if any(labels[i] == LABEL_ERR for labels in label_lists)
-        else LABEL_OK
-        for i in range(length)
-    ]
+        _check_labels(labels)
+    return [LABEL_ERR if LABEL_ERR in marks else LABEL_OK
+            for marks in zip(*label_lists)]
 
 
 # ------------------------------------------------------------- generator
@@ -183,6 +259,7 @@ _LOCATIONS = {
     "school": "at", "station": "at", "market": "at", "beach": "at",
     "table": "on", "roof": "on", "farm": "on", "hill": "on",
 }
+_LOCATION_NAMES = sorted(_LOCATIONS)
 _PREPOSITIONS = ["at", "behind", "in", "near", "on", "under"]
 
 
@@ -196,10 +273,10 @@ def generator_vocabulary() -> list[str]:
 
 
 def _noun_phrase(rng: np.random.Generator, plural: bool) -> list[str]:
-    det = str(rng.choice(_PL_DETS if plural else _SG_DETS))
-    out = [det]
+    dets = _PL_DETS if plural else _SG_DETS
+    out = [dets[int(rng.integers(len(dets)))]]
     if rng.random() < 0.3:
-        out.append(str(rng.choice(_ADJS)))
+        out.append(_ADJS[int(rng.integers(len(_ADJS)))])
     sg, pl = _NOUNS[int(rng.integers(len(_NOUNS)))]
     out.append(pl if plural else sg)
     return out
@@ -212,7 +289,7 @@ def _clean_sentence(rng: np.random.Generator) -> list[str]:
     tokens.append(pl if subj_plural else sg)
     tokens += _noun_phrase(rng, bool(rng.random() < 0.5))
     if rng.random() < 0.8:
-        loc = str(rng.choice(sorted(_LOCATIONS)))
+        loc = _LOCATION_NAMES[int(rng.integers(len(_LOCATION_NAMES)))]
         tokens += [_LOCATIONS[loc], "the", loc]
     return tokens
 
@@ -276,11 +353,10 @@ def generate_synthetic_pairs(n: int, seed: int,
 
 
 def pairs_to_labeled(pairs: Iterable[SentencePair]) -> list[LabeledSentence]:
-    return [
-        LabeledSentence(words=list(p.source),
-                        labels=dp_align_label(p.source, p.corrected))
-        for p in pairs
-    ]
+    pairs = list(pairs)
+    labels = align_labels([(p.source, p.corrected) for p in pairs])
+    return [LabeledSentence(words=list(p.source), labels=lab)
+            for p, lab in zip(pairs, labels)]
 
 
 # ----------------------------------------------------------- sub-tokens
@@ -353,9 +429,7 @@ class TokenizedSentence:
             raise ValueError("words, labels and first_sub_index must align")
         if not self.sub_ids:
             raise ValueError("no sub-tokens")
-        for lab in self.labels:
-            if lab not in (LABEL_OK, LABEL_ERR):
-                raise ValueError(f"label must be c or i, got {lab!r}")
+        _check_labels(self.labels)
         prev = -1
         for k in self.first_sub_index:
             if not 0 <= k < len(self.sub_ids) or k <= prev:

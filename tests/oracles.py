@@ -3,13 +3,15 @@
 The brute-force alignment oracle enumerates every minimum-cost edit
 script, then picks the one the backtrace convention prefers: reading
 ops from the END of the sentence, match beats substitution beats
-deletion beats insertion.  pair_part reads one (layer, head) pair's
-own block out of the MHMLA head's joined parameters,
-forced_depth_params pins the depth weights to constants through those
-parameters, and mhmla_reference computes the MHMLA head one pair at a
-time in plain numpy.  linear_reference and layer_norm_reference are
-the unfused numpy forms of an affine map and an affine layer norm;
-linear_relu_reference, residual_norm_reference and
+deletion beats insertion.  distance_matrix_reference and
+dp_align_label_reference are the scalar one-pair Levenshtein matrix and
+labeler that the chunked aligner replaced.  pair_part reads one
+(layer, head) pair's own block out of the MHMLA head's joined
+parameters, forced_depth_params pins the depth weights to constants
+through those parameters, and mhmla_reference computes the MHMLA head
+one pair at a time in plain numpy.  linear_reference and
+layer_norm_reference are the unfused numpy forms of an affine map and
+an affine layer norm; linear_relu_reference, residual_norm_reference and
 self_attention_reference build the fused encoder ops from them (and
 numpy attention), handing out gradients in the order separate tape
 nodes would.  adam_reference is Adam as one loop over the
@@ -79,6 +81,50 @@ def random_pair(rng, alphabet="abcd", max_len=6):
         n = int(rng.integers(1, max_len + 1))
         return [alphabet[int(rng.integers(len(alphabet)))] for _ in range(n)]
     return side(), side()
+
+
+def distance_matrix_reference(src, dst):
+    """The scalar Wagner-Fischer loop the chunked aligner replaced."""
+    m, n = len(src), len(dst)
+    d = np.zeros((m + 1, n + 1), dtype=np.int64)
+    d[:, 0] = np.arange(m + 1)
+    d[0, :] = np.arange(n + 1)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            same = src[i - 1] == dst[j - 1]
+            d[i, j] = min(
+                d[i - 1, j - 1] + (0 if same else 1),
+                d[i - 1, j] + 1,
+                d[i, j - 1] + 1,
+            )
+    return d
+
+
+def dp_align_label_reference(source, corrected):
+    """The one-pair labeler the chunked aligner replaced, backtrace and
+    tie rules as they were, over distance_matrix_reference."""
+    src, dst = list(source), list(corrected)
+    if not src or not dst:
+        raise ValueError("both sides must be non-empty")
+    d = distance_matrix_reference(src, dst)
+    labels = [LABEL_OK] * len(src)
+    i, j = len(src), len(dst)
+    while i > 0 or j > 0:
+        here = d[i, j]
+        if (i > 0 and j > 0 and src[i - 1] == dst[j - 1]
+                and d[i - 1, j - 1] == here):
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and d[i - 1, j - 1] + 1 == here:
+            labels[i - 1] = LABEL_ERR
+            i, j = i - 1, j - 1
+        elif i > 0 and d[i - 1, j] + 1 == here:
+            labels[i - 1] = LABEL_ERR
+            i = i - 1
+        else:
+            # insertion: dst[j-1] is missing from source
+            labels[min(i, len(src) - 1)] = LABEL_ERR
+            j = j - 1
+    return labels
 
 
 def pair_part(params, name, l, j):

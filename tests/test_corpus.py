@@ -1,12 +1,20 @@
-"""Corpus machinery against a brute-force alignment oracle, plus
-generator, tokenizer and file-format contracts."""
+"""Corpus machinery against a brute-force alignment oracle and the
+scalar aligner it replaced, plus generator, tokenizer and file-format
+contracts."""
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import all_minimal_scripts, oracle_labels, random_pair
+from oracles import (
+    all_minimal_scripts, distance_matrix_reference, dp_align_label_reference,
+    oracle_labels, random_pair,
+)
 
 from gedlab.corpus import (
-    LABEL_ERR, LABEL_OK, RESERVED_PIECES,
+    CELL_BUDGET, LABEL_ERR, LABEL_OK, RESERVED_PIECES,
     CorpusFormatError, LabeledSentence, SentencePair, TokenizedSentence,
+    _check_token, _check_tokens, _chunks, _distance_matrices, align_labels,
     build_corpus, build_vocabulary, dp_align_label, edit_distance,
     generate_synthetic_pairs, generator_vocabulary, merge_annotator_labels,
     pairs_to_labeled, read_corpus, read_corpus_sentences, read_pair_file,
@@ -71,6 +79,117 @@ class TestAlignment:
         assert edit_distance(["a"], ["a"]) == 0
         assert edit_distance(["a", "b"], ["a"]) == 1
         assert edit_distance("x y z".split(), "y z w".split()) == 2
+
+
+def mixed_pairs(rng, n):
+    """n random pairs, sides 1-40 tokens over alphabets of 2, 4 and 8."""
+    return [random_pair(rng, alphabet="abcdefgh"[:2 ** (1 + k % 3)],
+                        max_len=40) for k in range(n)]
+
+
+def padded_cells(shapes, chunk):
+    rows = max(shapes[k][0] for k in chunk) + 1
+    cols = max(shapes[k][1] for k in chunk) + 1
+    return len(chunk) * rows * cols
+
+
+class TestChunkedAligner:
+    """The chunked numpy aligner against the scalar one it replaced."""
+
+    def test_matrices_and_labels_match_the_scalar_aligner(self):
+        pairs = mixed_pairs(np.random.default_rng(16), 400)
+        shapes = [(len(s), len(t)) for s, t in pairs]
+        chunks = list(_chunks(shapes))
+        # several chunks; every chunk pads pairs of mixed shapes, and
+        # most pad both sides
+        assert len(chunks) >= 3
+        assert all(len({shapes[k] for k in chunk}) > 1 for chunk in chunks)
+        assert sum(len({shapes[k][0] for k in chunk}) > 1
+                   and len({shapes[k][1] for k in chunk}) > 1
+                   for chunk in chunks) >= 3
+        assert all(padded_cells(shapes, chunk) <= CELL_BUDGET
+                   for chunk in chunks)
+        assert sorted(k for chunk in chunks for k in chunk) \
+            == list(range(len(pairs)))
+        seen = set()
+        for k, d in _distance_matrices(pairs):
+            assert k not in seen
+            seen.add(k)
+            np.testing.assert_array_equal(
+                d, distance_matrix_reference(*pairs[k]), err_msg=str(k))
+        assert seen == set(range(len(pairs)))
+        assert align_labels(pairs) \
+            == [dp_align_label_reference(s, t) for s, t in pairs]
+        for s, t in pairs[:100]:
+            assert edit_distance(s, t) == distance_matrix_reference(s, t)[-1, -1]
+            assert dp_align_label(s, t) == dp_align_label_reference(s, t)
+
+    def test_empty_sides(self):
+        assert edit_distance([], ["a", "b"]) == 2
+        assert edit_distance(["a"], []) == 1
+        assert edit_distance([], []) == 0
+        assert align_labels([]) == []
+        with pytest.raises(ValueError, match="non-empty"):
+            align_labels([(["a"], ["a"]), (["b"], [])])
+
+    def test_one_long_pair_is_not_padded_into_the_short_ones(self):
+        rng = np.random.default_rng(17)
+        long_pair = ([str(k) for k in rng.integers(4, size=1500)],
+                     [str(k) for k in rng.integers(4, size=1480)])
+        pairs = [random_pair(rng, max_len=12) for _ in range(500)]
+        pairs.insert(200, long_pair)
+        # the plan first, so a broken budget fails before it allocates
+        shapes = [(len(s), len(t)) for s, t in pairs]
+        for chunk in _chunks(shapes):
+            assert len(chunk) == 1 or padded_cells(shapes, chunk) <= CELL_BUDGET
+        want = dp_align_label_reference(*long_pair)
+        tracemalloc.start()
+        try:
+            got = align_labels(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got[200] == want
+        assert got[:200] + got[201:] == [dp_align_label_reference(s, t)
+                                         for s, t in pairs[:200] + pairs[201:]]
+        # the long pair's own int64 matrix; padding the 500 short pairs
+        # to its shape would be 500 times that
+        own = 1501 * 1481 * 8
+        assert peak < 2 * own, peak / own
+
+
+class TestTokenChecks:
+    def test_whitespace_predicate_over_every_code_point(self):
+        def whitespace(tok):
+            return any(ch.isspace() for ch in tok)
+
+        for c in range(sys.maxunicode + 1):
+            ch = chr(c)
+            embedded = "a" + ch + "b"
+            assert (ch.split() != [ch]) == ch.isspace(), hex(c)
+            assert (embedded.split() != [embedded]) == whitespace(embedded), \
+                hex(c)
+
+    def test_side_check_agrees_with_the_token_check(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1)
+                  if chr(c).isspace()]
+        sides = [["a", "b"], ["a"], [""], ["a", ""], ["", "a"], ["a", "", "b"]]
+        sides += [[ch] for ch in spaces] + [["a", "b" + ch] for ch in spaces]
+        sides += [["a" + ch + "b", "c"] for ch in spaces]
+        sides += [[ch + "a"] for ch in spaces] + [["a" + ch] for ch in spaces]
+        for side in sides:
+            try:
+                for tok in side:
+                    _check_token(tok, "side")
+                want = None
+            except ValueError as err:
+                want = str(err)
+            try:
+                _check_tokens(side, "side")
+                got = None
+            except ValueError as err:
+                got = str(err)
+            assert got == want, side
 
 
 class TestMerge:
