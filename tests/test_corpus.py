@@ -121,7 +121,8 @@ class TestChunkedAligner:
         assert align_labels(pairs) \
             == [dp_align_label_reference(s, t) for s, t in pairs]
         for s, t in pairs[:100]:
-            assert edit_distance(s, t) == distance_matrix_reference(s, t)[-1, -1]
+            want = distance_matrix_reference(s, t)[-1, -1]
+            assert edit_distance(s, t) == want
             assert dp_align_label(s, t) == dp_align_label_reference(s, t)
 
     def test_empty_sides(self):
@@ -141,7 +142,8 @@ class TestChunkedAligner:
         # the plan first, so a broken budget fails before it allocates
         shapes = [(len(s), len(t)) for s, t in pairs]
         for chunk in _chunks(shapes):
-            assert len(chunk) == 1 or padded_cells(shapes, chunk) <= CELL_BUDGET
+            assert (len(chunk) == 1
+                    or padded_cells(shapes, chunk) <= CELL_BUDGET)
         want = dp_align_label_reference(*long_pair)
         tracemalloc.start()
         try:
