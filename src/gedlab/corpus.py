@@ -194,13 +194,17 @@ def align_labels(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]
     > deletion > insertion (this pins the leftmost-match alignment).
     Substituted and deleted source tokens are labeled i; an insertion on
     the corrected side labels the following source token i, and an
-    insertion at sentence end labels the last source token.  The
-    distance matrices are built a chunk of pairs at a time.
+    insertion at sentence end labels the last source token.  A pair
+    whose sides are equal is all c: its matrix's diagonal is all 0, so
+    the backtrace would match every token.  The other pairs' distance
+    matrices are built a chunk of pairs at a time.
     """
     if not all(s and t for s, t in pairs):
         raise ValueError("both sides must be non-empty")
-    labels: list[list[str]] = [[] for _ in pairs]
-    for k, d in _distance_matrices(pairs):
+    labels = [[LABEL_OK] * len(s) for s, _ in pairs]
+    changed = [k for k, (s, t) in enumerate(pairs) if s != t]
+    for row, d in _distance_matrices([pairs[k] for k in changed]):
+        k = changed[row]
         labels[k] = _backtrace(*pairs[k], d)
     return labels
 
@@ -444,13 +448,24 @@ def tokenize_sentence(words: Sequence[str], labels: Sequence[str],
     """Segment one labeled sentence.  If max_len is given, whole words
     beyond the sub-token budget are dropped (logged); a first word
     longer than the whole budget is cut mid-word as a last resort."""
+    return _tokenize(words, labels, vocab.piece_to_id, max_len, {})
+
+
+def _tokenize(words: Sequence[str], labels: Sequence[str],
+              piece_to_id: dict[str, int], max_len: int | None,
+              word_ids: dict[str, list[int]]) -> TokenizedSentence:
+    """tokenize_sentence, reading each word's sub-token ids from
+    word_ids and segmenting only the words not in it yet.  The cached
+    lists are copied into the sentence, never shared with it."""
     kept_words: list[str] = []
     kept_labels: list[str] = []
     sub_ids: list[int] = []
     first: list[int] = []
     for w, lab in zip(words, labels):
-        pieces = subtokenize(w, vocab.piece_to_id)
-        ids = [vocab.piece_to_id[p] for p in pieces]
+        ids = word_ids.get(w)
+        if ids is None:
+            ids = word_ids[w] = [piece_to_id[p]
+                                 for p in subtokenize(w, piece_to_id)]
         if max_len is not None and len(sub_ids) + len(ids) > max_len:
             if not kept_words:
                 ids = ids[:max_len]
@@ -491,11 +506,12 @@ def build_corpus(sentences: list[LabeledSentence],
                  vocab: Vocabulary | None = None,
                  max_len: int | None = None) -> LabeledCorpus:
     """Attach a vocabulary (built from these sentences when not given)
-    and the tokenized view."""
+    and the tokenized view.  Each distinct word is segmented once."""
     if vocab is None:
         vocab = build_vocabulary(s.words for s in sentences)
+    word_ids: dict[str, list[int]] = {}
     tokenized = [
-        tokenize_sentence(s.words, s.labels, vocab, max_len=max_len)
+        _tokenize(s.words, s.labels, vocab.piece_to_id, max_len, word_ids)
         for s in sentences
     ]
     return LabeledCorpus(sentences=sentences, vocab=vocab, tokenized=tokenized)
@@ -549,8 +565,12 @@ def read_corpus_sentences(path) -> list[LabeledSentence]:
 
     def flush():
         if words:
-            sentences.append(LabeledSentence(words=list(words),
-                                             labels=list(labels)))
+            try:
+                sentences.append(LabeledSentence(words=list(words),
+                                                 labels=list(labels)))
+            except ValueError as exc:
+                # the line loop checks all but whitespace inside a word
+                raise _whitespace_error(path, exc) from None
             words.clear()
             labels.clear()
 
@@ -578,6 +598,21 @@ def read_corpus_sentences(path) -> list[LabeledSentence]:
             labels.append(lab)
     flush()
     return sentences
+
+
+def _whitespace_error(path, exc: ValueError) -> CorpusFormatError:
+    """exc, a sentence's failed token check, as the error of the first
+    word line in the corpus file whose word fails it: every earlier
+    sentence passed, so that line is in the failed sentence."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.startswith("#") or not line.strip():
+                continue
+            try:
+                _check_token(line.split("\t")[0], "sentence")
+            except ValueError as bad:
+                return CorpusFormatError(f"{path}: line {lineno}: {bad}")
+    return CorpusFormatError(f"{path}: {exc}")  # the file changed since
 
 
 def read_corpus(path, vocab: Vocabulary | None = None,

@@ -13,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from gedlab.corpus import TokenizedSentence
+import gedlab.corpus
+from gedlab.corpus import LabeledSentence, TokenizedSentence, write_corpus
 from gedlab.encoder import ModelConfig, encode_batch
 from gedlab.model import init_model
 from gedlab.training import batch_word_rows
@@ -59,6 +60,25 @@ def test_reference_word_rows_call_shape():
     rows, targets = batch_word_rows(batch, states[0].shape[0] // len(batch))
     assert rows.tolist() == [0, 2, 6, 7, 10, 12]
     assert targets == [0, 1, 1, 0, 0, 0]
+
+
+def test_build_corpus_op_call_shape(tmp_path):
+    # child.py's run_op makes a build_corpus operation as below, and
+    # checks.py hashes the repr of the tokenized id lists; a changed
+    # signature or element type would fail every corpus_prep operation
+    path = tmp_path / "small.tsv"
+    write_corpus([LabeledSentence(["the", "dog", "runs"], ["c", "i", "c"]),
+                  LabeledSentence(["the", "dogs"], ["c", "c"])], path)
+    sentences = gedlab.corpus.read_corpus_sentences(str(path))
+    corpus = gedlab.corpus.build_corpus(sentences, max_len=8)
+    for t in corpus.tokenized:
+        for ids in (t.sub_ids, t.first_sub_index):
+            assert type(ids) is list
+            assert all(type(k) is int for k in ids)
+    failures = []
+    load("checks")._build_corpus({"build_corpus": str(path)}, corpus,
+                                 failures)
+    assert failures == []
 
 
 @pytest.mark.parametrize("module_name,attr", [(m, a) for m, a, _ in WRAPS],

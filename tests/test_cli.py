@@ -11,8 +11,8 @@ from oracles import pair_part
 
 from gedlab.cli import build_parser, main, resolve_configs
 from gedlab.corpus import (
-    LabeledSentence, SentencePair, dp_align_label, read_corpus_sentences,
-    read_pair_file, write_corpus, write_pair_file,
+    LabeledSentence, SentencePair, build_corpus, dp_align_label,
+    read_corpus_sentences, read_pair_file, write_corpus, write_pair_file,
 )
 from gedlab.encoder import ModelConfig
 from gedlab.model import init_model, named_parameters
@@ -92,6 +92,24 @@ class TestExitCodes:
         assert run("eval", "--checkpoint", str(trained),
                    "--vocab", str(trained) + ".vocab",
                    "--corpus", str(bad)) == 2
+
+    @pytest.mark.parametrize("word_line", ["big dog\ti", " \tc"])
+    def test_word_with_whitespace_names_its_line(self, tmp_path, capsys,
+                                                 word_line):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"# header\nthe\tc\ndog\tc\n\nthe\tc\n# note\n"
+                       f"{word_line}\n")
+        out = tmp_path / "never.ckpt"
+        assert run("train", "--corpus", str(bad), "--seed", "3",
+                   "--epochs", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {bad}: line 7: sentence token")
+        assert errors[0].endswith("contains whitespace")
+        assert not out.exists()
 
     def test_truncated_checkpoint_is_data_error(self, tmp_path, trained):
         clipped = tmp_path / "clipped.ckpt"
@@ -298,6 +316,16 @@ class TestGenLabel:
         for name, digest in pinned.items():
             got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert got == digest, name
+        # the tokenized ids of one.tsv, hashed as the benchmark's
+        # build_corpus check does, from segmenting every word occurrence
+        corpus = build_corpus(read_corpus_sentences(tmp_path / "one.tsv"),
+                              max_len=32)
+        ids = hashlib.sha256()
+        for t in corpus.tokenized:
+            ids.update(repr((t.sub_ids, t.first_sub_index)).encode())
+        assert corpus.vocab.n_pieces == 166
+        assert ids.hexdigest() == ("80b47a587f84403a5144a94bb706245e"
+                                   "af00eeac6e1c45699a3dac3528b490c7")
 
 
 class TestManifestEnvironment:

@@ -12,7 +12,7 @@ from oracles import (
 )
 
 from gedlab.corpus import (
-    CELL_BUDGET, LABEL_ERR, LABEL_OK, RESERVED_PIECES,
+    CELL_BUDGET, LABEL_ERR, LABEL_OK, RESERVED_PIECES, UNK_ID,
     CorpusFormatError, LabeledSentence, SentencePair, TokenizedSentence,
     _check_token, _check_tokens, _chunks, _distance_matrices, align_labels,
     build_corpus, build_vocabulary, dp_align_label, edit_distance,
@@ -87,6 +87,22 @@ def mixed_pairs(rng, n):
                         max_len=40) for k in range(n)]
 
 
+def tokenize_reference(words, labels, vocab, max_len):
+    """(words, labels, sub_ids, first_sub_index) of one sentence,
+    segmenting every word occurrence with subtokenize."""
+    kept, sub_ids, first = 0, [], []
+    for w in words:
+        ids = [vocab.piece_to_id[p] for p in subtokenize(w, vocab.piece_to_id)]
+        if len(sub_ids) + len(ids) > max_len:
+            if kept:
+                break
+            ids = ids[:max_len]
+        first.append(len(sub_ids))
+        sub_ids += ids
+        kept += 1
+    return list(words[:kept]), list(labels[:kept]), sub_ids, first
+
+
 def padded_cells(shapes, chunk):
     rows = max(shapes[k][0] for k in chunk) + 1
     cols = max(shapes[k][1] for k in chunk) + 1
@@ -124,6 +140,31 @@ class TestChunkedAligner:
             want = distance_matrix_reference(s, t)[-1, -1]
             assert edit_distance(s, t) == want
             assert dp_align_label(s, t) == dp_align_label_reference(s, t)
+
+    def test_equal_sides_skip_the_matrix(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        changed = [(s, t) for s, t in mixed_pairs(rng, 80) if s != t]
+        pairs = changed + [(list(s), list(s)) for s, _ in changed[:60]]
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+        # sides as lists and tuples; a list is never == a tuple, so a
+        # pair of one of each takes the matrix, whatever its tokens
+        pairs = [(tuple(s), tuple(t)) if k % 3 == 0 else
+                 (s, tuple(t)) if k % 3 == 1 else (s, t)
+                 for k, (s, t) in enumerate(pairs)]
+        fed = []
+
+        def counted(some):
+            fed.extend(some)
+            return _distance_matrices(some)
+
+        monkeypatch.setattr("gedlab.corpus._distance_matrices", counted)
+        got = align_labels(pairs)
+        assert got == [dp_align_label_reference(s, t) for s, t in pairs]
+        assert fed == [p for p in pairs if p[0] != p[1]]
+        assert 0 < len(fed) < len(pairs) - 30
+        same = [SentencePair(list(s), list(s)) for s, _ in changed[:20]]
+        assert all(set(lab.labels) == {LABEL_OK}
+                   for lab in pairs_to_labeled(same))
 
     def test_empty_sides(self):
         assert edit_distance([], ["a", "b"]) == 2
@@ -361,6 +402,35 @@ class TestSubtokens:
             with pytest.raises(ValueError, match="c or i"):
                 TokenizedSentence(words=["a", "b"], labels=["c", bad],
                                   sub_ids=[4, 5], first_sub_index=[0, 1])
+
+    def test_build_corpus_segments_like_each_occurrence(self):
+        vocab = build_vocabulary([["dogs", "run", "dogs"], ["run", "fast"]])
+        # "dogs" and "run" repeat; "zebra" has a letter outside the
+        # vocabulary (UNK); the third sentence is cut after "runs fast",
+        # 6 pieces; "fastdogsrun", 11 pieces, is cut mid-word
+        words = [["dogs", "run", "dogs"], ["zebra", "dogs"],
+                 ["runs", "fast", "dogs", "run", "fast"],
+                 ["fastdogsrun", "run"], ["dogs"], ["fastdogsrun"],
+                 ["dogs"], ["zebra"]]
+        sentences = [LabeledSentence(w, [LABEL_ERR, LABEL_OK][:len(w)]
+                                     + [LABEL_OK] * (len(w) - 2))
+                     for w in words]
+        corpus = build_corpus(sentences, vocab=vocab, max_len=6)
+        want = [tokenize_reference(s.words, s.labels, vocab, 6)
+                for s in sentences]
+        assert [(t.words, t.labels, t.sub_ids, t.first_sub_index)
+                for t in corpus.tokenized] == want
+        assert corpus.tokenized[1].sub_ids[0] == UNK_ID
+        assert corpus.n_dropped_words == 4
+        assert len(corpus.tokenized[3].sub_ids) == 6
+        for t in corpus.tokenized:
+            assert all(type(k) is int
+                       for k in t.sub_ids + t.first_sub_index)
+        # no two sentences share a list: one append each shows once
+        for t in corpus.tokenized:
+            t.sub_ids.append(-1)
+        assert [t.sub_ids for t in corpus.tokenized] \
+            == [sub_ids + [-1] for _, _, sub_ids, _ in want]
 
     def test_overlong_first_word_is_cut(self):
         vocab = build_vocabulary([["abcdef"], ["xyz"]])
