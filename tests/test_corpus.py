@@ -412,9 +412,9 @@ class TestSubtokens:
                  ["runs", "fast", "dogs", "run", "fast"],
                  ["fastdogsrun", "run"], ["dogs"], ["fastdogsrun"],
                  ["dogs"], ["zebra"]]
-        sentences = [LabeledSentence(w, [LABEL_ERR, LABEL_OK][:len(w)]
-                                     + [LABEL_OK] * (len(w) - 2))
-                     for w in words]
+        sentences = [
+            LabeledSentence(w, [LABEL_ERR] + [LABEL_OK] * (len(w) - 1))
+            for w in words]
         corpus = build_corpus(sentences, vocab=vocab, max_len=6)
         want = [tokenize_reference(s.words, s.labels, vocab, 6)
                 for s in sentences]
