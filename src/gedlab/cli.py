@@ -20,6 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:     # not on Windows
+    resource = None
+
 from .corpus import (
     LABEL_ERR, LABEL_OK, LabeledSentence, TokenizedSentence, align_labels,
     build_corpus, generate_synthetic_pairs, merge_annotator_labels,
@@ -217,26 +222,47 @@ def _load_training_data(args):
 
 def _train_and_score(corpus, dev, model_config, train_config, ckpt):
     """Train, save to ckpt and, given a dev corpus, score the RELOADED
-    model, so `eval` on the checkpoint reproduces the numbers exactly."""
+    model, so `eval` on the checkpoint reproduces the numbers exactly.
+    Also returns the minor page faults train() took (None where the
+    resource module is missing)."""
+    faults = _minor_faults()
     result = train(corpus, model_config, train_config)
+    if faults is not None:
+        faults = _minor_faults() - faults
     save_checkpoint(result.model, ckpt)
     report = None
     if dev is not None:
         report = evaluate(load_checkpoint(ckpt), dev, seed=train_config.seed)
-    return result, report
+    return result, report, faults
+
+
+def _minor_faults() -> int | None:
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _max_rss_mb() -> float | None:
+    """Peak resident set size of this process so far, in MiB."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def cmd_train(args) -> int:
     started = time.monotonic()
     model_config, train_config, corpus, dev = _load_training_data(args)
-    result, report = _train_and_score(corpus, dev, model_config,
-                                      train_config, args.out)
+    result, report, faults = _train_and_score(corpus, dev, model_config,
+                                              train_config, args.out)
     vocab_path = f"{args.out}.vocab"
     write_vocab_file(corpus.vocab, vocab_path)
     log.info("checkpoint %s, vocabulary %s", args.out, vocab_path)
     metrics = {"epoch_losses": result.epoch_losses,
                "final_loss": result.epoch_losses[-1], "steps": result.n_steps,
-               "dropped_words": corpus.n_dropped_words}
+               "dropped_words": corpus.n_dropped_words,
+               "minor_faults": faults, "max_rss_mb": _max_rss_mb()}
     inputs = {"corpus": args.corpus}
     if report is not None:
         metrics["dev"] = report.to_dict()
@@ -331,6 +357,8 @@ def cmd_gradcheck(args) -> int:
         self_attn_heads=args.heads, layer_attn_heads=args.heads,
         ffn_dim=2 * args.hidden, vocab_size=args.vocab_size,
         max_len=args.max_len, dropout=0.0, attn_dropout=0.0)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     # wide init keeps live-path gradients above finite-difference noise
     model = init_model(config, rng, init_std=0.5)
@@ -376,8 +404,8 @@ def cmd_sweep(args) -> int:
                "dev_dropped_words": dev.n_dropped_words}
     for j, model_config in configs:
         ckpt = os.path.join(args.out_dir, f"model_j{j}.ckpt")
-        result, report = _train_and_score(corpus, dev, model_config,
-                                          train_config, ckpt)
+        result, report, _ = _train_and_score(corpus, dev, model_config,
+                                             train_config, ckpt)
         report_path = os.path.join(args.out_dir, f"report_j{j}.json")
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())

@@ -230,6 +230,45 @@ def merge_annotator_labels(label_lists: Sequence[Sequence[str]]) -> list[str]:
 
 # ------------------------------------------------------------- generator
 
+class _Sampler:
+    """The draws of np.random.default_rng(seed).random() and
+    .integers(k), for 1 <= k < 2**32, value for value, from PCG64's raw
+    64-bit words read a block at a time as Python ints.
+
+    random() is the word's top 53 bits times 2**-53.  integers(k) is
+    numpy's 32-bit Lemire draw (Lemire, arXiv 1805.10941): the high half
+    of x * k for a 32-bit x, redrawn while the low half is below
+    (2**32 - k) % k.  A word feeds two such x, low half first; its high
+    half waits for the next 32-bit draw, and random() never takes it.
+    integers(1) is 0 and draws nothing."""
+
+    __slots__ = ("_words", "_high")
+
+    def __init__(self, seed: int, block: int = 1024):
+        raw = np.random.default_rng(seed).bit_generator.random_raw
+        # raw(block) is never None, so this chain of blocks never ends
+        self._words = chain.from_iterable(
+            iter(lambda: raw(block).tolist(), None))
+        self._high: int | None = None
+
+    def random(self) -> float:
+        return (next(self._words) >> 11) * 2.0 ** -53
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        while True:
+            x = self._high
+            if x is None:
+                word = next(self._words)
+                x, self._high = word & 0xFFFFFFFF, word >> 32
+            else:
+                self._high = None
+            m = x * k
+            if (m & 0xFFFFFFFF) >= (0x100000000 - k) % k:
+                return m >> 32
+
+
 _SG_DETS = ["the", "a", "this", "that", "every"]
 _PL_DETS = ["the", "some", "these", "those", "many"]
 _DETS = set(_SG_DETS) | set(_PL_DETS)
@@ -276,29 +315,29 @@ def generator_vocabulary() -> list[str]:
     return sorted(words)
 
 
-def _noun_phrase(rng: np.random.Generator, plural: bool) -> list[str]:
+def _noun_phrase(rng: _Sampler, plural: bool) -> list[str]:
     dets = _PL_DETS if plural else _SG_DETS
-    out = [dets[int(rng.integers(len(dets)))]]
+    out = [dets[rng.integers(len(dets))]]
     if rng.random() < 0.3:
-        out.append(_ADJS[int(rng.integers(len(_ADJS)))])
-    sg, pl = _NOUNS[int(rng.integers(len(_NOUNS)))]
+        out.append(_ADJS[rng.integers(len(_ADJS))])
+    sg, pl = _NOUNS[rng.integers(len(_NOUNS))]
     out.append(pl if plural else sg)
     return out
 
 
-def _clean_sentence(rng: np.random.Generator) -> list[str]:
-    subj_plural = bool(rng.random() < 0.5)
+def _clean_sentence(rng: _Sampler) -> list[str]:
+    subj_plural = rng.random() < 0.5
     tokens = _noun_phrase(rng, subj_plural)
-    sg, pl = _VERBS[int(rng.integers(len(_VERBS)))]
+    sg, pl = _VERBS[rng.integers(len(_VERBS))]
     tokens.append(pl if subj_plural else sg)
-    tokens += _noun_phrase(rng, bool(rng.random() < 0.5))
+    tokens += _noun_phrase(rng, rng.random() < 0.5)
     if rng.random() < 0.8:
-        loc = _LOCATION_NAMES[int(rng.integers(len(_LOCATION_NAMES)))]
+        loc = _LOCATION_NAMES[rng.integers(len(_LOCATION_NAMES))]
         tokens += [_LOCATIONS[loc], "the", loc]
     return tokens
 
 
-def _corrupt(tokens: list[str], rng: np.random.Generator) -> list[str]:
+def _corrupt(tokens: list[str], rng: _Sampler) -> list[str]:
     """Apply one error; the result always differs from the input."""
     det_at = [k for k, t in enumerate(tokens) if t in _DETS]
     verb_at = [k for k, t in enumerate(tokens) if t in _VERB_SWAP]
@@ -316,22 +355,22 @@ def _corrupt(tokens: list[str], rng: np.random.Generator) -> list[str]:
     ops.append("duplicate_token")
     if swap_at:
         ops.append("transpose_tokens")
-    op = ops[int(rng.integers(len(ops)))]
+    op = ops[rng.integers(len(ops))]
     out = list(tokens)
     if op == "drop_determiner":
-        del out[det_at[int(rng.integers(len(det_at)))]]
+        del out[det_at[rng.integers(len(det_at))]]
     elif op == "break_agreement":
-        k = verb_at[int(rng.integers(len(verb_at)))]
+        k = verb_at[rng.integers(len(verb_at))]
         out[k] = _VERB_SWAP[out[k]]
     elif op == "swap_preposition":
-        k = prep_at[int(rng.integers(len(prep_at)))]
+        k = prep_at[rng.integers(len(prep_at))]
         others = [p for p in _PREPOSITIONS if p != out[k]]
-        out[k] = others[int(rng.integers(len(others)))]
+        out[k] = others[rng.integers(len(others))]
     elif op == "duplicate_token":
-        k = int(rng.integers(len(out)))
+        k = rng.integers(len(out))
         out.insert(k, out[k])
     else:
-        k = swap_at[int(rng.integers(len(swap_at)))]
+        k = swap_at[rng.integers(len(swap_at))]
         out[k], out[k + 1] = out[k + 1], out[k]
     return out
 
@@ -342,9 +381,11 @@ def generate_synthetic_pairs(n: int, seed: int,
     probability error_rate by exactly one injected error."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= error_rate <= 1.0:
         raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
-    rng = np.random.default_rng(seed)
+    rng = _Sampler(seed)
     pairs = []
     for _ in range(n):
         clean = _clean_sentence(rng)

@@ -60,6 +60,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {b}")
         if self.adam_eps <= 0:
             raise ValueError("adam_eps must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)

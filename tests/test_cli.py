@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from oracles import pair_part
 
+import gedlab.cli
 from gedlab.cli import build_parser, main, resolve_configs
 from gedlab.corpus import (
     LabeledSentence, SentencePair, build_corpus, dp_align_label,
@@ -85,6 +86,27 @@ class TestExitCodes:
     def test_bad_error_rate_is_data_error(self, tmp_path):
         assert run("gen", "--n", "5", "--seed", "1", "--error-rate", "1.5",
                    "--out", str(tmp_path / "p.tsv")) == 2
+
+    @pytest.mark.parametrize("command", ["gen", "train", "sweep",
+                                         "gradcheck"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, command):
+        # the corpus files are absent: the seed must fail before any
+        # input is read and before anything is written
+        out, absent = str(tmp_path / "out"), str(tmp_path / "absent.tsv")
+        argv = {"gen": ["--n", "5", "--out", out],
+                "train": ["--corpus", absent, "--out", out],
+                "sweep": ["--heads", "1", "--corpus", absent,
+                          "--dev", absent, "--out-dir", out],
+                "gradcheck": []}[command]
+        assert run(command, *argv, "--seed", "-1") == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert errors[0].endswith("seed must be >= 0, got -1")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_corpus_is_data_error(self, tmp_path, trained):
         bad = tmp_path / "bad.tsv"
@@ -284,11 +306,11 @@ class TestGenLabel:
                    "--out", str(tmp_path / "m.tsv")) == 2
 
     def test_outputs_are_pinned_bytes(self, tmp_path):
-        # sha256 of files written by the scalar one-pair aligner and the
-        # rng.choice generator; a moved draw or tie rule changes them.
-        # The second annotator keeps seed 7's sources and takes seed 8's
-        # corrections, unrelated sentences, so the union file leans on
-        # every tie rule
+        # sha256 of files written by the generator (PCG64's raw words)
+        # and the batched aligner; a moved draw or tie rule changes
+        # them.  The second annotator keeps seed 7's sources and takes
+        # seed 8's corrections, unrelated sentences, so the union file
+        # leans on every tie rule
         for seed, name in ((7, "a.pairs"), (8, "c.pairs")):
             assert run("gen", "--n", "2000", "--seed", str(seed),
                        "--error-rate", "0.5",
@@ -400,6 +422,25 @@ class TestTrainEval:
         assert manifest["config"]["train"]["epochs"] == 2
         assert len(manifest["metrics"]["epoch_losses"]) == 2
         assert set(manifest["checksums"]) == {"checkpoint", "vocab"}
+
+    def test_manifest_reports_faults_and_peak_rss(self, workdir, trained,
+                                                  tmp_path, monkeypatch):
+        metrics = json.loads((workdir / "model.ckpt.manifest.json")
+                             .read_text())["metrics"]
+        assert type(metrics["minor_faults"]) is int
+        assert metrics["minor_faults"] >= 0
+        assert 1.0 < metrics["max_rss_mb"] < 4096.0
+        # where the resource module is missing both are null
+        monkeypatch.setattr(gedlab.cli, "resource", None)
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--corpus", str(workdir / "corpus.tsv"),
+                   "--seed", "3", "--epochs", "1", "--layers", "1",
+                   "--hidden", "8", "--self-attn-heads", "1",
+                   "--heads", "1", "--ffn-dim", "8", "--out", str(out)) == 0
+        metrics = json.loads((tmp_path / "m.ckpt.manifest.json")
+                             .read_text())["metrics"]
+        assert metrics["minor_faults"] is None
+        assert metrics["max_rss_mb"] is None
 
     def test_eval_reproduces_manifest_f_half_exactly(self, workdir, trained,
                                                      tmp_path):

@@ -1,6 +1,7 @@
 """Corpus machinery against a brute-force alignment oracle and the
 scalar aligner it replaced, plus generator, tokenizer and file-format
 contracts."""
+import functools
 import sys
 import tracemalloc
 
@@ -11,10 +12,12 @@ from oracles import (
     oracle_labels, random_pair,
 )
 
+import gedlab.corpus
 from gedlab.corpus import (
     CELL_BUDGET, LABEL_ERR, LABEL_OK, RESERVED_PIECES, UNK_ID,
     CorpusFormatError, LabeledSentence, SentencePair, TokenizedSentence,
-    _check_token, _check_tokens, _chunks, _distance_matrices, align_labels,
+    _check_token, _check_tokens, _chunks, _distance_matrices, _Sampler,
+    align_labels,
     build_corpus, build_vocabulary, dp_align_label, edit_distance,
     generate_synthetic_pairs, generator_vocabulary, merge_annotator_labels,
     pairs_to_labeled, read_corpus, read_corpus_sentences, read_pair_file,
@@ -313,6 +316,8 @@ class TestGenerator:
             generate_synthetic_pairs(5, seed=0, error_rate=1.5)
         with pytest.raises(ValueError, match=">= 0"):
             generate_synthetic_pairs(-1, seed=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            generate_synthetic_pairs(5, seed=-3)
 
     def test_labeling_generated_pairs(self):
         pairs = generate_synthetic_pairs(30, seed=9, error_rate=0.5)
@@ -321,6 +326,93 @@ class TestGenerator:
         for p, s in zip(pairs, labeled):
             assert s.words == list(p.source)
             assert len(s.labels) == len(s.words)
+
+
+class NumpyDraws:
+    """The draws the generator makes, from numpy's own Generator."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self):
+        return float(self.rng.random())
+
+    def integers(self, k):
+        return int(self.rng.integers(k))
+
+
+# small k, k = 1 (no word drawn), 2**31 + 1 (about half of all 32-bit
+# draws rejected) and 2**32 - 1 (the widest k the 32-bit draw serves)
+SAMPLER_KS = [1, 2, 3, 5, 12, 26, 1000, 2**31 + 1, 2**32 - 1]
+
+
+class TestSampler:
+    """corpus._Sampler against numpy's Generator as the oracle."""
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_mixed_draws_match_numpy(self, block, seed):
+        # index len(SAMPLER_KS) is a random() call
+        plan = np.random.default_rng(seed + 1).integers(
+            len(SAMPLER_KS) + 1, size=4000).tolist()
+        oracle = np.random.default_rng(seed)
+        sampler = _Sampler(seed) if block is None else _Sampler(seed, block)
+        for op in plan:
+            if op == len(SAMPLER_KS):
+                got, want = sampler.random(), oracle.random()
+                assert type(got) is float
+            else:
+                k = SAMPLER_KS[op]
+                got, want = sampler.integers(k), oracle.integers(k)
+                assert type(got) is int and 0 <= got < k
+            assert got == want
+
+    def test_rejections_are_redrawn(self):
+        # at k = 2**31 + 1 a 32-bit x is rejected when x + (x & 1) * 2**31
+        # wraps below 2**31 - 1; numpy redraws until one is kept
+        k = 2**31 + 1
+        oracle = np.random.default_rng(3)
+        raw = np.random.default_rng(3).bit_generator.random_raw(200)
+        halves = [h for w in raw.tolist()
+                  for h in (w & 0xFFFFFFFF, w >> 32)]
+        kept = [x for x in halves
+                if (x * k) & 0xFFFFFFFF >= (2**32 - k) % k]
+        assert 0.3 < 1 - len(kept) / len(halves) < 0.7
+        sampler = _Sampler(3, 7)
+        for x in kept:
+            assert sampler.integers(k) == oracle.integers(k) == x * k >> 32
+
+    def test_k_one_draws_nothing(self):
+        sampler = _Sampler(11, 1)
+        oracle = np.random.default_rng(11)
+        assert [sampler.integers(1) for _ in range(5)] == [0] * 5
+        assert sampler.random() == oracle.random()
+        assert sampler.integers(1) == 0
+        assert sampler.integers(26) == oracle.integers(26)
+
+    def test_random_keeps_the_pending_half(self):
+        # integers takes a word's low half; the high half waits through
+        # any number of random() calls for the next 32-bit draw
+        sampler = _Sampler(5)
+        oracle = np.random.default_rng(5)
+        for _ in range(50):
+            assert sampler.integers(12) == oracle.integers(12)
+            assert sampler.random() == oracle.random()
+            assert sampler.random() == oracle.random()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_pairs_do_not_depend_on_the_block(self, monkeypatch, block):
+        want = generate_synthetic_pairs(300, seed=4, error_rate=0.5)
+        monkeypatch.setattr(gedlab.corpus, "_Sampler",
+                            functools.partial(_Sampler, block=block))
+        assert generate_synthetic_pairs(300, seed=4, error_rate=0.5) == want
+
+    @pytest.mark.parametrize("seed,error_rate", [(0, 0.5), (7, 1.0),
+                                                 (123, 0.25)])
+    def test_pairs_match_numpy_draws(self, monkeypatch, seed, error_rate):
+        want = generate_synthetic_pairs(300, seed, error_rate)
+        monkeypatch.setattr(gedlab.corpus, "_Sampler", NumpyDraws)
+        assert generate_synthetic_pairs(300, seed, error_rate) == want
 
 
 class TestSubtokens:
