@@ -9,6 +9,7 @@ commands print their record to stdout instead.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -54,6 +55,16 @@ _MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _FIELDS = _MODEL_FIELDS | _TRAIN_FIELDS
 
+# glibc's mallopt parameters (malloc.h) and the values main gives them: a
+# freed heap top is kept unless it exceeds 1 GiB, and blocks under 32 MiB
+# (every array of a desk-scale step) come from the heap, not from mmap
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+TRIM_THRESHOLD = 1 << 30
+MMAP_THRESHOLD = 32 << 20
+# whether this process's main() kept the freed heap; run records say so
+_heap_kept = False
+
 
 class UsageError(Exception):
     pass
@@ -71,11 +82,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _keep_freed_heap() -> bool:
+    """Stop glibc from handing freed heap back to the kernel, so a
+    training step reuses the pages the last one freed instead of
+    faulting them in afresh.  Setting the trim threshold alone would
+    also freeze glibc's dynamic mmap threshold at 128 KiB and map every
+    larger array anew, so both are set.  True when both mallopt calls
+    succeeded; False, and nothing done, where the C library is not
+    glibc (macOS, Windows, musl).  Never raises."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    trim = mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    mmap = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    return trim == 1 and mmap == 1
+
+
 def numeric_environment() -> dict:
     """What besides the inputs decides a run's last bits: the numpy
     version, the BLAS numpy was built with, and the BLAS thread setting
     (None when the count was left to the library).  numpy before 1.26
-    cannot report its BLAS as data; the BLAS fields are None there."""
+    cannot report its BLAS as data; the BLAS fields are None there.
+    `heap_kept` says whether main() set the allocator to keep freed
+    heap (_keep_freed_heap); it decides speed, not bits."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:   # no mode argument: it would only print
@@ -84,7 +116,8 @@ def numeric_environment() -> dict:
     threads = (os.environ.get("OPENBLAS_NUM_THREADS")
                or os.environ.get("OMP_NUM_THREADS"))
     return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "blas_threads": threads}
+            "blas_version": blas.get("version"), "blas_threads": threads,
+            "heap_kept": _heap_kept}
 
 
 @dataclass
@@ -542,6 +575,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # the CLI owns its process; library callers keep their own allocator
+    global _heap_kept
+    _heap_kept = _keep_freed_heap()
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(message)s")
     argv = list(sys.argv[1:]) if argv is None else list(argv)

@@ -358,7 +358,8 @@ class TestManifestEnvironment:
     @staticmethod
     def environment(path):
         env = json.loads(path.read_text())["environment"]
-        assert set(env) == {"numpy", "blas", "blas_version", "blas_threads"}
+        assert set(env) == {"numpy", "blas", "blas_version", "blas_threads",
+                            "heap_kept"}
         assert env["numpy"] == np.__version__
         assert isinstance(env["blas"], str) and env["blas"]
         assert isinstance(env["blas_version"], str)
