@@ -248,6 +248,9 @@ def _load_training_data(args):
     if args.dev:
         dev = build_corpus(read_corpus_sentences(args.dev),
                            vocab=corpus.vocab, max_len=model_config.max_len)
+        if not dev.tokenized:
+            raise ValueError(f"{args.dev}: corpus has no word positions to "
+                             f"score")
     model_config = dataclasses.replace(model_config,
                                        vocab_size=corpus.vocab.n_pieces)
     return model_config, train_config, corpus, dev

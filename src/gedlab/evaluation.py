@@ -125,8 +125,11 @@ def evaluate(model: Model, corpus: LabeledCorpus,
              seed: int | None = None) -> EvalReport:
     """Corpus-wide counts first, then the metrics.  Eval mode, in
     length-sorted batches under no_grad; a probability tie goes to the
-    clean class, as in predict_labels."""
+    clean class, as in predict_labels.  A corpus without words is a
+    ValueError: it has nothing to score."""
     sentences = corpus.tokenized
+    if not any(s.first_sub_index for s in sentences):
+        raise ValueError("corpus has no word positions to score")
     tp = fp = fn = tn = 0
     with no_grad():
         for batch in _length_sorted_batches(sentences):

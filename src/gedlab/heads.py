@@ -7,15 +7,14 @@ feed it:
 * avgl: the average of per-layer linear transforms of states 1..L.
 * mhmla: per token, several attention heads score states 1..L, softmax
   over depth, and mix per-layer value projections with those weights;
-  the concatenated heads feed the output layer.  Its only loop is over
-  layers: one key and one value map per layer serve all J heads, and
-  one score vector serves every (layer, head) pair.  Parameters are
-  stored in those shapes, so no forward re-joins them.
+  the heads side by side feed the output layer.  One key and one value
+  map per layer serve all J heads, and one score vector every (layer,
+  head) pair.  The head up to the logits is one tensor.depth_attention
+  node, which takes the parameters in the shapes they are stored in.
 
-Every affine map x W + b is one tensor.linear node, and each relu
-key map one tensor.linear_relu node.  The embedding
-state (index 0) never participates; depth attention runs over layers
-1..L only.
+The other heads' affine maps x W + b are one tensor.linear node each.
+The embedding state (index 0) never participates; depth attention runs
+over layers 1..L only.
 
 head_shapes is the one statement of a head's parameter layout: each
 tensor's checkpoint name and shape, in the model buffer's order.
@@ -32,8 +31,7 @@ import numpy as np
 
 from .encoder import INIT_STD, ModelConfig, draw_normal
 from .tensor import (
-    Tensor, add, concat, dropout, linear, linear_relu, mul, reshape, scale,
-    softmax,
+    Tensor, add, depth_attention, dropout, linear, scale, softmax,
 )
 
 
@@ -158,17 +156,11 @@ def _check_states(states, config: ModelConfig) -> None:
                 f"state {lvl} has shape {s.shape}, expected ({n}, {config.hidden})")
 
 
-def _maybe_drop(x: Tensor, rate: float, train_mode: bool, rng) -> Tensor:
-    if train_mode and rate > 0.0:
-        return dropout(x, rate, rng)
-    return x
-
-
 def final_layer_forward(states, params: FinalHeadParams, config: ModelConfig,
                         train_mode: bool = False, rng=None) -> Tensor:
     """softmax(h^L W + b) per token."""
     _check_states(states, config)
-    h = _maybe_drop(states[-1], config.dropout, train_mode, rng)
+    h = dropout(states[-1], config.dropout if train_mode else 0.0, rng)
     return softmax(linear(h, params.w_out, params.b_out), axis=1)
 
 
@@ -180,65 +172,29 @@ def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
         raise ValueError("avgl params do not match n_layers")
     total = None
     for l in range(config.n_layers):
-        h = _maybe_drop(states[l + 1], config.dropout, train_mode, rng)
+        h = dropout(states[l + 1], config.dropout if train_mode else 0.0, rng)
         term = linear(h, params.w_proj[l], params.b_proj[l])
         total = term if total is None else add(total, term)
     c = scale(total, 1.0 / config.n_layers)
     return softmax(linear(c, params.w_out, params.b_out), axis=1)
 
 
-def _depth_weights(states, params: MhmlaHeadParams, config: ModelConfig,
-                   train_mode: bool, rng):
-    """The dropped-out states 1..L and the [n, L, J] depth-attention
-    weights, [n, l, j] being head j's weight on encoder layer l+1.
-
-    One linear_relu per layer gives all J heads' [n x J*dk] keys, and
-    one linear with w_a laid out block-diagonally scores them all."""
-    _check_states(states, config)
-    L, J, dk = config.n_layers, config.layer_attn_heads, config.key_dim
-    states_d = [_maybe_drop(s, config.dropout, train_mode, rng)
-                for s in states[1:]]
-    keys = concat([
-        _maybe_drop(linear_relu(states_d[l], params.w_k[l], params.b_k[l]),
-                    config.dropout, train_mode, rng) for l in range(L)])
-    # keys is [n x L*J*dk], pair (l, j) in the dk columns from
-    # (l*J + j)*dk; its dk rows of w_a score them in column l*J + j
-    blocks = Tensor(np.repeat(np.eye(L * J), dk, axis=0))
-    scores = linear(keys, mul(blocks, params.w_a), params.b_a)
-    weights = softmax(reshape(scores, (scores.shape[0], L, J)), axis=1)
-    weights = _maybe_drop(weights, config.attn_dropout, train_mode, rng)
-    return states_d, weights
-
-
 def layer_attention_weights(states, params: MhmlaHeadParams,
                             config: ModelConfig, train_mode: bool = False,
                             rng=None) -> AttentionRecord:
     """Just the depth-attention distributions, as a record."""
-    _, weights = _depth_weights(states, params, config, train_mode, rng)
-    return AttentionRecord(weights.data.transpose(0, 2, 1))
+    return mhmla_forward(states, params, config, train_mode, rng)[1]
 
 
 def mhmla_forward(states, params: MhmlaHeadParams, config: ModelConfig,
                   train_mode: bool = False,
                   rng=None) -> tuple[Tensor, AttentionRecord]:
-    """Class probabilities plus the attention weights that produced them.
-
-    Per layer l, one linear gives every head's values
-    v^l = h^l W_v^l + b_v^l, head j in columns j*H/J .. (j+1)*H/J, and
-    one broadcast mul weighs them by the depth weights.  The J heads
-    side by side, the sum over layers of those weighted values, feed
-    the output layer: one linear against W_out stacked L times both sums
-    and maps them.
-    """
-    L, J, h = config.n_layers, config.layer_attn_heads, config.hidden
-    states_d, weights = _depth_weights(states, params, config, train_mode,
-                                       rng)
-    n = weights.shape[0]
-    values = concat([linear(states_d[l], params.w_v[l], params.b_v[l])
-                     for l in range(L)])
-    mixed = mul(reshape(values, (n, L, J, h // J)),
-                reshape(weights, (n, L, J, 1)))
-    logits = linear(reshape(mixed, (n, L * h)), concat([params.w_out] * L, 0),
-                    params.b_out)
-    probs = softmax(logits, axis=1)
-    return probs, AttentionRecord(weights.data.transpose(0, 2, 1))
+    """Class probabilities plus the attention weights that produced them:
+    tensor.depth_attention over states 1..L, then a softmax."""
+    _check_states(states, config)
+    rates = (config.dropout, config.attn_dropout) if train_mode else (0.0, 0.0)
+    logits, weights = depth_attention(
+        states[1:], params.w_k, params.b_k, params.w_a, params.b_a,
+        params.w_v, params.b_v, params.w_out, params.b_out, *rates, rng)
+    record = AttentionRecord(weights.transpose(0, 2, 1))
+    return softmax(logits, axis=1), record

@@ -4,17 +4,11 @@ Define-by-run: every differentiable operation appends its result to a
 thread-local tape, so creation order is a valid topological order and
 backward() can walk the tape once, in reverse.
 
-One broadcasting rule: add(a, b) and mul(a, b) take a b that numpy
-broadcasts into a's shape (a row [h] on [n x h] for a bias or a gain, a
-column [n x 1] for one weight per row), and backward sums b's gradient
-over the broadcast axes.  The result always has a's shape: a b that
-would grow it, or does not broadcast, is a ValueError naming both
-shapes.  No other op broadcasts: linear, linear_relu, self_attention
-and residual_norm take their bias and gain rows at exactly the output
-width.
+No op broadcasts: add and mul take two tensors of one shape, and the
+fused ops take their bias and gain rows at exactly the output width.
 
-The fused ops (linear, linear_relu, self_attention, residual_norm)
-record one node each and keep only the arrays their hand-written
+The fused ops (linear, linear_relu, self_attention, residual_norm and
+depth_attention) record one node each and keep only the arrays their
 backwards read.  Each backward hands out its gradients in the order
 that separate nodes for the same arithmetic would, so a tensor that
 several ops read sums its gradients in the same order, bit for bit.
@@ -37,7 +31,7 @@ FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 __all__ = [
     "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
     "add", "mul", "scale", "linear", "linear_relu", "softmax", "dropout",
-    "self_attention", "residual_norm", "gather_rows", "concat", "reshape",
+    "self_attention", "residual_norm", "depth_attention", "gather_rows",
     "sum_all",
     "cross_entropy", "finite_diff_check", "GradCheckReport",
     "PROB_CLAMP", "MASK_LOGIT", "NORM_EPS", "FD_ZERO_TOL",
@@ -76,12 +70,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -167,45 +155,30 @@ def _need_2d(x: Tensor, op: str) -> None:
 
 # ---------------------------------------------------------------- arithmetic
 
-def _into(op, a: Tensor, b: Tensor) -> Tensor:
-    """op(a, b) under the module's broadcasting rule: b into a's shape."""
-    try:
-        y = op(a.data, b.data)
-    except ValueError:
-        pass
-    else:
-        if y.shape == a.shape:
-            return Tensor(y)
-    raise ValueError(f"{op.__name__} shape mismatch: {b.shape} does not "
-                     f"broadcast into {a.shape}")
-
-
-def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient of a's shape over the axes b was broadcast along."""
-    if g.shape == shape:
-        return g
-    if g.ndim > len(shape):
-        return _sum_to(g.sum(axis=0), shape)
-    return g.sum(axis=tuple(i for i, n in enumerate(shape) if n == 1),
-                 keepdims=True)
+def _into(name: str, op, a: Tensor, b: Tensor) -> Tensor:
+    """op(a, b) for two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ValueError(f"{name} needs two tensors of one shape, got "
+                         f"{a.shape} and {b.shape}")
+    return Tensor(op(a.data, b.data))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _into(np.add, a, b)
+    out = _into("add", np.add, a, b)
 
     def bwd(g, pending):
         _acc(pending, a, g)
-        _acc(pending, b, _sum_to(g, b.shape))
+        _acc(pending, b, g)
 
     return _record(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _into(np.multiply, a, b)
+    out = _into("mul", np.multiply, a, b)
 
     def bwd(g, pending):
         _acc(pending, a, g * b.data)
-        _acc(pending, b, _sum_to(g * a.data, b.shape))
+        _acc(pending, b, g * a.data)
 
     return _record(out, (a, b), bwd)
 
@@ -453,6 +426,107 @@ def residual_norm(h: Tensor, x: Tensor, w: Tensor, b: Tensor, gain: Tensor,
     return _record(Tensor(out), (h, x, w, b, gain, bias), bwd)
 
 
+def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
+                    b_a: Tensor, w_v, b_v, w_out: Tensor, b_out: Tensor,
+                    rate: float = 0.0, attn_rate: float = 0.0,
+                    rng: np.random.Generator | None = None):
+    """Multi-head multi-layer attention over L states [n x h] up to the
+    class logits, as one node.  Layer l's keys relu(states[l] @ w_k[l]
+    + b_k[l]) hold J heads' dk columns side by side, J = len(b_a) / L.
+    One product with w_a [L*J*dk x 1] laid out block-diagonally, plus
+    b_a, scores every (layer, head) pair; a softmax over layers weighs
+    each head's columns of the values states[l] @ w_v[l] + b_v[l]; one
+    product with w_out stacked L times sums them over layers: logits.
+
+    With rate > 0, dropout draws a mask for every state, then for every
+    layer's keys; with attn_rate > 0, one for the weights.  Returns
+    (logits, weights [n, L, J] as used).  Backward hands out gradients
+    in the order separate nodes would: w_out's L slices in layer order,
+    and each state its value gradient before its key gradient.
+    """
+    L, lens = len(states), [len(p) for p in (w_k, b_k, w_v, b_v)]
+    if not L or len({s.shape for s in states}) > 1 or lens != [L] * 4:
+        raise ValueError(f"depth_attention needs L states of one shape and "
+                         f"L each of w_k, b_k, w_v and b_v, got "
+                         f"{[s.shape for s in states]} and {lens}")
+    _check_affine("depth_attention", states[0], w_k, b_k,
+                  "states [n x h], w_k [h x J*dk] and b_k [J*dk]")
+    _check_affine("depth_attention", states[0], w_v, b_v,
+                  "states [n x h], w_v [h x m] and b_v [m]")
+    n, kw, m = states[0].shape[0], w_k[0].shape[1], w_v[0].shape[1]
+    J = b_a.shape[0] // L if b_a.data.ndim == 1 else 0
+    if not J or b_a.shape != (L * J,) or kw % J:
+        raise ValueError(f"depth_attention needs b_a [L*J] for L = {L} and "
+                         f"J heads that split {kw} key columns, got "
+                         f"{b_a.shape}")
+    if w_a.shape != (L * kw, 1):
+        raise ValueError(f"depth_attention needs w_a [L*J*dk x 1] = "
+                         f"{(L * kw, 1)}, got {w_a.shape}")
+    if m % J:
+        raise ValueError(f"depth_attention: {m} value columns do not split "
+                         f"into {J} heads")
+    _check_affine("depth_attention", w_v[0], (w_out,), (b_out,),
+                  "w_v [h x m], w_out [m x c] and b_out [c]")
+    _check_rate(rate, rng)
+    _check_rate(attn_rate, rng)
+    keep_s = [_keep_mask(s.shape, rate, rng) for s in states]
+
+    def dropped():      # the states after dropout, as Tensors off the tape
+        return [s if k is None else Tensor(s.data * k, s.requires_grad)
+                for s, k in zip(states, keep_s)]
+
+    xs = dropped()
+    relu = [np.maximum(_affine(x, w, b), 0.0)
+            for x, w, b in zip(xs, w_k, b_k)]
+    keep_k = [_keep_mask(r.shape, rate, rng) for r in relu]
+    keys = np.concatenate([r if k is None else r * k
+                           for r, k in zip(relu, keep_k)], axis=1)
+    del relu
+    # pair (l, j) owns the dk key columns from (l*J + j)*dk and as many
+    # rows of w_a, which score them in column l*J + j
+    blocks = np.repeat(np.eye(L * J), kw // J, axis=0)
+    mw = blocks * w_a.data
+    scores = (keys @ mw + b_a.data).reshape(n, L, J)
+    keys = keys if _grad_enabled() else None    # only backward reads them
+    p = np.exp(scores - scores.max(axis=1, keepdims=True))
+    p = p / p.sum(axis=1, keepdims=True)        # softmax over layers
+    keep_w = _keep_mask(p.shape, attn_rate, rng)
+    weights = p if keep_w is None else p * keep_w
+    values = np.concatenate([_affine(x, w, b)
+                             for x, w, b in zip(xs, w_v, b_v)], axis=1)
+    by_head = (n, L, J, m // J)
+    mixed = (values.reshape(by_head) * weights[..., None]).reshape(n, L * m)
+    w_cat = np.concatenate([w_out.data] * L)
+
+    def bwd(g, pending):
+        _acc(pending, b_out, g.sum(axis=0))
+        gm = (g @ w_cat.T).reshape(by_head)
+        for part in np.split(mixed.T @ g, L):
+            _acc(pending, w_out, part)
+        gv = np.split((gm * weights[..., None]).reshape(n, L * m), L, axis=1)
+        gw = (gm * values.reshape(by_head)).sum(axis=-1)
+        gw = gw if keep_w is None else gw * keep_w
+        gs = p * (gw - (gw * p).sum(axis=1, keepdims=True))
+        gs = gs.reshape(n, L * J)
+        _acc(pending, b_a, gs.sum(axis=0))
+        gk = gs @ mw.T
+        _acc(pending, w_a, ((keys.T @ gs) * blocks).sum(axis=1, keepdims=True))
+        ds = dropped()
+        for l in reversed(range(L)):
+            _affine_grads(pending, ds[l], w_v[l], b_v[l], gv[l])
+        for l in reversed(range(L)):
+            c = slice(l * kw, (l + 1) * kw)
+            gl = gk[:, c] if keep_k[l] is None else gk[:, c] * keep_k[l]
+            _affine_grads(pending, ds[l], w_k[l], b_k[l],
+                          gl * (keys[:, c] > 0.0))
+        for s, d, k in reversed(list(zip(states, ds, keep_s))):
+            if d is not s and d in pending:
+                _acc(pending, s, pending.pop(d) * k)
+
+    inputs = (*states, *w_k, *b_k, w_a, b_a, *w_v, *b_v, w_out, b_out)
+    return _record(Tensor(mixed @ w_cat + b_out.data), inputs, bwd), weights
+
+
 # ------------------------------------------------------------ shape plumbing
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -478,36 +552,6 @@ def gather_rows(x: Tensor, indices) -> Tensor:
             else:
                 np.add.at(dx, idx, g)
             _acc(pending, x, dx)
-
-    return _record(out, (x,), bwd)
-
-
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Join tensors of one rank along axis; every other axis must agree.
-    Backward hands each part its slice of the gradient."""
-    parts = list(parts)
-    try:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    except ValueError:
-        raise ValueError(f"concat cannot join {[p.shape for p in parts]} "
-                         f"along axis {axis}") from None
-
-    def bwd(g, pending):
-        cuts = np.cumsum([p.shape[axis] for p in parts])[:-1]
-        for p, gp in zip(parts, np.split(g, cuts, axis=axis)):
-            _acc(pending, p, gp)
-
-    return _record(out, tuple(parts), bwd)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """The same entries, in row-major order, in a new shape."""
-    if math.prod(shape) != x.data.size:
-        raise ValueError(f"reshape: {x.shape} does not fit into {shape}")
-    out = Tensor(x.data.reshape(shape))
-
-    def bwd(g, pending):
-        _acc(pending, x, g.reshape(x.shape))
 
     return _record(out, (x,), bwd)
 

@@ -13,12 +13,14 @@ one pair at a time in plain numpy.  linear_reference and
 layer_norm_reference are the unfused numpy forms of an affine map and
 an affine layer norm; linear_relu_reference, residual_norm_reference and
 self_attention_reference build the fused encoder ops from them (and
-numpy attention), handing out gradients in the order separate tape
+numpy attention), and depth_attention_reference the MHMLA head up to
+its logits, each handing out gradients in the order separate tape
 nodes would.  adam_reference is Adam as one loop over the
 parameter tensors, with its moments in per-name dicts.
 """
 import copy
 import functools
+import operator
 
 import numpy as np
 
@@ -273,6 +275,64 @@ def self_attention_reference(h, w_q, b_q, w_k, w_v, b_v, key_real,
     _, dh_k, dw_k, _ = linear_reference(h, w_k, np.zeros(width), dk)
     _, dh_q, dw_q, db_q = linear_reference(h, w_q, b_q, dq)
     return out, dh_held + dh_v + dh_k + dh_q, dw_q, db_q, dw_k, dw_v, db_v
+
+
+def depth_attention_reference(states, w_k, b_k, w_a, b_a, w_v, b_v, w_out,
+                              b_out, keep_s, keep_k, keep_w, g):
+    """The MHMLA head up to its logits as the separate ops it once was:
+    per layer a state dropout, a relu key map and a key dropout; the
+    keys joined and scored against w_a masked block-diagonally; a
+    softmax over layers of the scores as [n, L, J] and a dropout of the
+    weights; per layer a value map; the joined values weighted per head;
+    and one map against w_out stacked L times.  keep_s and keep_k are
+    per-layer dropout multipliers (or Nones), keep_w one (or None).
+
+    Then the gradients for an upstream g, the ops' backwards taken in
+    reverse: (logits, weights, d_states, dw_k, db_k, dw_a, db_a, dw_v,
+    db_v, dw_out, db_out), the per-layer ones as lists; w_out sums its
+    L slices in layer order.  Every state is its own array, so its
+    value and key gradients add without an order to keep."""
+    L, J = len(states), b_a.shape[0] // len(states)
+    n, kw, dv = states[0].shape[0], w_k[0].shape[1], w_v[0].shape[1] // J
+
+    def drop(x, keep):
+        return x if keep is None else x * keep
+
+    xs = [drop(s, k) for s, k in zip(states, keep_s)]
+    relu = [np.maximum(x @ w + b, 0.0) for x, w, b in zip(xs, w_k, b_k)]
+    keys = np.concatenate([drop(r, k) for r, k in zip(relu, keep_k)], axis=1)
+    blocks = np.repeat(np.eye(L * J), kw // J, axis=0)
+    masked = blocks * w_a
+    p = _softmax((keys @ masked + b_a).reshape(n, L, J), axis=1)
+    weights = drop(p, keep_w)
+    values = np.concatenate([x @ w + b for x, w, b in zip(xs, w_v, b_v)],
+                            axis=1)
+    mixed = values.reshape(n, L, J, dv) * weights.reshape(n, L, J, 1)
+    logits, d_mixed, dw_cat, db_out = linear_reference(
+        mixed.reshape(n, L * J * dv), np.concatenate([w_out] * L), b_out, g)
+    dw_out = functools.reduce(operator.add, np.split(dw_cat, L))
+    d4 = d_mixed.reshape(n, L, J, dv)
+    d_values = np.split((d4 * weights.reshape(n, L, J, 1)).reshape(n, -1),
+                        L, axis=1)
+    d_p = drop((d4 * values.reshape(n, L, J, dv)).sum(axis=3), keep_w)
+    d_scores = p * (d_p - (d_p * p).sum(axis=1, keepdims=True))
+    _, d_keys, d_masked, db_a = linear_reference(
+        keys, masked, b_a, d_scores.reshape(n, L * J))
+    dw_a = (d_masked * blocks).sum(axis=1, keepdims=True)
+    d_key_parts = np.split(d_keys, L, axis=1)
+    d_states, dw_k, db_k, dw_v, db_v = [], [], [], [], []
+    for l in range(L):
+        _, dx_v, dwv, dbv = linear_reference(xs[l], w_v[l], b_v[l],
+                                             d_values[l])
+        _, dx_k, dwk, dbk = linear_relu_reference(
+            xs[l], w_k[l], b_k[l], drop(d_key_parts[l], keep_k[l]))
+        d_states.append(drop(dx_v + dx_k, keep_s[l]))
+        dw_k.append(dwk)
+        db_k.append(dbk)
+        dw_v.append(dwv)
+        db_v.append(dbv)
+    return (logits, weights, d_states, dw_k, db_k, dw_a, db_a, dw_v, db_v,
+            dw_out, db_out)
 
 
 def adam_reference(named_params, state, config):

@@ -133,6 +133,41 @@ class TestExitCodes:
         assert errors[0].endswith("contains whitespace")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, ends", [
+        pytest.param("eval", "corpus has no word positions to score",
+                     id="eval"),
+        pytest.param("attn", "corpus has no word positions to average over",
+                     id="attn"),
+    ])
+    def test_corpus_without_words_is_data_error(self, tmp_path, capsys,
+                                                trained, command, ends):
+        comments = tmp_path / "comments.tsv"
+        comments.write_text("# header\n\n# no sentence follows\n")
+        out = tmp_path / "out"
+        assert run(command, "--checkpoint", str(trained),
+                   "--vocab", str(trained) + ".vocab",
+                   "--corpus", str(comments), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert errors == [f"error: {ends}"]
+        assert sorted(tmp_path.iterdir()) == [comments]
+
+    def test_dev_without_words_fails_before_training(self, workdir,
+                                                     tmp_path, capsys):
+        comments = tmp_path / "comments.tsv"
+        comments.write_text("# header\n")
+        out = tmp_path / "never.ckpt"
+        assert run("train", "--corpus", str(workdir / "corpus.tsv"),
+                   "--dev", str(comments), "--seed", "3", "--epochs", "1",
+                   "--out", str(out)) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ")]
+        assert errors == [f"error: {comments}: corpus has no word positions "
+                          f"to score"]
+        assert sorted(tmp_path.iterdir()) == [comments]
+
     def test_truncated_checkpoint_is_data_error(self, tmp_path, trained):
         clipped = tmp_path / "clipped.ckpt"
         clipped.write_bytes(trained.read_bytes()[:100])
