@@ -7,9 +7,11 @@ import tempfile
 from pathlib import Path
 
 from gedlab import (
-    ModelConfig, TrainConfig, build_corpus,evaluate, generate_synthetic_pairs,
-    load_checkpoint, pairs_to_labeled, predict_labels, save_checkpoint, train,
+    ModelConfig, TrainConfig, build_corpus, evaluate, generate_synthetic_pairs,
+    load_checkpoint, no_grad, pairs_to_labeled, save_checkpoint, train,
 )
+from gedlab.evaluation import CLASS_ERR
+from gedlab.model import forward_batch
 
 train_pairs = generate_synthetic_pairs(800, seed=100, error_rate=0.5)
 corpus = build_corpus(pairs_to_labeled(train_pairs), max_len=32)
@@ -40,8 +42,11 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\ncheckpoint:", path.stat().st_size, "bytes")
     model = load_checkpoint(path)
 
+# one sentence is a batch of one; a probability tie goes to "c"
 sent = dev.tokenized[0]
-flags = predict_labels(model, sent.sub_ids, sent.first_sub_index)
+with no_grad():
+    probs, _ = forward_batch(model, [sent.sub_ids], [sent.first_sub_index])
+flags = ["i" if k == CLASS_ERR else "c" for k in probs.data.argmax(axis=1)]
 print("\nreloaded model on one dev sentence:")
 for word, gold, hyp in zip(sent.words, sent.labels, flags):
     mark = "" if gold == hyp else "   <- got %r" % hyp

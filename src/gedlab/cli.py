@@ -37,7 +37,7 @@ from .corpus import (
 from .corpus import dp_align_label  # noqa: F401
 from .encoder import ModelConfig
 from .evaluation import attention_summary, evaluate, summary_to_csv
-from .model import init_model, named_parameters
+from .model import init_model
 from .tensor import finite_diff_check, reset_graph
 from .training import (
     TrainConfig, batch_loss, load_checkpoint, save_checkpoint, train,
@@ -169,6 +169,9 @@ def resolve_configs(args, vocab_size: int) -> tuple[ModelConfig, TrainConfig]:
             if key not in _FIELDS:
                 raise ValueError(f"config file field {key!r} matches no "
                                  f"ModelConfig or TrainConfig field")
+            if key == "vocab_size":
+                raise ValueError("config file field 'vocab_size' cannot be "
+                                 "set: the corpus's vocabulary sets it")
             values[key] = value
     for name in _FIELDS:
         flag = getattr(args, name, None)
@@ -404,7 +407,7 @@ def cmd_gradcheck(args) -> int:
         return batch_loss(model, batch)
 
     reset_graph()
-    report = finite_diff_check(forward, list(named_parameters(model)),
+    report = finite_diff_check(forward, model.named,
                                eps=args.eps, tol=args.tol)
     result = {
         "passed": report.passed,

@@ -91,11 +91,6 @@ class LabeledSentence:
 CELL_BUDGET = 1 << 16
 
 
-def edit_distance(source: Sequence[str], corrected: Sequence[str]) -> int:
-    ((_, d),) = _distance_matrices([(list(source), list(corrected))])
-    return int(d[-1, -1])
-
-
 def _chunks(shapes: list[tuple[int, int]]) -> Iterator[list[int]]:
     """Pair indices in (source, corrected) length order, cut so each
     chunk's padded matrices hold at most CELL_BUDGET cells."""
@@ -306,15 +301,6 @@ _LOCATION_NAMES = sorted(_LOCATIONS)
 _PREPOSITIONS = ["at", "behind", "in", "near", "on", "under"]
 
 
-def generator_vocabulary() -> list[str]:
-    words = set(_DETS) | set(_ADJS) | set(_PREPOSITIONS) | set(_LOCATIONS)
-    for sg, pl in _NOUNS:
-        words |= {sg, pl}
-    for sg, pl in _VERBS:
-        words |= {sg, pl}
-    return sorted(words)
-
-
 def _noun_phrase(rng: _Sampler, plural: bool) -> list[str]:
     dets = _PL_DETS if plural else _SG_DETS
     out = [dets[rng.integers(len(dets))]]
@@ -483,21 +469,15 @@ class TokenizedSentence:
             prev = k
 
 
-def tokenize_sentence(words: Sequence[str], labels: Sequence[str],
-                      vocab: Vocabulary,
-                      max_len: int | None = None) -> TokenizedSentence:
-    """Segment one labeled sentence.  If max_len is given, whole words
-    beyond the sub-token budget are dropped (logged); a first word
-    longer than the whole budget is cut mid-word as a last resort."""
-    return _tokenize(words, labels, vocab.piece_to_id, max_len, {})
-
-
 def _tokenize(words: Sequence[str], labels: Sequence[str],
               piece_to_id: dict[str, int], max_len: int | None,
               word_ids: dict[str, list[int]]) -> TokenizedSentence:
-    """tokenize_sentence, reading each word's sub-token ids from
-    word_ids and segmenting only the words not in it yet.  The cached
-    lists are copied into the sentence, never shared with it."""
+    """Segment one labeled sentence, reading each word's sub-token ids
+    from word_ids and segmenting only the words not in it yet.  The
+    cached lists are copied into the sentence, never shared with it.
+    If max_len is given, whole words beyond the sub-token budget are
+    dropped (logged); a first word longer than the whole budget is cut
+    mid-word as a last resort."""
     kept_words: list[str] = []
     kept_labels: list[str] = []
     sub_ids: list[int] = []
@@ -538,7 +518,7 @@ class LabeledCorpus:
 
     @property
     def n_dropped_words(self) -> int:
-        """Words tokenize_sentence dropped past max_len: scored nowhere."""
+        """Words build_corpus dropped past max_len: scored nowhere."""
         return sum(len(s.words) - len(t.words)
                    for s, t in zip(self.sentences, self.tokenized))
 
@@ -654,12 +634,6 @@ def _whitespace_error(path, exc: ValueError) -> CorpusFormatError:
             except ValueError as bad:
                 return CorpusFormatError(f"{path}: line {lineno}: {bad}")
     return CorpusFormatError(f"{path}: {exc}")  # the file changed since
-
-
-def read_corpus(path, vocab: Vocabulary | None = None,
-                max_len: int | None = None) -> LabeledCorpus:
-    return build_corpus(read_corpus_sentences(path), vocab=vocab,
-                        max_len=max_len)
 
 
 def write_vocab_file(vocab: Vocabulary, path) -> None:

@@ -219,18 +219,6 @@ def _block(h: Tensor, lp: LayerParams, config: ModelConfig, key_real,
                          rate, rng)
 
 
-def encode(token_ids, params: EncoderParams, config: ModelConfig,
-           train_mode: bool = False,
-           rng: np.random.Generator | None = None) -> list[Tensor]:
-    """All layer states of one sentence: [h0, h1, ..., hL], each
-    [n_tokens x hidden].  This is encode_batch on a batch of one, so
-    positions holding PAD_ID are masked out as attention keys."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError("token_ids must be a 1-D sequence")
-    return encode_batch([ids], params, config, train_mode, rng)[0]
-
-
 def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
                  train_mode: bool = False,
                  rng: np.random.Generator | None = None):

@@ -8,9 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LABEL_ERR, LABEL_OK, LabeledCorpus, TokenizedSentence
-# word_attention is not called here; the benchmark's tracer
-# (perfbench/spans.py) wraps it as an attribute of this module
+from .corpus import LABEL_ERR, LabeledCorpus, TokenizedSentence
+# predict_word_probs and word_attention are not called here; the
+# benchmark's tracer (perfbench/spans.py) wraps them as attributes of
+# this module
 from .model import (  # noqa: F401
     Model, forward_batch, predict_word_probs, word_attention,
 )
@@ -27,27 +28,6 @@ CLASS_ERR = 1
 # Beside perfbench's own checks, infer_eval's peak went 42.5 -> 43.0 MB
 # at 16 but to 47.7 MB (+12%) at 64, past the benchmark's 10% bound
 EVAL_BATCH = 16
-
-
-def confusion_counts(predicted, gold) -> tuple[int, int, int, int]:
-    """(tp, fp, fn, tn) with the error label as the positive class."""
-    if len(predicted) != len(gold):
-        raise ValueError(
-            f"{len(predicted)} predictions against {len(gold)} gold labels")
-    tp = fp = fn = tn = 0
-    for p, g in zip(predicted, gold):
-        if p not in (LABEL_OK, LABEL_ERR) or g not in (LABEL_OK, LABEL_ERR):
-            raise ValueError(f"labels must be c or i, got ({p!r}, {g!r})")
-        if p == LABEL_ERR:
-            if g == LABEL_ERR:
-                tp += 1
-            else:
-                fp += 1
-        elif g == LABEL_ERR:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, fn, tn
 
 
 def f_beta(precision: float, recall: float, beta: float = 0.5) -> float:
@@ -103,15 +83,6 @@ def report_from_counts(tp: int, fp: int, fn: int, tn: int,
                       config_fingerprint=config_fingerprint, seed=seed)
 
 
-def predict_labels(model: Model, sub_ids, first_sub_index) -> list[str]:
-    """Eval-mode labels for one sentence; a probability tie goes to the
-    clean class (argmax picks the lowest index)."""
-    with no_grad():
-        probs, _ = predict_word_probs(model, sub_ids, first_sub_index)
-    picks = np.argmax(probs.data, axis=1)
-    return [LABEL_ERR if k == CLASS_ERR else LABEL_OK for k in picks]
-
-
 def _length_sorted_batches(sentences: list[TokenizedSentence]):
     """Corpus indices in batches of EVAL_BATCH, by sub-token count with
     ties in corpus order, so each batch pads little."""
@@ -125,8 +96,8 @@ def evaluate(model: Model, corpus: LabeledCorpus,
              seed: int | None = None) -> EvalReport:
     """Corpus-wide counts first, then the metrics.  Eval mode, in
     length-sorted batches under no_grad; a probability tie goes to the
-    clean class, as in predict_labels.  A corpus without words is a
-    ValueError: it has nothing to score."""
+    clean class (argmax picks the lowest index).  A corpus without words
+    is a ValueError: it has nothing to score."""
     sentences = corpus.tokenized
     if not any(s.first_sub_index for s in sentences):
         raise ValueError("corpus has no word positions to score")

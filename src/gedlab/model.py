@@ -73,12 +73,6 @@ def init_model(config: ModelConfig, rng: np.random.Generator,
     return model
 
 
-def named_parameters(model: Model) -> list[tuple[str, Tensor]]:
-    """Every trainable tensor with its checkpoint name, in buffer order:
-    the encoder first, then the head."""
-    return model.named
-
-
 def check_views(named_params, flat: np.ndarray, checked=()) -> list:
     """Raise ValueError naming the first parameter whose data is not its
     view of flat, at its offset in this order, or if the parameters do

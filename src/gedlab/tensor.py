@@ -4,8 +4,8 @@ Define-by-run: every differentiable operation appends its result to a
 thread-local tape, so creation order is a valid topological order and
 backward() can walk the tape once, in reverse.
 
-No op broadcasts: add and mul take two tensors of one shape, and the
-fused ops take their bias and gain rows at exactly the output width.
+No op broadcasts: add takes two tensors of one shape, and the fused
+ops take their bias and gain rows at exactly the output width.
 
 The fused ops (linear, linear_relu, self_attention, residual_norm and
 depth_attention) record one node each and keep only the arrays their
@@ -30,7 +30,7 @@ FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 
 __all__ = [
     "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
-    "add", "mul", "scale", "linear", "linear_relu", "softmax", "dropout",
+    "add", "scale", "linear", "linear_relu", "softmax", "dropout",
     "self_attention", "residual_norm", "depth_attention", "gather_rows",
     "sum_all",
     "cross_entropy", "finite_diff_check", "GradCheckReport",
@@ -155,30 +155,15 @@ def _need_2d(x: Tensor, op: str) -> None:
 
 # ---------------------------------------------------------------- arithmetic
 
-def _into(name: str, op, a: Tensor, b: Tensor) -> Tensor:
-    """op(a, b) for two tensors of one shape."""
-    if a.shape != b.shape:
-        raise ValueError(f"{name} needs two tensors of one shape, got "
-                         f"{a.shape} and {b.shape}")
-    return Tensor(op(a.data, b.data))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _into("add", np.add, a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"add needs two tensors of one shape, got "
+                         f"{a.shape} and {b.shape}")
+    out = Tensor(a.data + b.data)
 
     def bwd(g, pending):
         _acc(pending, a, g)
         _acc(pending, b, g)
-
-    return _record(out, (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _into("mul", np.multiply, a, b)
-
-    def bwd(g, pending):
-        _acc(pending, a, g * b.data)
-        _acc(pending, b, g * a.data)
 
     return _record(out, (a, b), bwd)
 

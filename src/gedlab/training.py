@@ -23,7 +23,7 @@ from .corpus import LabeledCorpus, TokenizedSentence
 from .encoder import ModelConfig, check_field_types, encode_batch  # noqa: F401
 from .model import (  # noqa: F401
     Model, alloc_model, batch_word_rows, check_views, forward_batch,
-    init_model, label_targets, named_parameters, parameter_shapes,
+    init_model, label_targets, parameter_shapes,
 )
 from .tensor import Tensor, backward, cross_entropy, reset_graph
 
@@ -204,7 +204,7 @@ def train(corpus: LabeledCorpus, model_config: ModelConfig,
         raise ValueError("training corpus is empty")
     rng = np.random.default_rng(train_config.seed)
     model = init_model(model_config, rng)
-    params = list(named_parameters(model))
+    params = model.named
     state = AdamState(model.flat)
     losses: list[float] = []
     for epoch in range(train_config.epochs):
@@ -233,12 +233,11 @@ def train(corpus: LabeledCorpus, model_config: ModelConfig,
 def checkpoint_bytes(model: Model) -> bytes:
     """Serialized form: magic, little-endian u32 header length, a
     canonical JSON header (config plus a name/shape/offset manifest in
-    named_parameters order), then the parameter buffer as little-endian
+    Model.named order), then the parameter buffer as little-endian
     float32."""
-    params = list(named_parameters(model))
-    check_views(params, model.flat)
+    check_views(model.named, model.flat)
     manifest, offset = [], 0
-    for name, p in params:
+    for name, p in model.named:
         manifest.append({"name": name, "shape": list(p.shape),
                          "offset": offset})
         offset += 4 * p.data.size
@@ -259,7 +258,7 @@ def load_checkpoint(path) -> Model:
     copies of the stored float32 values, so re-saving is byte-identical.
 
     Nothing is allocated until the manifest matches the config's
-    parameter shapes name by name, in named_parameters order, and the
+    parameter shapes name by name, in Model.named order, and the
     payload holds exactly 4 bytes per float those shapes need, so a
     header cannot ask for more memory than the file's own size accounts
     for."""

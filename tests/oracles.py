@@ -5,7 +5,11 @@ script, then picks the one the backtrace convention prefers: reading
 ops from the END of the sentence, match beats substitution beats
 deletion beats insertion.  distance_matrix_reference and
 dp_align_label_reference are the scalar one-pair Levenshtein matrix and
-labeler that the chunked aligner replaced.  pair_part reads one
+labeler that the chunked aligner replaced, and edit_distance reads the
+distance off that matrix.  confusion_counts tallies one sentence's
+predicted against gold labels, and predict_labels labels one sentence
+through forward_batch.  weighted_sum seeds an op's output with an
+upstream gradient, as one tape node.  pair_part reads one
 (layer, head) pair's own block out of the MHMLA head's joined
 parameters, forced_depth_params pins the depth weights to constants
 through those parameters, and mhmla_reference computes the MHMLA head
@@ -25,7 +29,9 @@ import operator
 import numpy as np
 
 from gedlab.corpus import LABEL_ERR, LABEL_OK
-from gedlab.tensor import MASK_LOGIT, NORM_EPS
+from gedlab.evaluation import CLASS_ERR
+from gedlab.model import forward_batch
+from gedlab.tensor import MASK_LOGIT, NORM_EPS, Tensor, _acc, _record, no_grad
 
 _RANK = {"match": 0, "sub": 1, "del": 2, "ins": 3}
 
@@ -102,6 +108,11 @@ def distance_matrix_reference(src, dst):
     return d
 
 
+def edit_distance(src, dst):
+    """Levenshtein distance between two token sequences."""
+    return int(distance_matrix_reference(src, dst)[-1, -1])
+
+
 def dp_align_label_reference(source, corrected):
     """The one-pair labeler the chunked aligner replaced, backtrace and
     tie rules as they were, over distance_matrix_reference."""
@@ -127,6 +138,52 @@ def dp_align_label_reference(source, corrected):
             labels[min(i, len(src) - 1)] = LABEL_ERR
             j = j - 1
     return labels
+
+
+def confusion_counts(predicted, gold):
+    """(tp, fp, fn, tn) with the error label as the positive class."""
+    if len(predicted) != len(gold):
+        raise ValueError(
+            f"{len(predicted)} predictions against {len(gold)} gold labels")
+    tp = fp = fn = tn = 0
+    for p, g in zip(predicted, gold):
+        if p not in (LABEL_OK, LABEL_ERR) or g not in (LABEL_OK, LABEL_ERR):
+            raise ValueError(f"labels must be c or i, got ({p!r}, {g!r})")
+        if p == LABEL_ERR:
+            if g == LABEL_ERR:
+                tp += 1
+            else:
+                fp += 1
+        elif g == LABEL_ERR:
+            fn += 1
+        else:
+            tn += 1
+    return tp, fp, fn, tn
+
+
+def predict_labels(model, sub_ids, first_sub_index):
+    """Eval-mode labels for one sentence, a batch of one through
+    forward_batch; a probability tie goes to the clean class (argmax
+    picks the lowest index)."""
+    with no_grad():
+        probs, _ = forward_batch(model, [sub_ids], [first_sub_index])
+    return [LABEL_ERR if k == CLASS_ERR else LABEL_OK
+            for k in np.argmax(probs.data, axis=1)]
+
+
+def weighted_sum(x, w):
+    """sum(x * w) for a constant array w of x's shape, as one tape node
+    whose backward hands x exactly w: an op's output seeded with an
+    upstream gradient."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != x.shape:
+        raise ValueError(f"weights {w.shape} against x {x.shape}")
+    out = Tensor(np.sum(x.data * w))
+
+    def bwd(g, pending):
+        _acc(pending, x, g * w)
+
+    return _record(out, (x,), bwd)
 
 
 def pair_part(params, name, l, j):

@@ -20,15 +20,14 @@ from gedlab.corpus import (
     PAD_ID, build_corpus, dp_align_label, generate_synthetic_pairs,
     pairs_to_labeled, read_corpus_sentences, write_corpus,
 )
-from gedlab.encoder import ModelConfig, draw_encoder_params, encode
+from gedlab.encoder import ModelConfig, draw_encoder_params, encode_batch
 from gedlab.evaluation import evaluate, f_beta, report_from_counts
 from gedlab.heads import (
     AvglHeadParams, FinalHeadParams, avgl_forward, draw_head_params,
     final_layer_forward, mhmla_forward,
 )
 from gedlab.model import (
-    alloc_model, init_model, named_parameters, predict_word_probs,
-    word_attention,
+    alloc_model, init_model, predict_word_probs, word_attention,
 )
 from gedlab.tensor import Tensor, finite_diff_check, no_grad, reset_graph
 from gedlab.training import (
@@ -115,8 +114,7 @@ def test_gradient_check_full_model():
     model = init_model(config, rng, init_std=0.5)
     batch = random_probe_batch(config, 2, rng)
     report = finite_diff_check(lambda: batch_loss(model, batch),
-                               list(named_parameters(model)),
-                               eps=1e-5, tol=1e-4)
+                               model.named, eps=1e-5, tol=1e-4)
     assert report.passed, (report.worst_param, report.max_rel_err)
     assert report.max_rel_err < 1e-4
     assert time.monotonic() - started < 30.0
@@ -315,7 +313,7 @@ def test_pad_invariance():
         ids = rng.integers(4, config.vocab_size, size=n).tolist()
         k = int(rng.integers(1, config.max_len - n + 1))
         with no_grad():
-            bare = encode(ids, params, config)
-            padded = encode(ids + [PAD_ID] * k, params, config)
+            bare = encode_batch([ids], params, config)[0]
+            padded = encode_batch([ids + [PAD_ID] * k], params, config)[0]
         for lhs, rhs in zip(bare, padded):
             assert np.abs(lhs.data - rhs.data[:n]).max() < 1e-10

@@ -16,7 +16,7 @@ from gedlab.corpus import (
     read_corpus_sentences, read_pair_file, write_corpus, write_pair_file,
 )
 from gedlab.encoder import ModelConfig
-from gedlab.model import init_model, named_parameters
+from gedlab.model import init_model
 from gedlab.tensor import active_graph, reset_graph
 from gedlab.training import CHECKPOINT_MAGIC, load_checkpoint
 
@@ -202,7 +202,7 @@ class TestExitCodes:
         model = load_checkpoint(trained)
         head = model.head
         L, J = len(head.w_v), model.config.layer_attn_heads
-        entries = [(n, t.data) for n, t in named_parameters(model)
+        entries = [(n, t.data) for n, t in model.named
                    if not n.startswith("head.att.")]
         entries += [(f"head.att.{l:02d}.{j:02d}.{name}",
                      pair_part(head, name, l, j))
@@ -266,7 +266,7 @@ class TestExitCodes:
         config = ModelConfig(vocab_size=load_checkpoint(
             trained).config.vocab_size, key_dim=16)
         model = init_model(config, np.random.default_rng(0))
-        entries = [(n, t.data) for n, t in named_parameters(model)] + [
+        entries = [(n, t.data) for n, t in model.named] + [
             (f"enc.{i:02d}.attn.b_k", np.zeros(config.hidden))
             for i in range(config.n_layers)]
         assert len(entries) == 86
@@ -277,7 +277,7 @@ class TestExitCodes:
     def test_checkpoint_out_of_order_is_data_error(self, tmp_path, trained,
                                                    capsys):
         model = load_checkpoint(trained)
-        entries = [(n, t.data) for n, t in named_parameters(model)]
+        entries = [(n, t.data) for n, t in model.named]
         entries[3], entries[4] = entries[4], entries[3]
         error = self.eval_exits_2(tmp_path, trained, model.config, entries,
                                   capsys)
@@ -737,6 +737,22 @@ class TestConfigResolution:
         assert run("train", "--corpus", str(workdir / "corpus.tsv"),
                    "--seed", "1", "--config", str(conf),
                    "--out", str(tmp_path / "m.ckpt")) == 2
+
+    def test_vocab_size_in_config_is_data_error(self, workdir, tmp_path,
+                                                capsys):
+        # the corpus's vocabulary sets vocab_size, so a file's value
+        # could only be dropped without a word
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"vocab_size": 99999, "hidden": 16}))
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--corpus", str(workdir / "corpus.tsv"),
+                   "--seed", "1", "--config", str(conf),
+                   "--out", str(out)) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert "'vocab_size'" in errors[0] and "corpus" in errors[0]
+        assert not out.exists()
 
     def test_resolve_configs_desk_defaults(self):
         class Args:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracles import (
     all_minimal_scripts, distance_matrix_reference, dp_align_label_reference,
-    oracle_labels, random_pair,
+    edit_distance, oracle_labels, random_pair,
 )
 
 import gedlab.corpus
@@ -18,12 +18,32 @@ from gedlab.corpus import (
     CorpusFormatError, LabeledSentence, SentencePair, TokenizedSentence,
     _check_token, _check_tokens, _chunks, _distance_matrices, _Sampler,
     align_labels,
-    build_corpus, build_vocabulary, dp_align_label, edit_distance,
-    generate_synthetic_pairs, generator_vocabulary, merge_annotator_labels,
-    pairs_to_labeled, read_corpus, read_corpus_sentences, read_pair_file,
-    read_vocab_file, subtokenize, tokenize_sentence, write_corpus,
+    build_corpus, build_vocabulary, dp_align_label, generate_synthetic_pairs,
+    merge_annotator_labels, pairs_to_labeled, read_corpus_sentences,
+    read_pair_file, read_vocab_file, subtokenize, write_corpus,
     write_pair_file, write_vocab_file,
 )
+
+
+def chunked_distances(pairs):
+    """Each pair's edit distance, read off the chunked aligner's
+    matrices, in pair order."""
+    got = dict(_distance_matrices(pairs))
+    return [int(got[k][-1, -1]) for k in range(len(pairs))]
+
+
+def generator_words():
+    """Every word the generator's fixed lists hold."""
+    c = gedlab.corpus
+    return (c._DETS | set(c._ADJS) | set(c._PREPOSITIONS) | set(c._LOCATIONS)
+            | {w for forms in c._NOUNS + c._VERBS for w in forms})
+
+
+def tokenize_one(words, labels, vocab, max_len=None):
+    """build_corpus on one labeled sentence: its tokenized view."""
+    corpus = build_corpus([LabeledSentence(list(words), list(labels))],
+                          vocab=vocab, max_len=max_len)
+    return corpus.tokenized[0]
 
 
 class TestAlignment:
@@ -79,9 +99,9 @@ class TestAlignment:
             assert labels.count(LABEL_ERR) <= edit_distance(src, dst)
 
     def test_edit_distance_examples(self):
-        assert edit_distance(["a"], ["a"]) == 0
-        assert edit_distance(["a", "b"], ["a"]) == 1
-        assert edit_distance("x y z".split(), "y z w".split()) == 2
+        assert chunked_distances([
+            (["a"], ["a"]), (["a", "b"], ["a"]),
+            ("x y z".split(), "y z w".split())]) == [0, 1, 2]
 
 
 def mixed_pairs(rng, n):
@@ -140,8 +160,6 @@ class TestChunkedAligner:
         assert align_labels(pairs) \
             == [dp_align_label_reference(s, t) for s, t in pairs]
         for s, t in pairs[:100]:
-            want = distance_matrix_reference(s, t)[-1, -1]
-            assert edit_distance(s, t) == want
             assert dp_align_label(s, t) == dp_align_label_reference(s, t)
 
     def test_equal_sides_skip_the_matrix(self, monkeypatch):
@@ -170,9 +188,8 @@ class TestChunkedAligner:
                    for lab in pairs_to_labeled(same))
 
     def test_empty_sides(self):
-        assert edit_distance([], ["a", "b"]) == 2
-        assert edit_distance(["a"], []) == 1
-        assert edit_distance([], []) == 0
+        assert chunked_distances(
+            [([], ["a", "b"]), (["a"], []), ([], [])]) == [2, 1, 0]
         assert align_labels([]) == []
         with pytest.raises(ValueError, match="non-empty"):
             align_labels([(["a"], ["a"]), (["b"], [])])
@@ -301,15 +318,20 @@ class TestGenerator:
             assert LABEL_ERR in labels
 
     def test_tokens_come_from_fixed_vocabulary(self):
-        vocab = set(generator_vocabulary())
+        vocab = generator_words()
         for p in generate_synthetic_pairs(100, seed=2, error_rate=0.5):
             assert set(p.source) <= vocab
             assert set(p.corrected) <= vocab
 
     def test_vocabulary_is_small_and_sorted(self):
-        words = generator_vocabulary()
-        assert words == sorted(words)
+        # a corpus built on generated text gives every word of the lists
+        # a whole-word piece, ids in sorted word order
+        words = sorted(generator_words())
         assert 100 <= len(words) <= 140
+        corpus = build_corpus(pairs_to_labeled(
+            generate_synthetic_pairs(2000, seed=2, error_rate=0.5)))
+        ids = [corpus.vocab.piece_to_id[w] for w in words]
+        assert ids == sorted(ids)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="error_rate"):
@@ -462,7 +484,7 @@ class TestSubtokens:
 
     def test_tokenize_sentence_maps_first_subtokens(self):
         vocab = build_vocabulary([["walk", "walked"], ["walk", "walked"]])
-        t = tokenize_sentence(["walked", "walk"], ["i", "c"], vocab)
+        t = tokenize_one(["walked", "walk"], ["i", "c"], vocab)
         assert t.words == ["walked", "walk"]
         assert t.first_sub_index[0] == 0
         assert t.first_sub_index[1] == len(
@@ -472,7 +494,7 @@ class TestSubtokens:
         vocab = build_vocabulary([["aa", "bb"], ["aa", "bb"]])
         words = ["aa", "bb", "aa", "bb"]
         with caplog.at_level("WARNING"):
-            t = tokenize_sentence(words, ["c"] * 4, vocab, max_len=3)
+            t = tokenize_one(words, ["c"] * 4, vocab, max_len=3)
         assert t.words == ["aa", "bb", "aa"]
         assert len(t.sub_ids) <= 3
         assert "truncating" in caplog.text
@@ -526,7 +548,7 @@ class TestSubtokens:
 
     def test_overlong_first_word_is_cut(self):
         vocab = build_vocabulary([["abcdef"], ["xyz"]])
-        t = tokenize_sentence(["abcdef"], ["c"], vocab, max_len=2)
+        t = tokenize_one(["abcdef"], ["c"], vocab, max_len=2)
         assert len(t.sub_ids) == 2
         assert t.words == ["abcdef"]
 
@@ -563,8 +585,7 @@ class TestFileIO:
         path = tmp_path / "empty.tsv"
         path.write_text("")
         assert read_corpus_sentences(path) == []
-        corpus = read_corpus(path)
-        assert corpus.n_sentences == 0
+        assert build_corpus(read_corpus_sentences(path)).n_sentences == 0
 
     def test_bad_label_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"

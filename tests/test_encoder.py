@@ -5,9 +5,9 @@ import pytest
 
 from gedlab.corpus import PAD_ID
 from gedlab.encoder import (
-    INIT_STD, ModelConfig, draw_encoder_params, encode, encode_batch,
+    INIT_STD, ModelConfig, draw_encoder_params, encode_batch,
 )
-from gedlab.model import alloc_model, named_parameters
+from gedlab.model import alloc_model
 from gedlab.tensor import (
     Tensor, add, backward, cross_entropy, finite_diff_check, gather_rows,
     linear, no_grad, reset_graph, softmax,
@@ -42,7 +42,7 @@ def drawn_encoder(cfg, rng, init_std=INIT_STD):
 
 
 def encoder_named(model):
-    return [(n, p) for n, p in named_parameters(model)
+    return [(n, p) for n, p in model.named
             if n.startswith(("embed.", "enc."))]
 
 
@@ -104,7 +104,7 @@ class TestEmbed:
         cfg = tiny_config()
         params = drawn_encoder(cfg, rng).encoder
         ids = [5, 9, 5]
-        h0 = encode(ids, params, cfg)[0]
+        h0 = encode_batch([ids], params, cfg)[0][0]
         tok = params.token_embedding.data
         pos = params.position_embedding.data
         expect = tok[ids] + pos[:3]
@@ -114,20 +114,20 @@ class TestEmbed:
         cfg = tiny_config(max_len=4)
         params = drawn_encoder(cfg, rng).encoder
         with pytest.raises(ValueError, match="max_len"):
-            encode([4] * 5, params, cfg)
+            encode_batch([[4] * 5], params, cfg)
 
     def test_rejects_bad_id(self, rng):
         cfg = tiny_config()
         params = drawn_encoder(cfg, rng).encoder
         with pytest.raises(ValueError, match="out of range"):
-            encode([0, 25], params, cfg)
+            encode_batch([[0, 25]], params, cfg)
 
 
 class TestEncode:
     def test_state_count_and_shapes(self, rng):
         cfg = tiny_config()
         params = drawn_encoder(cfg, rng).encoder
-        states = encode([4, 5, 6, 7], params, cfg)
+        states = encode_batch([[4, 5, 6, 7]], params, cfg)[0]
         assert len(states) == cfg.n_layers + 1
         assert all(s.shape == (4, cfg.hidden) for s in states)
 
@@ -135,8 +135,8 @@ class TestEncode:
         cfg = tiny_config()
         params = drawn_encoder(cfg, rng).encoder
         with no_grad():
-            a = encode([4, 5, 6], params, cfg)
-            b = encode([4, 5, 6], params, cfg)
+            a = encode_batch([[4, 5, 6]], params, cfg)[0]
+            b = encode_batch([[4, 5, 6]], params, cfg)[0]
         for x, y in zip(a, b):
             assert np.array_equal(x.data, y.data)
 
@@ -148,8 +148,8 @@ class TestEncode:
             ids = rng.integers(4, cfg.vocab_size, size=n).tolist()
             n_pad = int(rng.integers(1, 6))
             with no_grad():
-                plain = encode(ids, params, cfg)
-                padded = encode(ids + [PAD_ID] * n_pad, params, cfg)
+                plain = encode_batch([ids], params, cfg)[0]
+                padded = encode_batch([ids + [PAD_ID] * n_pad], params, cfg)[0]
             for lvl, (a, b) in enumerate(zip(plain, padded)):
                 diff = np.abs(a.data - b.data[:n]).max()
                 assert diff < 1e-10, f"trial {trial} layer {lvl}: {diff}"
@@ -163,7 +163,7 @@ class TestEncode:
             states, real = encode_batch(sents, params, cfg)
             t_max = max(len(s) for s in sents)
             for b, s in enumerate(sents):
-                single = encode(s, params, cfg)
+                single = encode_batch([s], params, cfg)[0]
                 for lvl in range(cfg.n_layers + 1):
                     rows = states[lvl].data[b * t_max: b * t_max + len(s)]
                     diff = np.abs(rows - single[lvl].data).max()
@@ -179,9 +179,9 @@ class TestEncode:
         params = drawn_encoder(cfg, rng).encoder
         ids = [PAD_ID, PAD_ID, 7, PAD_ID, PAD_ID]
         with no_grad():
-            out_a = encode(ids, params, cfg)[1].data
+            out_a = encode_batch([ids], params, cfg)[0][1].data
             params.token_embedding.data[PAD_ID] += rng.normal(size=cfg.hidden)
-            out_b = encode(ids, params, cfg)[1].data
+            out_b = encode_batch([ids], params, cfg)[0][1].data
         assert np.array_equal(out_a[2], out_b[2])
         assert not np.array_equal(out_a[1], out_b[1])
 
@@ -189,7 +189,8 @@ class TestEncode:
         cfg = tiny_config()
         params = drawn_encoder(cfg, rng).encoder
         with no_grad():
-            states = encode([4, 0, 5, 0], params, cfg)  # pads inside
+            # pads inside the sentence
+            states = encode_batch([[4, 0, 5, 0]], params, cfg)[0]
         for s in states:
             assert np.all(np.isfinite(s.data))
 
@@ -197,12 +198,12 @@ class TestEncode:
         cfg = tiny_config(dropout=0.2, attn_dropout=0.2)
         params = drawn_encoder(cfg, rng).encoder
         with no_grad():
-            a = encode([4, 5, 6], params, cfg, train_mode=True,
-                       rng=np.random.default_rng(3))
-            b = encode([4, 5, 6], params, cfg, train_mode=True,
-                       rng=np.random.default_rng(3))
-            c = encode([4, 5, 6], params, cfg, train_mode=True,
-                       rng=np.random.default_rng(4))
+            a = encode_batch([[4, 5, 6]], params, cfg, train_mode=True,
+                             rng=np.random.default_rng(3))[0]
+            b = encode_batch([[4, 5, 6]], params, cfg, train_mode=True,
+                             rng=np.random.default_rng(3))[0]
+            c = encode_batch([[4, 5, 6]], params, cfg, train_mode=True,
+                             rng=np.random.default_rng(4))[0]
         assert np.array_equal(a[-1].data, b[-1].data)
         assert not np.array_equal(a[-1].data, c[-1].data)
 
@@ -221,7 +222,7 @@ class TestBlockGradients:
         no_b = Tensor(np.zeros(2))
 
         def f():
-            states = encode(ids, params, cfg)
+            states = encode_batch([ids], params, cfg)[0]
             probs = softmax(linear(states[-1], out_w, no_b), axis=1)
             return cross_entropy(probs, targets)
 
@@ -263,8 +264,8 @@ class TestBlockGradients:
         batched = grads()
         single = {n: 0.0 for n in batched}
         for s, target in zip(sents, targets):
-            backward(loss_of(encode(s, params, cfg)[-1], range(len(s)),
-                             target))
+            backward(loss_of(encode_batch([s], params, cfg)[0][-1],
+                             range(len(s)), target))
             for n, g in grads().items():
                 single[n] = single[n] + g
         for name, g in batched.items():

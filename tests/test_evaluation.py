@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import confusion_counts, predict_labels
 
 from gedlab.corpus import (
     LABEL_ERR, LABEL_OK, LabeledCorpus, LabeledSentence, TokenizedSentence,
@@ -12,9 +13,8 @@ from gedlab.corpus import (
 )
 from gedlab.encoder import ModelConfig
 from gedlab.evaluation import (
-    EVAL_BATCH, AttentionSummary, EvalReport, attention_summary,
-    confusion_counts, evaluate, f_beta, predict_labels, report_from_counts,
-    summary_to_csv,
+    EVAL_BATCH, AttentionSummary, EvalReport, attention_summary, evaluate,
+    f_beta, report_from_counts, summary_to_csv,
 )
 from gedlab.model import init_model, word_attention
 from gedlab.tensor import active_graph, reset_graph

@@ -12,7 +12,7 @@ from gedlab.heads import (
     draw_head_params, final_layer_forward, layer_attention_weights,
     mhmla_forward,
 )
-from gedlab.model import alloc_model, named_parameters
+from gedlab.model import alloc_model
 from gedlab.tensor import (
     Tensor, cross_entropy, finite_diff_check, no_grad, reset_graph,
 )
@@ -46,7 +46,7 @@ def drawn_head(cfg, rng, init_std=INIT_STD):
 
 
 def head_named(model):
-    return [(n, p) for n, p in named_parameters(model)
+    return [(n, p) for n, p in model.named
             if n.startswith("head.")]
 
 

@@ -18,7 +18,7 @@ from gedlab.corpus import (
     build_corpus, generate_synthetic_pairs, pairs_to_labeled,
 )
 from gedlab.encoder import ModelConfig
-from gedlab.model import init_model, named_parameters
+from gedlab.model import init_model
 from gedlab.tensor import reset_graph
 from gedlab.training import AdamState, TrainConfig, _train_step
 
@@ -48,7 +48,7 @@ def test_steady_state_step_takes_no_faults():
     train_config = TrainConfig(batch_size=64, epochs=2, seed=1)
     rng = np.random.default_rng(1)
     model = init_model(config, rng)
-    params = list(named_parameters(model))
+    params = model.named
     state = AdamState(model.flat)
     faults = []
     for _ in range(train_config.epochs):

@@ -9,12 +9,13 @@ import pytest
 from gedlab.tensor import (
     GradCheckReport, Tensor, active_graph, add, backward, cross_entropy,
     depth_attention, dropout, finite_diff_check, gather_rows, linear,
-    linear_relu, mul, no_grad, reset_graph, residual_norm, scale,
+    linear_relu, no_grad, reset_graph, residual_norm, scale,
     self_attention, softmax, sum_all,
 )
 from oracles import (
     depth_attention_reference, layer_norm_reference, linear_reference,
     linear_relu_reference, residual_norm_reference, self_attention_reference,
+    weighted_sum,
 )
 
 
@@ -150,9 +151,10 @@ class TestBackward:
         assert np.array_equal(x.grad, np.ones((3, 5)))
 
     def test_sum_of_squares(self):
-        x = Tensor([3.0], requires_grad=True)
-        backward(sum_all(mul(x, x)))
-        assert np.allclose(x.grad, [6.0])
+        # x @ x reads x twice, so its gradient is the sum of both reads
+        x = Tensor([[3.0]], requires_grad=True)
+        backward(sum_all(linear(x, x, Tensor(np.zeros(1)))))
+        assert np.allclose(x.grad, [[6.0]])
 
     def test_fanout_accumulates(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -160,11 +162,11 @@ class TestBackward:
         assert np.array_equal(x.grad, [2.0, 2.0])
 
     def test_repeated_backward_accumulates(self):
-        x = Tensor([5.0], requires_grad=True)
-        loss = sum_all(mul(x, x))
+        x = Tensor([[5.0]], requires_grad=True)
+        loss = sum_all(linear(x, x, Tensor(np.zeros(1))))
         backward(loss)
         backward(loss)
-        assert np.allclose(x.grad, [20.0])
+        assert np.allclose(x.grad, [[20.0]])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -181,7 +183,7 @@ class TestBackward:
     def test_no_grad_blocks_recording(self):
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
-            y = mul(x, x)
+            y = add(x, x)
         assert not y.requires_grad
         assert y._backward is None
 
@@ -225,10 +227,10 @@ class TestBackward:
         # way every row gets the sum of the gradients routed to it
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(len(idx), 3)))
-        backward(sum_all(mul(gather_rows(x, idx), w)))
+        w = rng.normal(size=(len(idx), 3))
+        backward(weighted_sum(gather_rows(x, idx), w))
         want = np.zeros((6, 3))
-        np.add.at(want, idx, w.data)
+        np.add.at(want, idx, w)
         assert np.array_equal(x.grad, want)
 
 
@@ -243,18 +245,22 @@ def _fd_on(op_builder, tensors, tol=1e-6, eps=1e-5):
 
 class TestFiniteDifferences:
     def test_linear_plus_square(self, rng):
+        # w @ w[rows] + w, weighted by a
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        a = Tensor(rng.normal(size=(4, 3)))
+        a = rng.normal(size=(4, 3))
+        zero = Tensor(np.zeros(3))
         report = _fd_on(
-            lambda: sum_all(add(mul(w, w), mul(w, a))), [w], tol=1e-8)
+            lambda: weighted_sum(
+                add(linear(w, gather_rows(w, [1, 2, 0]), zero), w), a),
+            [w], tol=1e-8)
         assert report.n_checked == 12
 
     def test_matmul_chain(self, rng):
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         zero = Tensor(np.zeros(2))
-        _fd_on(lambda: sum_all(mul(linear(a, b, zero), linear(a, b, zero))),
-               [a, b])
+        up = rng.normal(size=(3, 2))
+        _fd_on(lambda: weighted_sum(linear(a, b, zero), up), [a, b])
 
     def test_softmax_cross_entropy(self, rng):
         logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
@@ -266,29 +272,33 @@ class TestFiniteDifferences:
         x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         gain = Tensor(rng.normal(size=8), requires_grad=True)
         bias = Tensor(rng.normal(size=8), requires_grad=True)
-        _fd_on(
-            lambda: sum_all(mul(y := bare_norm(x, gain, bias), y)),
-            [x, gain, bias])
+        up = rng.normal(size=(4, 8))
+        _fd_on(lambda: weighted_sum(bare_norm(x, gain, bias), up),
+               [x, gain, bias])
 
     def test_linear(self, rng):
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=5), requires_grad=True)
-        _fd_on(lambda: sum_all(mul(y := linear(x, w, b), y)), [x, w, b])
+        up = rng.normal(size=(4, 5))
+        _fd_on(lambda: weighted_sum(linear(x, w, b), up), [x, w, b])
 
     def test_relu_away_from_kink(self, rng):
         x = Tensor(rng.normal(size=(6, 6)) + np.sign(rng.normal(size=(6, 6))) * 0.5,
                    requires_grad=True)
-        _fd_on(lambda: sum_all(mul(y := bare_relu(x), y)), [x])
+        up = rng.normal(size=(6, 6))
+        _fd_on(lambda: weighted_sum(bare_relu(x), up), [x])
 
     def test_gather_with_repeats(self, rng):
         table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         idx = [0, 2, 2, 4, 0]
-        _fd_on(lambda: sum_all(mul(g := gather_rows(table, idx), g)), [table])
+        up = rng.normal(size=(5, 3))
+        _fd_on(lambda: weighted_sum(gather_rows(table, idx), up), [table])
 
     def test_scale_op(self, rng):
         x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        _fd_on(lambda: sum_all(mul(scale(x, 2.5), scale(x, 2.5))), [x])
+        up = rng.normal(size=(2, 2))
+        _fd_on(lambda: weighted_sum(scale(x, 2.5), up), [x])
 
     def test_nondeterministic_f_rejected(self, rng):
         x = Tensor(np.ones((4, 4)), requires_grad=True)
@@ -299,7 +309,8 @@ class TestFiniteDifferences:
 
     def test_report_fields(self, rng):
         x = Tensor(rng.normal(size=2), requires_grad=True)
-        report = finite_diff_check(lambda: sum_all(mul(x, x)), [("x", x)])
+        up = rng.normal(size=2)
+        report = finite_diff_check(lambda: weighted_sum(x, up), [("x", x)])
         assert isinstance(report, GradCheckReport)
         assert report.n_checked == 2
         assert report.worst_param.startswith("x[")
@@ -311,7 +322,7 @@ def _grads_through(op, inputs, upstream):
     the output."""
     tensors = [Tensor(a, requires_grad=True) for a in inputs]
     out = op(*tensors)
-    backward(sum_all(mul(out, Tensor(upstream))))
+    backward(weighted_sum(out, upstream))
     return out.data, [t.grad for t in tensors]
 
 
@@ -457,7 +468,7 @@ class TestFusedOps:
         h1 = residual_norm(h, mixed, w_o, b_o, g1, c1, rate, drop)
         out = residual_norm(h1, linear_relu(h1, w_1, b_1), w_2, b_2, g2, c2,
                             rate, drop)
-        backward(sum_all(mul(out, Tensor(upstream))))
+        backward(weighted_sum(out, upstream))
 
         keeps = _keeps(9, rate, (b, n_heads, t, t), (b * t, hid),
                        (b * t, hid))
@@ -494,7 +505,7 @@ class TestFusedOps:
         upstream = rng.normal(size=(n, 2))
         out, weights = depth_attention(*tensors, rate, rate,
                                        np.random.default_rng(4))
-        backward(sum_all(mul(out, Tensor(upstream))))
+        backward(weighted_sum(out, upstream))
         keeps = _keeps(4, rate, *[(n, h)] * L, *[(n, J * dk)] * L,
                        (n, L, J))
         ref_out, ref_weights, *ref_grads = depth_attention_reference(
@@ -614,7 +625,7 @@ class TestFusedOps:
 
 
 class TestElementwise:
-    @pytest.mark.parametrize("op", [add, mul])
+    @pytest.mark.parametrize("op", [add])
     @pytest.mark.parametrize("a_shape, b_shape", [
         pytest.param((3, 4), (4,), id="row"),
         pytest.param((3, 4), (3, 1), id="column"),
@@ -638,7 +649,7 @@ class TestFiniteDifferenceInputs:
             x = Tensor([[value]], requires_grad=True)
             with np.errstate(invalid="ignore"):
                 report = finite_diff_check(
-                    lambda: sum_all(mul(x, Tensor([[np.inf]]))), [("x", x)])
+                    lambda: weighted_sum(x, [[np.inf]]), [("x", x)])
             assert report.passed is False
             assert report.worst_param == "x[0]"
 
@@ -648,7 +659,7 @@ class TestFiniteDifferenceInputs:
         x = Tensor([1.0, 2.0], requires_grad=True)
         for name in ("eps", "tol"):
             with pytest.raises(ValueError, match=name):
-                finite_diff_check(lambda: sum_all(mul(x, x)), [("x", x)],
+                finite_diff_check(lambda: sum_all(x), [("x", x)],
                                   **{name: eps})
 
 
@@ -706,13 +717,13 @@ class TestAttention:
     def test_gradients_pass_fd(self, rng, n_heads, rate):
         inputs = [Tensor(a, requires_grad=True)
                   for a in _attention_inputs(rng, 4)]
-        w = Tensor(rng.normal(size=(inputs[0].shape[0], 4)))
+        w = rng.normal(size=(inputs[0].shape[0], 4))
 
         def f():
             # a fresh generator per call draws the same dropout mask
             drop_rng = np.random.default_rng(11)
             out = self_attention(*inputs, KEY_REAL, n_heads, rate, drop_rng)
-            return sum_all(mul(out, w))
+            return weighted_sum(out, w)
 
         # some of h's components carry small gradients, where central
         # differences read up to 2e-6 relative error at a step of 1e-5
@@ -744,18 +755,19 @@ class TestFusedFiniteDifferences:
     def test_residual_norm_passes_fd(self, rng, rate):
         inputs = [Tensor(rng.normal(size=s), requires_grad=True)
                   for s in ((5, 4), (5, 3), (3, 4), (4,), (4,), (4,))]
-        w = Tensor(rng.normal(size=(5, 4)))
+        w = rng.normal(size=(5, 4))
 
         def f():
             drop_rng = np.random.default_rng(11)
-            return sum_all(mul(residual_norm(*inputs, rate, drop_rng), w))
+            return weighted_sum(residual_norm(*inputs, rate, drop_rng), w)
 
         _fd_on(f, inputs)
 
     def test_linear_relu_passes_fd(self, rng):
         x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
                    for s in ((5, 3), (3, 4), (4,)))
-        _fd_on(lambda: sum_all(mul(y := linear_relu(x, w, b), y)), [x, w, b])
+        up = rng.normal(size=(5, 4))
+        _fd_on(lambda: weighted_sum(linear_relu(x, w, b), up), [x, w, b])
 
     def test_depth_attention_passes_fd(self, rng):
         # inputs at scale 0.5 keep the softmax over layers from saturating.
@@ -766,12 +778,12 @@ class TestFusedFiniteDifferences:
         inputs = _depth_inputs(
             lambda s: Tensor(rng.normal(scale=0.5, size=s),
                              requires_grad=True), L=3, J=2, dk=3, h=4)
-        w = Tensor(rng.normal(size=(5, 2)))
+        w = rng.normal(size=(5, 2))
 
         def f():
             drop = np.random.default_rng(11)
-            return sum_all(mul(depth_attention(*inputs, 0.3, 0.3, drop)[0],
-                               w))
+            return weighted_sum(depth_attention(*inputs, 0.3, 0.3, drop)[0],
+                                w)
 
         _fd_on(f, _flat(inputs), tol=1e-5, eps=3e-5)
 
@@ -781,7 +793,7 @@ class TestFusedFiniteDifferences:
         shapes = [(b * t, 4), (4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4),
                   (4,), (4,), (4,), (4, 6), (6,), (6, 4), (4,), (4,), (4,)]
         p = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-        w = Tensor(rng.normal(size=(b * t, 4)))
+        w = rng.normal(size=(b * t, 4))
 
         def f():
             drop = np.random.default_rng(11)
@@ -789,6 +801,6 @@ class TestFusedFiniteDifferences:
             h1 = residual_norm(p[0], mixed, *p[6:10], rate, drop)
             out = residual_norm(h1, linear_relu(h1, *p[10:12]), *p[12:],
                                 rate, drop)
-            return sum_all(mul(out, w))
+            return weighted_sum(out, w)
 
         _fd_on(f, p)

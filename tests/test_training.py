@@ -14,8 +14,8 @@ from gedlab.corpus import (
 )
 from gedlab.encoder import HEAD_TYPES, LayerParams, ModelConfig, encode_batch
 from gedlab.model import (
-    forward_batch, head_forward, init_model, named_parameters,
-    parameter_shapes, predict_word_probs, word_rows,
+    forward_batch, head_forward, init_model, parameter_shapes,
+    predict_word_probs, word_rows,
 )
 from gedlab.tensor import (
     Tensor, active_graph, backward, cross_entropy, gather_rows, no_grad,
@@ -89,12 +89,12 @@ def tape_bytes() -> int:
 
 def assert_views_of_flat(model):
     """Every parameter is a view of model.flat at its offset in
-    named_parameters order, and together they fill it: numbering the
+    Model.named order, and together they fill it: numbering the
     buffer's entries shows each tensor its own run of numbers."""
     saved = model.flat.copy()
     model.flat[...] = np.arange(model.flat.size)
     start = 0
-    for name, p in named_parameters(model):
+    for name, p in model.named:
         assert np.array_equal(p.data.reshape(-1),
                               np.arange(start, start + p.data.size)), name
         start += p.data.size
@@ -389,7 +389,7 @@ class TestTrainLoop:
         corpus = small_corpus()
         result = train(corpus, config_for(corpus), self.tc())
         assert all(l >= 0.0 and np.isfinite(l) for l in result.epoch_losses)
-        for _, p in named_parameters(result.model):
+        for _, p in result.model.named:
             assert np.isfinite(p.data).all()
 
     def test_same_seed_gives_bit_identical_traces_and_params(self):
@@ -398,8 +398,7 @@ class TestTrainLoop:
         a = train(corpus, cfg, self.tc())
         b = train(corpus, cfg, self.tc())
         assert a.epoch_losses == b.epoch_losses
-        for (na, pa), (nb, pb) in zip(named_parameters(a.model),
-                                      named_parameters(b.model)):
+        for (na, pa), (nb, pb) in zip(a.model.named, b.model.named):
             assert na == nb
             assert np.array_equal(pa.data, pb.data)
 
@@ -492,7 +491,7 @@ class TestTrainLoop:
         model = init_model(desk_config(), rng)
         backward(batch_loss(model, desk_batch(rng), train_mode=True, rng=rng))
         assert all(node.grad is None for node in active_graph().nodes)
-        assert all(p.grad is not None for _, p in named_parameters(model))
+        assert all(p.grad is not None for _, p in model.named)
 
     def test_b64_desk_step_peaks_at_most_66_mib(self):
         # forward, backward, Adam and zero_grad, traced from before the
@@ -503,7 +502,7 @@ class TestTrainLoop:
         # tensor at about 131 MiB
         rng = np.random.default_rng(0)
         model = init_model(desk_config(), rng)
-        params = list(named_parameters(model))
+        params = model.named
         batch = desk_batch(rng) * 4
         tracemalloc.start()
         try:
@@ -621,7 +620,7 @@ class TestCheckpoints:
                               head_type=head_type)
             built = init_model(cfg, np.random.default_rng(0))
             assert list(parameter_shapes(cfg)) == [
-                (n, t.shape) for n, t in named_parameters(built)]
+                (n, t.shape) for n, t in built.named]
 
     @pytest.mark.parametrize("head_type", HEAD_TYPES)
     def test_every_field_is_its_named_tensor(self, head_type):
@@ -651,7 +650,7 @@ class TestCheckpoints:
         for name, field in table.items():
             if "{" not in name:
                 want["head." + name] = getattr(head, field)
-        got = named_parameters(model)
+        got = model.named
         assert [n for n, _ in got] == list(want)
         for name, t in got:
             assert t is want[name], name
@@ -686,7 +685,7 @@ class TestCheckpoints:
 
     def test_rebound_parameter_is_never_saved_stale(self, tmp_path):
         model, _ = self.trained_model()
-        p = dict(named_parameters(model))["enc.00.attn.b_v"]
+        p = dict(model.named)["enc.00.attn.b_v"]
         p.data = p.data + 1.0
         with pytest.raises(ValueError, match="enc.00.attn.b_v"):
             save_checkpoint(model, tmp_path / "m.ckpt")
@@ -705,8 +704,8 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
-        assert ({n: t.shape for n, t in named_parameters(loaded)}
-                == {n: t.shape for n, t in named_parameters(model)})
+        assert ({n: t.shape for n, t in loaded.named}
+                == {n: t.shape for n, t in model.named})
 
     def test_predictions_bit_identical_after_second_round_trip(self, tmp_path):
         model, corpus = self.trained_model()
