@@ -27,7 +27,7 @@ except ImportError:     # not on Windows
     resource = None
 
 from .corpus import (
-    LABEL_ERR, LABEL_OK, LabeledSentence, TokenizedSentence, align_labels,
+    LABEL_ERR, LABEL_OK, TokenizedSentence, _trusted_sentence, align_labels,
     build_corpus, generate_synthetic_pairs, merge_annotator_labels,
     read_corpus_sentences, read_pair_file, read_vocab_file, write_corpus,
     write_pair_file, write_vocab_file,
@@ -218,11 +218,11 @@ def cmd_label(args) -> int:
                     f"from the first annotator's")
     marks = [align_labels([(p.source, p.corrected) for p in pairs])
              for pairs in annotations]
-    sentences = [
-        LabeledSentence(words=list(pair.source), labels=merge_annotator_labels(
-            [labels[i] for labels in marks]))
-        for i, pair in enumerate(first)
-    ]
+    # checked pairs' sources with the aligner's labels: nothing to check
+    merged = (marks[0] if len(marks) == 1 else
+              [merge_annotator_labels(labels) for labels in zip(*marks)])
+    sentences = [_trusted_sentence(list(pair.source), labels)
+                 for pair, labels in zip(first, merged)]
     write_corpus(sentences, args.out)
     n_err = sum(s.labels.count("i") for s in sentences)
     log.info("labeled %d sentences (%d error tokens) to %s",

@@ -8,6 +8,7 @@ of each word carries the word's label downstream.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ RESERVED_PIECES = (PAD_PIECE, UNK_PIECE, BOS_PIECE, EOS_PIECE)
 
 LABEL_OK = "c"
 LABEL_ERR = "i"
+_LABELS = frozenset((LABEL_OK, LABEL_ERR))
 
 CORPUS_HEADER = [
     "# gedlab labeled corpus",
@@ -52,12 +54,18 @@ def _check_tokens(tokens: list[str], what: str) -> None:
 
 
 def _check_labels(labels: Sequence[str]) -> None:
-    if not {LABEL_OK, LABEL_ERR}.issuperset(labels):
-        bad = next(lab for lab in labels if lab not in (LABEL_OK, LABEL_ERR))
+    if not _LABELS.issuperset(labels):
+        bad = next(lab for lab in labels if lab not in _LABELS)
         raise ValueError(f"label must be c or i, got {bad!r}")
 
 
-@dataclass
+# Each corpus input is checked once, where it enters: by a record's
+# public constructor, or by the reader of its file.  Records made from
+# data checked so (generator words, read files, aligner labels, the
+# segmenter's ids) are built by the _trusted_* functions, which assign
+# the fields and skip __post_init__.
+
+@dataclass(slots=True)
 class SentencePair:
     source: list[str]
     corrected: list[str]
@@ -69,7 +77,14 @@ class SentencePair:
         _check_tokens(self.corrected, "corrected")
 
 
-@dataclass
+def _trusted_pair(source: list[str], corrected: list[str]) -> SentencePair:
+    pair = object.__new__(SentencePair)
+    pair.source = source
+    pair.corrected = corrected
+    return pair
+
+
+@dataclass(slots=True)
 class LabeledSentence:
     words: list[str]
     labels: list[str]
@@ -82,6 +97,13 @@ class LabeledSentence:
                 f"{len(self.words)} words vs {len(self.labels)} labels")
         _check_tokens(self.words, "sentence")
         _check_labels(self.labels)
+
+
+def _trusted_sentence(words: list[str], labels: list[str]) -> LabeledSentence:
+    sentence = object.__new__(LabeledSentence)
+    sentence.words = words
+    sentence.labels = labels
+    return sentence
 
 
 # ------------------------------------------------------------- alignment
@@ -329,8 +351,6 @@ def _corrupt(tokens: list[str], rng: _Sampler) -> list[str]:
     verb_at = [k for k, t in enumerate(tokens) if t in _VERB_SWAP]
     prep_at = [k for k, t in enumerate(tokens) if t in _PREPOSITIONS
                and k + 2 < len(tokens)]  # the PP head, not a stray match
-    swap_at = [k for k in range(len(tokens) - 1)
-               if tokens[k] != tokens[k + 1]]
     ops = []
     if det_at:
         ops.append("drop_determiner")
@@ -339,7 +359,7 @@ def _corrupt(tokens: list[str], rng: _Sampler) -> list[str]:
     if prep_at:
         ops.append("swap_preposition")
     ops.append("duplicate_token")
-    if swap_at:
+    if len(set(tokens)) > 1:  # some neighbours differ
         ops.append("transpose_tokens")
     op = ops[rng.integers(len(ops))]
     out = list(tokens)
@@ -356,6 +376,8 @@ def _corrupt(tokens: list[str], rng: _Sampler) -> list[str]:
         k = rng.integers(len(out))
         out.insert(k, out[k])
     else:
+        swap_at = [k for k in range(len(tokens) - 1)
+                   if tokens[k] != tokens[k + 1]]
         k = swap_at[rng.integers(len(swap_at))]
         out[k], out[k + 1] = out[k + 1], out[k]
     return out
@@ -364,7 +386,8 @@ def _corrupt(tokens: list[str], rng: _Sampler) -> list[str]:
 def generate_synthetic_pairs(n: int, seed: int,
                              error_rate: float = 0.5) -> list[SentencePair]:
     """n (source, corrected) pairs; each source is corrupted with
-    probability error_rate by exactly one injected error."""
+    probability error_rate by exactly one injected error.  Every token
+    comes from the fixed word lists, so no pair is checked."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if seed < 0:
@@ -376,17 +399,16 @@ def generate_synthetic_pairs(n: int, seed: int,
     for _ in range(n):
         clean = _clean_sentence(rng)
         if rng.random() < error_rate:
-            pairs.append(SentencePair(source=_corrupt(clean, rng),
-                                      corrected=clean))
+            pairs.append(_trusted_pair(_corrupt(clean, rng), clean))
         else:
-            pairs.append(SentencePair(source=list(clean), corrected=clean))
+            pairs.append(_trusted_pair(list(clean), clean))
     return pairs
 
 
 def pairs_to_labeled(pairs: Iterable[SentencePair]) -> list[LabeledSentence]:
     pairs = list(pairs)
     labels = align_labels([(p.source, p.corrected) for p in pairs])
-    return [LabeledSentence(words=list(p.source), labels=lab)
+    return [_trusted_sentence(list(p.source), lab)
             for p, lab in zip(pairs, labels)]
 
 
@@ -446,7 +468,7 @@ def subtokenize(word: str, piece_to_id: dict[str, int]) -> list[str]:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenizedSentence:
     """What the model consumes: sub-token ids plus, per word, the index
     of its first sub-token (the row that carries the word's label)."""
@@ -467,6 +489,16 @@ class TokenizedSentence:
                 raise ValueError("first_sub_index must be strictly increasing "
                                  "and in range")
             prev = k
+
+
+def _trusted_tokenized(words: list[str], labels: list[str], sub_ids: list[int],
+                       first_sub_index: list[int]) -> TokenizedSentence:
+    tokenized = object.__new__(TokenizedSentence)
+    tokenized.words = words
+    tokenized.labels = labels
+    tokenized.sub_ids = sub_ids
+    tokenized.first_sub_index = first_sub_index
+    return tokenized
 
 
 def _tokenize(words: Sequence[str], labels: Sequence[str],
@@ -498,8 +530,7 @@ def _tokenize(words: Sequence[str], labels: Sequence[str],
         sub_ids.extend(ids)
         kept_words.append(w)
         kept_labels.append(lab)
-    return TokenizedSentence(words=kept_words, labels=kept_labels,
-                             sub_ids=sub_ids, first_sub_index=first)
+    return _trusted_tokenized(kept_words, kept_labels, sub_ids, first)
 
 
 @dataclass
@@ -540,13 +571,43 @@ def build_corpus(sentences: list[LabeledSentence],
 
 # -------------------------------------------------------------- file I/O
 
+def _utf8_text(read):
+    """The reader read(path), with a file that is not UTF-8 text
+    reported as a CorpusFormatError that names the path and the line."""
+    @functools.wraps(read)
+    def reader(path):
+        try:
+            return read(path)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from None
+    return reader
+
+
+def _decode_error(path, exc: UnicodeDecodeError) -> CorpusFormatError:
+    """exc as the error of the file's first line that does not decode.
+    No UTF-8 sequence holds the newline byte, so each line decodes
+    alone."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return CorpusFormatError(
+                    f"{path}: line {lineno}: not UTF-8 text: {bad}")
+    return CorpusFormatError(f"{path}: not UTF-8 text: {exc}")
+
+
 def write_pair_file(pairs: Iterable[SentencePair], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for p in pairs:
             fh.write(" ".join(p.source) + "\t" + " ".join(p.corrected) + "\n")
 
 
+@_utf8_text
 def read_pair_file(path) -> list[SentencePair]:
+    """The pairs of a source<TAB>corrected file.  str.split() makes no
+    empty token and none that holds whitespace, so a side is checked
+    only for being empty."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -562,7 +623,7 @@ def read_pair_file(path) -> list[SentencePair]:
             if not src or not dst:
                 raise CorpusFormatError(
                     f"{path}: line {lineno}: empty sentence side")
-            pairs.append(SentencePair(source=src, corrected=dst))
+            pairs.append(_trusted_pair(src, dst))
     return pairs
 
 
@@ -579,46 +640,54 @@ def write_corpus(sentences: Iterable[LabeledSentence], path) -> None:
                 fh.write(f"{w}\t{lab}\n")
 
 
+@_utf8_text
 def read_corpus_sentences(path) -> list[LabeledSentence]:
+    """The sentences of a word<TAB>label file.  Each line is checked as
+    it is read; a sentence is checked once more where it ends, for
+    whitespace inside a word."""
     sentences = []
     words: list[str] = []
     labels: list[str] = []
-
-    def flush():
-        if words:
-            try:
-                sentences.append(LabeledSentence(words=list(words),
-                                                 labels=list(labels)))
-            except ValueError as exc:
-                # the line loop checks all but whitespace inside a word
-                raise _whitespace_error(path, exc) from None
-            words.clear()
-            labels.clear()
-
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 continue
+            w, _, lab = line.partition("\t")
+            if w and lab in _LABELS:  # a well-formed word line
+                words.append(w)
+                labels.append(lab)
+                continue
+            # any other line ends a sentence or is an error
             if not line.strip():
-                flush()
+                if words:
+                    sentences.append(_read_sentence(path, words, labels))
+                    words, labels = [], []
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
                 raise CorpusFormatError(
                     f"{path}: line {lineno}: expected word<TAB>label, got "
                     f"{len(parts)} fields")
-            w, lab = parts
             if not w:
                 raise CorpusFormatError(f"{path}: line {lineno}: empty word")
-            if lab not in (LABEL_OK, LABEL_ERR):
-                raise CorpusFormatError(
-                    f"{path}: line {lineno}: label must be "
-                    f"{LABEL_OK!r} or {LABEL_ERR!r}, got {lab!r}")
-            words.append(w)
-            labels.append(lab)
-    flush()
+            raise CorpusFormatError(
+                f"{path}: line {lineno}: label must be "
+                f"{LABEL_OK!r} or {LABEL_ERR!r}, got {lab!r}")
+    if words:
+        sentences.append(_read_sentence(path, words, labels))
     return sentences
+
+
+def _read_sentence(path, words: list[str],
+                   labels: list[str]) -> LabeledSentence:
+    """The sentence of checked word lines read from path, once no word
+    holds whitespace."""
+    try:
+        _check_tokens(words, "sentence")
+    except ValueError as exc:
+        raise _whitespace_error(path, exc) from None
+    return _trusted_sentence(words, labels)
 
 
 def _whitespace_error(path, exc: ValueError) -> CorpusFormatError:
@@ -643,6 +712,7 @@ def write_vocab_file(vocab: Vocabulary, path) -> None:
             fh.write(p + "\n")
 
 
+@_utf8_text
 def read_vocab_file(path) -> Vocabulary:
     piece_to_id: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:

@@ -133,6 +133,29 @@ class TestExitCodes:
         assert errors[0].endswith("contains whitespace")
         assert not out.exists()
 
+    @pytest.mark.parametrize("reader", ["pairs", "corpus", "vocab"])
+    def test_non_utf8_file_is_named(self, workdir, trained, tmp_path,
+                                    capsys, reader):
+        binary = tmp_path / "binary.tsv"
+        binary.write_bytes(b"the\tc\ndog\t\xff\n")
+        out = tmp_path / "out"
+        argv = {
+            "pairs": ["label", "--pairs", binary, "--out", out],
+            "corpus": ["train", "--corpus", workdir / "corpus.tsv",
+                       "--dev", binary, "--seed", "3", "--epochs", "1",
+                       "--out", out],
+            "vocab": ["eval", "--checkpoint", trained, "--vocab", binary,
+                      "--corpus", workdir / "corpus.tsv"],
+        }[reader]
+        assert run(*map(str, argv)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {binary}: line 2: not UTF-8")
+        assert sorted(tmp_path.iterdir()) == [binary]
+
     @pytest.mark.parametrize("command, ends", [
         pytest.param("eval", "corpus has no word positions to score",
                      id="eval"),
