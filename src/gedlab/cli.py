@@ -161,7 +161,11 @@ def resolve_configs(args, vocab_size: int) -> tuple[ModelConfig, TrainConfig]:
     values = dict(DESK)
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.config}: JSON nested too deeply "
+                                 f"to read") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: config file must hold a JSON "
                              f"object")
@@ -468,10 +472,12 @@ def cmd_sweep(args) -> int:
 def int_list(text: str) -> list[int]:
     """argparse type of sweep's --heads: comma-separated integers.  A
     bad list is a usage error, "argument --heads: invalid int_list", and
-    so is a repeated count, which would train and write one J twice."""
-    values = [int(x) for x in text.split(",") if x.strip()]
-    if not values:
-        raise ValueError(f"{text!r} holds no integer")
+    so are an empty item and a repeated count, which would train and
+    write one J twice."""
+    items = text.split(",")
+    if not all(x.strip() for x in items):
+        raise argparse.ArgumentTypeError(f"{text!r} has an empty item")
+    values = [int(x) for x in items]
     if len(set(values)) != len(values):
         raise argparse.ArgumentTypeError(
             f"{text!r} lists a head count more than once")

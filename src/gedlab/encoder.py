@@ -2,8 +2,8 @@
 
 Per token: learned token + position embeddings, then n_layers blocks of
 multi-head scaled dot-product self-attention and a relu FFN, each with
-residual + layer norm.  All layer states are kept so heads can attend
-over depth.
+residual + layer norm.  Every block's output is kept so heads can
+attend over depth.
 
 A batch is one padded [B*T x hidden] matrix.  A block is four fused
 tape nodes: tensor.self_attention (the q, k and v projections and
@@ -203,13 +203,19 @@ def draw_encoder_params(params: EncoderParams, rng: np.random.Generator,
                 params.position_embedding)
 
 
+def dropout_rates(config: ModelConfig,
+                  rng: np.random.Generator | None) -> tuple[float, float]:
+    """(dropout, attn_dropout): config's for a forward given an rng, a
+    training forward; (0, 0) for one without, an eval forward."""
+    return (0.0, 0.0) if rng is None else (config.dropout, config.attn_dropout)
+
+
 def _block(h: Tensor, lp: LayerParams, config: ModelConfig, key_real,
-           train_mode: bool, rng: np.random.Generator | None) -> Tensor:
+           rng: np.random.Generator | None) -> Tensor:
     """One post-norm block as four tape nodes: self-attention with its
     projections, the w_o residual and layer norm, the relu FFN's first
     map, and its second map's residual and layer norm."""
-    attn_rate = config.attn_dropout if train_mode else 0.0
-    rate = config.dropout if train_mode else 0.0
+    rate, attn_rate = dropout_rates(config, rng)
     mixed = self_attention(h, lp.w_q, lp.b_q, lp.w_k, lp.w_v, lp.b_v,
                            key_real, config.self_attn_heads, attn_rate, rng)
     h = residual_norm(h, mixed, lp.w_o, lp.b_o, lp.ln1_gain, lp.ln1_bias,
@@ -220,7 +226,6 @@ def _block(h: Tensor, lp: LayerParams, config: ModelConfig, key_real,
 
 
 def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
-                 train_mode: bool = False,
                  rng: np.random.Generator | None = None):
     """Forward several sentences as one matrix; the encoder's only
     forward.
@@ -232,10 +237,10 @@ def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
     tokens of its own sentence.  PAD keys get exactly zero weight, every
     stored value stays finite, and the result on real rows equals the
     per-sentence forward.  At a fixed padded length, work and memory
-    grow linearly in B.
+    grow linearly in B.  Given an rng it is a training forward.
 
-    Returns (states, real): L+1 tensors of shape [B*T x hidden] and a
-    bool vector marking real rows.
+    Returns (states, real): the L block outputs, each [B*T x hidden],
+    and a bool vector marking real rows.
     """
     if not sentences:
         raise ValueError("encode_batch needs at least one sentence")
@@ -258,11 +263,10 @@ def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
     positions = np.tile(np.arange(t_max), len(sentences))
     h = add(gather_rows(params.token_embedding, flat),
             gather_rows(params.position_embedding, positions))
-    if train_mode and config.dropout > 0.0:
-        h = dropout(h, config.dropout, rng)
+    h = dropout(h, dropout_rates(config, rng)[0], rng)
     key_real = ids != PAD_ID
-    states = [h]
+    states = []
     for lp in params.layers:
-        h = _block(h, lp, config, key_real, train_mode, rng)
+        h = _block(h, lp, config, key_real, rng)
         states.append(h)
     return states, key_real.reshape(-1)

@@ -83,18 +83,25 @@ def report_from_counts(tp: int, fp: int, fn: int, tn: int,
                       config_fingerprint=config_fingerprint, seed=seed)
 
 
-def _length_sorted_batches(sentences: list[TokenizedSentence]):
-    """Corpus indices in batches of EVAL_BATCH, by sub-token count with
-    ties in corpus order, so each batch pads little."""
+def _corpus_forwards(model: Model, sentences: list[TokenizedSentence]):
+    """One eval forward under no_grad per batch of EVAL_BATCH corpus
+    indices, taken by sub-token count with ties in corpus order so each
+    batch pads little.  Yields (batch indices, probs, record); no_grad
+    does not span a yield."""
     order = sorted(range(len(sentences)),
                    key=lambda i: len(sentences[i].sub_ids))
     for start in range(0, len(order), EVAL_BATCH):
-        yield order[start:start + EVAL_BATCH]
+        batch = order[start:start + EVAL_BATCH]
+        with no_grad():
+            probs, record = forward_batch(
+                model, [sentences[i].sub_ids for i in batch],
+                [sentences[i].first_sub_index for i in batch])
+        yield batch, probs, record
 
 
 def evaluate(model: Model, corpus: LabeledCorpus,
              seed: int | None = None) -> EvalReport:
-    """Corpus-wide counts first, then the metrics.  Eval mode, in
+    """Corpus-wide counts first, then the metrics.  Eval forwards, in
     length-sorted batches under no_grad; a probability tie goes to the
     clean class (argmax picks the lowest index).  A corpus without words
     is a ValueError: it has nothing to score."""
@@ -102,18 +109,14 @@ def evaluate(model: Model, corpus: LabeledCorpus,
     if not any(s.first_sub_index for s in sentences):
         raise ValueError("corpus has no word positions to score")
     tp = fp = fn = tn = 0
-    with no_grad():
-        for batch in _length_sorted_batches(sentences):
-            probs, _ = forward_batch(
-                model, [sentences[i].sub_ids for i in batch],
-                [sentences[i].first_sub_index for i in batch])
-            flagged = np.argmax(probs.data, axis=1) == CLASS_ERR
-            gold = np.array([lab == LABEL_ERR for i in batch
-                             for lab in sentences[i].labels])
-            tp += int(np.sum(flagged & gold))
-            fp += int(np.sum(flagged & ~gold))
-            fn += int(np.sum(~flagged & gold))
-            tn += int(np.sum(~flagged & ~gold))
+    for batch, probs, _ in _corpus_forwards(model, sentences):
+        flagged = np.argmax(probs.data, axis=1) == CLASS_ERR
+        gold = np.array([lab == LABEL_ERR for i in batch
+                         for lab in sentences[i].labels])
+        tp += int(np.sum(flagged & gold))
+        fp += int(np.sum(flagged & ~gold))
+        fn += int(np.sum(~flagged & gold))
+        tn += int(np.sum(~flagged & ~gold))
     return report_from_counts(tp, fp, fn, tn,
                               n_sentences=corpus.n_sentences,
                               config_fingerprint=model.config.fingerprint(),
@@ -135,7 +138,7 @@ class AttentionSummary:
         if self.n_tokens < 1:
             raise ValueError("summary needs at least one token")
         row_sums = self.matrix.sum(axis=1)
-        if np.abs(row_sums - 1.0).max() > 1e-6:
+        if not np.abs(row_sums - 1.0).max() <= 1e-6:  # NaN fails too
             raise ValueError(
                 "mean attention rows must sum to 1 (eval-mode weights)")
 
@@ -150,16 +153,12 @@ def attention_summary(model: Model, corpus: LabeledCorpus) -> AttentionSummary:
             f"head type {model.config.head_type!r} has no depth attention")
     sentences = corpus.tokenized
     sums = [None] * len(sentences)
-    with no_grad():
-        for batch in _length_sorted_batches(sentences):
-            _, record = forward_batch(
-                model, [sentences[i].sub_ids for i in batch],
-                [sentences[i].first_sub_index for i in batch])
-            start = 0
-            for i in batch:
-                stop = start + len(sentences[i].first_sub_index)
-                sums[i] = record.weights[start:stop].sum(axis=0)
-                start = stop
+    for batch, _, record in _corpus_forwards(model, sentences):
+        start = 0
+        for i in batch:
+            stop = start + len(sentences[i].first_sub_index)
+            sums[i] = record.weights[start:stop].sum(axis=0)
+            start = stop
     total = np.zeros((model.config.layer_attn_heads, model.config.n_layers))
     for part in sums:
         total += part

@@ -1,11 +1,11 @@
-"""Classification heads over the encoder's layer states.
+"""Classification heads over the encoder's L block outputs.
 
 Three variants share the output layer shape and differ in what they
 feed it:
 
 * final: the last layer state, linearly mapped to class logits.
-* avgl: the average of per-layer linear transforms of states 1..L.
-* mhmla: per token, several attention heads score states 1..L, softmax
+* avgl: the average of per-layer linear transforms of the L states.
+* mhmla: per token, several attention heads score the L states, softmax
   over depth, and mix per-layer value projections with those weights;
   the heads side by side feed the output layer.  One key and one value
   map per layer serve all J heads, and one score vector every (layer,
@@ -13,8 +13,8 @@ feed it:
   node, which takes the parameters in the shapes they are stored in.
 
 The other heads' affine maps x W + b are one tensor.linear node each.
-The embedding state (index 0) never participates; depth attention runs
-over layers 1..L only.
+The embedding is not a state: states[l] is block l+1's output.  A head
+given an rng is a training forward, with dropout (dropout_rates).
 
 head_shapes is the one statement of a head's parameter layout: each
 tensor's checkpoint name and shape, in the model buffer's order.
@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .encoder import INIT_STD, ModelConfig, draw_normal
+from .encoder import INIT_STD, ModelConfig, draw_normal, dropout_rates
 from .tensor import (
     Tensor, add, depth_attention, dropout, linear, scale, softmax,
 )
@@ -146,9 +146,9 @@ def draw_head_params(params: HeadParams, config: ModelConfig,
 
 
 def _check_states(states, config: ModelConfig) -> None:
-    if len(states) != config.n_layers + 1:
-        raise ValueError(
-            f"expected {config.n_layers + 1} layer states, got {len(states)}")
+    if len(states) != config.n_layers:
+        raise ValueError(f"expected L = {config.n_layers} layer states, "
+                         f"got {len(states)}")
     n = states[0].shape[0]
     for lvl, s in enumerate(states):
         if s.shape != (n, config.hidden):
@@ -157,22 +157,23 @@ def _check_states(states, config: ModelConfig) -> None:
 
 
 def final_layer_forward(states, params: FinalHeadParams, config: ModelConfig,
-                        train_mode: bool = False, rng=None) -> Tensor:
+                        rng=None) -> Tensor:
     """softmax(h^L W + b) per token."""
     _check_states(states, config)
-    h = dropout(states[-1], config.dropout if train_mode else 0.0, rng)
+    h = dropout(states[-1], dropout_rates(config, rng)[0], rng)
     return softmax(linear(h, params.w_out, params.b_out), axis=1)
 
 
 def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
-                 train_mode: bool = False, rng=None) -> Tensor:
-    """softmax over the mean of per-layer transforms of states 1..L."""
+                 rng=None) -> Tensor:
+    """softmax over the mean of per-layer transforms of the L states."""
     _check_states(states, config)
     if len(params.w_proj) != config.n_layers:
         raise ValueError("avgl params do not match n_layers")
+    rate = dropout_rates(config, rng)[0]
     total = None
     for l in range(config.n_layers):
-        h = dropout(states[l + 1], config.dropout if train_mode else 0.0, rng)
+        h = dropout(states[l], rate, rng)
         term = linear(h, params.w_proj[l], params.b_proj[l])
         total = term if total is None else add(total, term)
     c = scale(total, 1.0 / config.n_layers)
@@ -180,21 +181,19 @@ def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
 
 
 def layer_attention_weights(states, params: MhmlaHeadParams,
-                            config: ModelConfig, train_mode: bool = False,
-                            rng=None) -> AttentionRecord:
+                            config: ModelConfig, rng=None) -> AttentionRecord:
     """Just the depth-attention distributions, as a record."""
-    return mhmla_forward(states, params, config, train_mode, rng)[1]
+    return mhmla_forward(states, params, config, rng)[1]
 
 
 def mhmla_forward(states, params: MhmlaHeadParams, config: ModelConfig,
-                  train_mode: bool = False,
                   rng=None) -> tuple[Tensor, AttentionRecord]:
     """Class probabilities plus the attention weights that produced them:
-    tensor.depth_attention over states 1..L, then a softmax."""
+    tensor.depth_attention over the L states, then a softmax."""
     _check_states(states, config)
-    rates = (config.dropout, config.attn_dropout) if train_mode else (0.0, 0.0)
     logits, weights = depth_attention(
-        states[1:], params.w_k, params.b_k, params.w_a, params.b_a,
-        params.w_v, params.b_v, params.w_out, params.b_out, *rates, rng)
+        states, params.w_k, params.b_k, params.w_a, params.b_a,
+        params.w_v, params.b_v, params.w_out, params.b_out,
+        *dropout_rates(config, rng), rng)
     record = AttentionRecord(weights.transpose(0, 2, 1))
     return softmax(logits, axis=1), record

@@ -102,22 +102,18 @@ def check_views(named_params, flat: np.ndarray, checked=()) -> list:
 
 
 def head_forward(states: list[Tensor], model: Model,
-                 train_mode: bool = False,
                  rng: np.random.Generator | None = None):
-    """Class probabilities from a stack of layer states.
+    """Class probabilities from the L block outputs.
 
     Returns (probs, record); record is None for head types that do not
     attend over depth.
     """
     cfg = model.config
     if cfg.head_type == "final":
-        return final_layer_forward(states, model.head, cfg,
-                                   train_mode=train_mode, rng=rng), None
+        return final_layer_forward(states, model.head, cfg, rng), None
     if cfg.head_type == "avgl":
-        return avgl_forward(states, model.head, cfg,
-                            train_mode=train_mode, rng=rng), None
-    return mhmla_forward(states, model.head, cfg, train_mode=train_mode,
-                         rng=rng)
+        return avgl_forward(states, model.head, cfg, rng), None
+    return mhmla_forward(states, model.head, cfg, rng)
 
 
 def label_targets(labels: Sequence[str]) -> list[int]:
@@ -160,43 +156,38 @@ def batch_word_rows(batch: Sequence[TokenizedSentence], padded_len: int):
     return rows, label_targets([lab for s in batch for lab in s.labels])
 
 
-def encode(model: Model, sub_ids: Sequence, train_mode: bool = False,
+def encode(model: Model, sub_ids: Sequence,
            rng: np.random.Generator | None = None) -> list[Tensor]:
-    """Every layer's states of several sentences' sub-token ids as one
-    padded batch: L+1 tensors of [B*T x hidden], row b*T + n for token
-    n of sentence b (encode_batch)."""
-    states, _ = encode_batch(sub_ids, model.encoder, model.config,
-                             train_mode=train_mode, rng=rng)
-    return states
+    """The L block outputs of several sentences' sub-token ids as one
+    padded batch, each [B*T x hidden], row b*T + n for token n of
+    sentence b (encode_batch)."""
+    return encode_batch(sub_ids, model.encoder, model.config, rng)[0]
 
 
 def forward_batch(model: Model, sub_ids: Sequence, first_sub_index: Sequence,
-                  train_mode: bool = False,
                   rng: np.random.Generator | None = None):
     """Several sentences end to end as one padded batch: encode the
     sub-tokens, keep the first sub-token row of each word, classify
     those rows.  sub_ids[b] and first_sub_index[b] are sentence b's.
+    Given an rng it is a training forward; without one it draws nothing.
 
     Returns (probs [n_words x n_classes], record or None), the words in
     batch order; record is None for head types that do not attend over
     depth.
     """
-    states = encode(model, sub_ids, train_mode=train_mode, rng=rng)
+    states = encode(model, sub_ids, rng)
     rows = word_rows(first_sub_index, [len(s) for s in sub_ids],
                      states[0].shape[0] // len(sub_ids))
-    return head_forward([gather_rows(s, rows) for s in states], model,
-                        train_mode=train_mode, rng=rng)
+    return head_forward([gather_rows(s, rows) for s in states], model, rng)
 
 
 def predict_word_probs(model: Model, sub_ids, first_sub_index,
-                       train_mode: bool = False,
                        rng: np.random.Generator | None = None):
     """forward_batch on one sentence.
 
     Returns (probs [n_words x n_classes], record or None).
     """
-    return forward_batch(model, [sub_ids], [first_sub_index],
-                         train_mode=train_mode, rng=rng)
+    return forward_batch(model, [sub_ids], [first_sub_index], rng)
 
 
 def word_attention(model: Model, sub_ids, first_sub_index) -> AttentionRecord:

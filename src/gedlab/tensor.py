@@ -568,7 +568,7 @@ def cross_entropy(probabilities: Tensor, targets) -> Tensor:
     if t.min() < 0 or t.max() >= c:
         raise ValueError(f"target class out of range [0, {c}): {t.min()}..{t.max()}")
     sums = p.sum(axis=1)
-    bad = np.abs(sums - 1.0) > 1e-6
+    bad = ~(np.abs(sums - 1.0) <= 1e-6)  # NaN rows are bad too
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"row {i} is not a distribution (sums to {sums[i]!r})")

@@ -150,12 +150,11 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
 # -------------------------------------------------------------- the loss
 
 def batch_loss(model: Model, batch: Sequence[TokenizedSentence],
-               train_mode: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
-    """Mean cross-entropy over the words of a batch."""
+    """Mean cross-entropy over the words of a batch; with dropout when
+    given an rng."""
     probs, _ = forward_batch(model, [t.sub_ids for t in batch],
-                             [t.first_sub_index for t in batch],
-                             train_mode=train_mode, rng=rng)
+                             [t.first_sub_index for t in batch], rng)
     return cross_entropy(probs,
                          label_targets([lab for t in batch
                                         for lab in t.labels]))
@@ -175,7 +174,7 @@ def _train_step(model: Model, params: list, state: AdamState,
     Held across the next forward, it would double the step's peak
     memory.  Returning a float lets the graph go with these locals."""
     reset_graph()
-    loss = batch_loss(model, batch, train_mode=True, rng=rng)
+    loss = batch_loss(model, batch, rng)
     backward(loss)
     adam_step(params, state, config)
     for _, p in params:
@@ -261,7 +260,8 @@ def load_checkpoint(path) -> Model:
     parameter shapes name by name, in Model.named order, and the
     payload holds exactly 4 bytes per float those shapes need, so a
     header cannot ask for more memory than the file's own size accounts
-    for."""
+    for.  A NaN or infinite parameter is a CheckpointError naming the
+    first such parameter."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -286,7 +286,7 @@ def load_checkpoint(path) -> Model:
                 and type(e.get("offset")) is int for e in manifest):
             raise ValueError("manifest is not a list of {name: string, "
                              "shape: [int >= 0], offset: int} objects")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from exc
     payload = blob[fixed + head_len:]
     # at most one entry more than the manifest lists: enough to tell
@@ -328,4 +328,7 @@ def load_checkpoint(path) -> Model:
                 f"wants {want} (out of order)")
     model = alloc_model(config)
     model.flat[...] = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(model.flat).all():
+        raise CheckpointError(f"{path}: non-finite value in "
+                              f"{_first_nonfinite(model.named, model.flat)}")
     return model

@@ -226,15 +226,16 @@ def _softmax(x, axis):
 
 
 def mhmla_reference(states, params, config):
-    """Eval-mode MHMLA head, the paper's equations one (layer, head) pair
-    at a time: per head j, a relu key k = relu(h^l W_k + b_k) and a score
+    """Eval-mode MHMLA head over the L block outputs, the paper's
+    equations one (layer, head) pair at a time: per head j, a relu key
+    k = relu(h^l W_k + b_k) and a score
     k w_a + b_a for each layer l, a softmax of the scores over layers,
     and the weighted sum of the values h^l W_v + b_v.  The heads, side
     by side, feed the output layer.
 
     Returns (probs [n x classes], weights [n, J, L]).
     """
-    hs = [s.data for s in states[1:]]
+    hs = [s.data for s in states]
     L, J = config.n_layers, config.layer_attn_heads
     weights, heads = [], []
     part = functools.partial(pair_part, params)

@@ -144,7 +144,7 @@ def test_reduction_equivalences():
     params = alloc_model(cfg).head
     draw_head_params(params, cfg, rng, init_std=0.5)
     states = [Tensor(rng.normal(size=(5, cfg.hidden)))
-              for _ in range(cfg.n_layers + 1)]
+              for _ in range(cfg.n_layers)]
     n, J, L = 5, cfg.layer_attn_heads, cfg.n_layers
 
     # (a) all weight on the last layer = one composed linear readout
@@ -203,7 +203,7 @@ def test_reduction_equivalences():
             pair_part(tied, "b_v", l, j)[...] = pair_part(
                 tied, "b_v", 0, j)
     h = Tensor(rng.normal(size=(n, cfg.hidden)))
-    same_states = [h] * (L + 1)
+    same_states = [h] * L
     rescored = copy.deepcopy(tied)
     for l in range(L):
         for j in range(J):

@@ -6,7 +6,9 @@ exits 0 or 2, never raises.
   grows at most about tenfold.
 * A checkpoint whose header asks for up to 1e9 of something: it must
   exit 2 before the model is built, so these tests replace init_model
-  with one that fails if called and never allocate for real.
+  with one that fails if called and never allocate for real.  So must
+  a header nested too deeply for json.
+* A checkpoint holding a NaN or an infinite parameter.
 * A truncated pair, corpus or vocabulary file, or one with separators,
   NUL, invalid UTF-8, word-piece markers, reserved pieces or multi-byte
   characters spliced in: the pair file through `gedlab label`, the
@@ -194,3 +196,35 @@ def test_damaged_text_file_exits_0_or_2(files, target, truncate, data):
             code = main(argv)
         assert code in (0, 2), (argv[0], err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+def test_deeply_nested_header_exits_2(files):
+    # json gives up on 100k levels with a RecursionError, not a
+    # ValueError
+    d, blobs = files
+    header = b'{"config":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    run_without_init(d, CHECKPOINT_MAGIC + struct.pack("<I", len(header))
+                     + header)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["enc.01.ffn.w1", "head.att.w_a"])
+def test_non_finite_parameter_exits_2(files, name, value):
+    # loaded, it would score every word clean and average nan weights
+    d, blobs = files
+    config = ModelConfig.from_dict(split_checkpoint(blobs["mhmla"])[0]
+                                   ["config"])
+    model = init_model(config, np.random.default_rng(0))
+    dict(model.named)[name].data.flat[3] = value
+    ckpt = d / "non_finite.ckpt"
+    ckpt.write_bytes(checkpoint_bytes(model))
+    for command in ("eval", "attn"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--checkpoint", str(ckpt),
+                         "--vocab", str(d / "vocab.txt"),
+                         "--corpus", str(d / "corpus.tsv")])
+        lines = err.getvalue().splitlines()
+        assert code == 2, (command, lines)
+        assert lines == [f"error: {ckpt}: non-finite value in {name}"]

@@ -687,7 +687,7 @@ class TestSweep:
                                             "dev_dropped_words"}
 
     def test_bad_head_list_is_usage_error(self, workdir, tmp_path, capsys):
-        for heads in ("1,x", ","):
+        for heads in ("1,x", ",", "4,,8", ",4,", "4,", "1, ,2"):
             assert run("sweep", "--heads", heads,
                        "--corpus", str(workdir / "corpus.tsv"),
                        "--dev", str(workdir / "dev.tsv"),
@@ -775,6 +775,22 @@ class TestConfigResolution:
                   if line.startswith("error: ")]
         assert len(errors) == 1
         assert "'vocab_size'" in errors[0] and "corpus" in errors[0]
+        assert not out.exists()
+
+    def test_deeply_nested_config_is_data_error(self, workdir, tmp_path,
+                                                capsys):
+        # json gives up on 100k levels with a RecursionError, not a
+        # ValueError
+        conf = tmp_path / "conf.json"
+        conf.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--corpus", str(workdir / "corpus.tsv"),
+                   "--seed", "1", "--config", str(conf),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"error: {conf}: JSON nested too deeply "
+                                    f"to read"]
         assert not out.exists()
 
     def test_resolve_configs_desk_defaults(self):

@@ -5,7 +5,7 @@ import pytest
 
 from gedlab.corpus import PAD_ID
 from gedlab.encoder import (
-    INIT_STD, ModelConfig, draw_encoder_params, encode_batch,
+    INIT_STD, ModelConfig, _block, draw_encoder_params, encode_batch,
 )
 from gedlab.model import alloc_model
 from gedlab.tensor import (
@@ -101,14 +101,17 @@ class TestInit:
 
 class TestEmbed:
     def test_embedding_is_sum_of_lookups(self, rng):
+        # the embedding is not a state: the first state is block 1 over
+        # it, bit for bit
         cfg = tiny_config()
         params = drawn_encoder(cfg, rng).encoder
         ids = [5, 9, 5]
-        h0 = encode_batch([ids], params, cfg)[0][0]
+        first = encode_batch([ids], params, cfg)[0][0]
         tok = params.token_embedding.data
         pos = params.position_embedding.data
-        expect = tok[ids] + pos[:3]
-        assert np.array_equal(h0.data, expect)
+        expect = _block(Tensor(tok[ids] + pos[:3]), params.layers[0], cfg,
+                        np.ones((1, 3), dtype=bool), None)
+        assert np.array_equal(first.data, expect.data)
 
     def test_rejects_long_input(self, rng):
         cfg = tiny_config(max_len=4)
@@ -128,7 +131,7 @@ class TestEncode:
         cfg = tiny_config()
         params = drawn_encoder(cfg, rng).encoder
         states = encode_batch([[4, 5, 6, 7]], params, cfg)[0]
-        assert len(states) == cfg.n_layers + 1
+        assert len(states) == cfg.n_layers
         assert all(s.shape == (4, cfg.hidden) for s in states)
 
     def test_eval_forward_is_deterministic(self, rng):
@@ -164,7 +167,7 @@ class TestEncode:
             t_max = max(len(s) for s in sents)
             for b, s in enumerate(sents):
                 single = encode_batch([s], params, cfg)[0]
-                for lvl in range(cfg.n_layers + 1):
+                for lvl in range(cfg.n_layers):
                     rows = states[lvl].data[b * t_max: b * t_max + len(s)]
                     diff = np.abs(rows - single[lvl].data).max()
                     assert diff < 1e-10, f"sentence {b} layer {lvl}: {diff}"
@@ -179,9 +182,9 @@ class TestEncode:
         params = drawn_encoder(cfg, rng).encoder
         ids = [PAD_ID, PAD_ID, 7, PAD_ID, PAD_ID]
         with no_grad():
-            out_a = encode_batch([ids], params, cfg)[0][1].data
+            out_a = encode_batch([ids], params, cfg)[0][0].data
             params.token_embedding.data[PAD_ID] += rng.normal(size=cfg.hidden)
-            out_b = encode_batch([ids], params, cfg)[0][1].data
+            out_b = encode_batch([ids], params, cfg)[0][0].data
         assert np.array_equal(out_a[2], out_b[2])
         assert not np.array_equal(out_a[1], out_b[1])
 
@@ -198,12 +201,12 @@ class TestEncode:
         cfg = tiny_config(dropout=0.2, attn_dropout=0.2)
         params = drawn_encoder(cfg, rng).encoder
         with no_grad():
-            a = encode_batch([[4, 5, 6]], params, cfg, train_mode=True,
-                             rng=np.random.default_rng(3))[0]
-            b = encode_batch([[4, 5, 6]], params, cfg, train_mode=True,
-                             rng=np.random.default_rng(3))[0]
-            c = encode_batch([[4, 5, 6]], params, cfg, train_mode=True,
-                             rng=np.random.default_rng(4))[0]
+            a = encode_batch([[4, 5, 6]], params, cfg,
+                             np.random.default_rng(3))[0]
+            b = encode_batch([[4, 5, 6]], params, cfg,
+                             np.random.default_rng(3))[0]
+            c = encode_batch([[4, 5, 6]], params, cfg,
+                             np.random.default_rng(4))[0]
         assert np.array_equal(a[-1].data, b[-1].data)
         assert not np.array_equal(a[-1].data, c[-1].data)
 

@@ -353,6 +353,11 @@ class TestAttentionSummary:
         with pytest.raises(ValueError, match="sum to 1"):
             AttentionSummary(matrix=np.array([[0.2, 0.2]]), n_tokens=3)
 
+    def test_constructor_rejects_nan_rows(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            AttentionSummary(matrix=np.array([[0.5, 0.5], [np.nan, 0.5]]),
+                             n_tokens=3)
+
 
 class TestCsvExport:
     def test_exact_small_example(self):

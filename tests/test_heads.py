@@ -52,7 +52,7 @@ def head_named(model):
 
 def random_states(rng, cfg, n_tokens=5):
     return [Tensor(rng.normal(size=(n_tokens, cfg.hidden)))
-            for _ in range(cfg.n_layers + 1)]
+            for _ in range(cfg.n_layers)]
 
 
 class TestShapes:
@@ -77,11 +77,18 @@ class TestShapes:
         assert record.weights.shape == (5, j, cfg.n_layers)
 
     def test_rejects_wrong_state_count(self, rng):
-        cfg = cfg_for()
-        params = drawn_head(cfg, rng).head
-        states = random_states(rng, cfg)[:-1]
-        with pytest.raises(ValueError, match="layer states"):
-            mhmla_forward(states, params, cfg)
+        # every head refuses L+1 states (the embedding too) and L-1,
+        # naming L
+        for head_type, forward in (("final", final_layer_forward),
+                                   ("avgl", avgl_forward),
+                                   ("mhmla", mhmla_forward)):
+            cfg = cfg_for(head_type)
+            params = drawn_head(cfg, rng).head
+            states = random_states(rng, cfg)
+            for wrong in (states + states[:1], states[:-1]):
+                with pytest.raises(ValueError,
+                                   match="expected L = 3 layer states"):
+                    forward(wrong, params, cfg)
 
     def test_final_head_matches_numpy(self, rng):
         cfg = cfg_for("final")
@@ -100,7 +107,7 @@ class TestShapes:
         states = random_states(rng, cfg)
         with no_grad():
             probs = avgl_forward(states, params, cfg)
-        c = np.mean([states[l + 1].data @ params.w_proj[l].data
+        c = np.mean([states[l].data @ params.w_proj[l].data
                      + params.b_proj[l].data
                      for l in range(cfg.n_layers)], axis=0)
         logits = c @ params.w_out.data + params.b_out.data
@@ -140,8 +147,7 @@ class TestAttentionWeights:
         states = random_states(rng, cfg, n_tokens=40)
         with no_grad():
             record = layer_attention_weights(
-                states, params, cfg, train_mode=True,
-                rng=np.random.default_rng(5))
+                states, params, cfg, np.random.default_rng(5))
         w = record.weights
         assert (w == 0.0).any()
         sums = w.sum(axis=2)
@@ -208,7 +214,7 @@ class TestReductions:
                 pair_part(params, "b_v", l, j)[...] = pair_part(
                     params, "b_v", 0, j)
         h = Tensor(rng.normal(size=(5, cfg.hidden)))
-        states = [h] * (L + 1)
+        states = [h] * L
         other = copy.deepcopy(params)
         for l in range(L):
             for j in range(J):
@@ -280,7 +286,7 @@ class TestConvexity:
             _, record = mhmla_forward(states, params, cfg)
         for j in range(J):
             v = np.stack([
-                states[l + 1].data @ pair_part(params, "w_v", l, j)
+                states[l].data @ pair_part(params, "w_v", l, j)
                 + pair_part(params, "b_v", l, j) for l in range(L)])
             mixed = np.einsum("nl,lnd->nd", record.weights[:, j, :], v)
             lo, hi = v.min(axis=0), v.max(axis=0)

@@ -130,6 +130,11 @@ class TestForwardValues:
         with pytest.raises(ValueError, match="row 0"):
             cross_entropy(Tensor([[0.7, 0.7]]), [0])
 
+    def test_cross_entropy_rejects_nan_rows(self):
+        # |NaN - 1| > 1e-6 is False, so a NaN row must fail the other way
+        with pytest.raises(ValueError, match="row 1"):
+            cross_entropy(Tensor([[0.5, 0.5], [np.nan, 0.5]]), [0, 1])
+
     def test_cross_entropy_rejects_bad_target(self):
         with pytest.raises(ValueError, match="out of range"):
             cross_entropy(Tensor([[0.5, 0.5]]), [2])

@@ -3,7 +3,7 @@ checkpoint byte format."""
 import json
 import struct
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -202,23 +202,21 @@ class TestRowSelection:
 
         def unfolded(rng):
             states, _ = encode_batch([t.sub_ids for t in batch],
-                                     model.encoder, model.config,
-                                     train_mode=True, rng=rng)
+                                     model.encoder, model.config, rng)
             rows, targets = batch_word_rows(batch,
                                             states[0].shape[0] // len(batch))
             probs, _ = head_forward([gather_rows(s, rows) for s in states],
-                                    model, train_mode=True, rng=rng)
+                                    model, rng)
             return cross_entropy(probs, targets).item()
 
         probs, _ = forward_batch(model, [t.sub_ids for t in batch],
                                  [t.first_sub_index for t in batch],
-                                 train_mode=True,
-                                 rng=np.random.default_rng(9))
+                                 np.random.default_rng(9))
         targets = label_targets([lab for t in batch for lab in t.labels])
         want = unfolded(np.random.default_rng(9))
         assert cross_entropy(probs, targets).item() == want
-        assert batch_loss(model, batch, train_mode=True,
-                          rng=np.random.default_rng(9)).item() == want
+        assert batch_loss(model, batch,
+                          np.random.default_rng(9)).item() == want
 
 
 def reference_adam_trace(x0, grad_fn, lr, steps,
@@ -439,7 +437,7 @@ class TestTrainLoop:
         sizes = {}
         for b, sents in ((16, batch), (32, batch * 2)):
             reset_graph()
-            batch_loss(model, sents, train_mode=True, rng=rng)
+            batch_loss(model, sents, rng)
             sizes[b] = tape_bytes()
         assert sizes[32] <= 2.2 * sizes[16], sizes
 
@@ -457,22 +455,23 @@ class TestTrainLoop:
         for head_type in ("mhmla", "final"):
             model = init_model(desk_config(head_type=head_type), rng)
             reset_graph()
-            batch_loss(model, batch, train_mode=True, rng=rng)
+            batch_loss(model, batch, rng)
             nodes[head_type] = len(active_graph().nodes)
         assert nodes["mhmla"] <= nodes["final"], nodes
 
-    def test_desk_step_records_27_tape_nodes(self):
+    def test_desk_step_records_26_tape_nodes(self):
         # three for the embedding, four per encoder block
         # (self_attention, residual_norm, linear_relu, residual_norm),
-        # a word-row gather_rows per layer state, depth_attention and
-        # softmax for the MHMLA head, and the loss.  With the head built
-        # from concat, reshape, mul and per-layer linear maps, 46; with
-        # one node per affine map, layer norm, relu and attention, 82,
-        # and before those were fused, 150
+        # a word-row gather_rows per block output, depth_attention and
+        # softmax for the MHMLA head, and the loss.  With a gather of
+        # the embedding's word rows too, 27; with the head built from
+        # concat, reshape, mul and per-layer linear maps, 46; with one
+        # node per affine map, layer norm, relu and attention, 82, and
+        # before those were fused, 150
         rng = np.random.default_rng(0)
         model = init_model(desk_config(), rng)
-        batch_loss(model, desk_batch(rng), train_mode=True, rng=rng)
-        assert len(active_graph().nodes) == 27
+        batch_loss(model, desk_batch(rng), rng)
+        assert len(active_graph().nodes) == 26
 
     def test_b64_desk_batch_tape_is_at_most_50_mib(self):
         # 45.4 MiB; with the MHMLA head as 21 nodes, 49.4 MiB, and with
@@ -480,7 +479,7 @@ class TestTrainLoop:
         # tape, which no backward reads, 78.3 MiB
         rng = np.random.default_rng(0)
         model = init_model(desk_config(), rng)
-        batch_loss(model, desk_batch(rng) * 4, train_mode=True, rng=rng)
+        batch_loss(model, desk_batch(rng) * 4, rng)
         mib = tape_bytes() / 2 ** 20
         assert mib <= 50, mib
 
@@ -489,7 +488,7 @@ class TestTrainLoop:
         # this batch held 12.0 MiB (59.0 MiB on the B=64 batch)
         rng = np.random.default_rng(0)
         model = init_model(desk_config(), rng)
-        backward(batch_loss(model, desk_batch(rng), train_mode=True, rng=rng))
+        backward(batch_loss(model, desk_batch(rng), rng))
         assert all(node.grad is None for node in active_graph().nodes)
         assert all(p.grad is not None for _, p in model.named)
 
@@ -506,7 +505,7 @@ class TestTrainLoop:
         batch = desk_batch(rng) * 4
         tracemalloc.start()
         try:
-            backward(batch_loss(model, batch, train_mode=True, rng=rng))
+            backward(batch_loss(model, batch, rng))
             adam_step(params, AdamState(model.flat), TrainConfig())
             for _, p in params:
                 p.zero_grad()
@@ -568,15 +567,49 @@ class TestTrainLoop:
         for mine, theirs in zip(steps, ref_steps):
             assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
 
-    def test_live_dropout_without_rng_rejected(self):
-        corpus = small_corpus(n=2)
-        model = init_model(config_for(corpus), np.random.default_rng(1))
-        sent = corpus.tokenized[0]
-        with pytest.raises(ValueError, match="above 0 and needs an rng"):
-            batch_loss(model, [sent], train_mode=True)
-        with pytest.raises(ValueError, match="above 0 and needs an rng"):
-            predict_word_probs(model, sent.sub_ids, sent.first_sub_index,
-                               train_mode=True)
+    def test_live_dropout_without_rng_is_an_eval_forward(self):
+        # the rng, not the config, decides the mode: at dropout 0.1 a
+        # forward without one draws nothing, not even from numpy's
+        # global generator, and equals the forward at rates 0
+        corpus = small_corpus(n=6)
+        sub_ids = [t.sub_ids for t in corpus.tokenized]
+        first = [t.first_sub_index for t in corpus.tokenized]
+        for head_type in HEAD_TYPES:
+            model = init_model(config_for(corpus, head_type=head_type),
+                               np.random.default_rng(1))
+            rates_0 = replace(model, config=replace(
+                model.config, dropout=0.0, attn_dropout=0.0))
+            before = np.random.get_state()
+            probs, record = forward_batch(model, sub_ids, first)
+            after = np.random.get_state()
+            assert np.array_equal(before[1], after[1])
+            assert before[2:] == after[2:]
+            plain, plain_record = forward_batch(rates_0, sub_ids, first)
+            assert np.array_equal(probs.data, plain.data), head_type
+            trained, _ = forward_batch(model, sub_ids, first,
+                                       np.random.default_rng(5))
+            assert not np.array_equal(probs.data, trained.data), head_type
+            if record is not None:
+                assert np.array_equal(record.weights, plain_record.weights)
+                assert np.allclose(record.weights.sum(axis=2), 1.0)
+
+    @pytest.mark.parametrize("head_type", HEAD_TYPES)
+    def test_rng_at_dropout_0_changes_no_bit(self, head_type):
+        corpus = small_corpus(n=6)
+        model = init_model(config_for(corpus, head_type=head_type,
+                                      dropout=0.0, attn_dropout=0.0),
+                           np.random.default_rng(1))
+        sub_ids = [t.sub_ids for t in corpus.tokenized]
+        first = [t.first_sub_index for t in corpus.tokenized]
+        probs, record = forward_batch(model, sub_ids, first)
+        trained, trained_record = forward_batch(model, sub_ids, first,
+                                                np.random.default_rng(5))
+        assert np.array_equal(probs.data, trained.data)
+        if record is not None:
+            assert np.array_equal(record.weights, trained_record.weights)
+        assert (batch_loss(model, corpus.tokenized).item()
+                == batch_loss(model, corpus.tokenized,
+                              np.random.default_rng(5)).item())
 
     def test_model_config_is_used_as_given(self):
         corpus = small_corpus(n=4)
