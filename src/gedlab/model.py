@@ -181,13 +181,12 @@ def forward_batch(model: Model, sub_ids: Sequence, first_sub_index: Sequence,
     return head_forward([gather_rows(s, rows) for s in states], model, rng)
 
 
-def predict_word_probs(model: Model, sub_ids, first_sub_index,
-                       rng: np.random.Generator | None = None):
-    """forward_batch on one sentence.
+def predict_word_probs(model: Model, sub_ids, first_sub_index):
+    """forward_batch on one sentence, an eval forward.
 
     Returns (probs [n_words x n_classes], record or None).
     """
-    return forward_batch(model, [sub_ids], [first_sub_index], rng)
+    return forward_batch(model, [sub_ids], [first_sub_index])
 
 
 def word_attention(model: Model, sub_ids, first_sub_index) -> AttentionRecord:
