@@ -27,14 +27,15 @@ except ImportError:     # not on Windows
     resource = None
 
 from .corpus import (
-    LABEL_ERR, LABEL_OK, TokenizedSentence, _trusted_sentence, align_labels,
-    build_corpus, generate_synthetic_pairs, merge_annotator_labels,
+    LABEL_ERR, LABEL_OK, TokenizedSentence, _synthetic_pairs,
+    _trusted_sentence, align_labels, build_corpus, merge_annotator_labels,
     read_corpus_sentences, read_pair_file, read_vocab_file, write_corpus,
     write_pair_file, write_vocab_file,
 )
-# label aligns a whole file with align_labels and calls this no more, but
-# perfbench/spans.py still traces the name gedlab.cli.dp_align_label
-from .corpus import dp_align_label  # noqa: F401
+# label aligns a whole file with align_labels and gen writes pairs as it
+# draws them, so neither calls these, but perfbench/spans.py still
+# traces the names gedlab.cli.dp_align_label and generate_synthetic_pairs
+from .corpus import dp_align_label, generate_synthetic_pairs  # noqa: F401
 from .encoder import ModelConfig
 from .evaluation import attention_summary, evaluate, summary_to_csv
 from .model import init_model
@@ -192,16 +193,17 @@ def resolve_configs(args, vocab_size: int) -> tuple[ModelConfig, TrainConfig]:
 
 def cmd_gen(args) -> int:
     started = time.monotonic()
-    pairs = generate_synthetic_pairs(args.n, seed=args.seed,
-                                     error_rate=args.error_rate)
+    # a bad argument fails here, before the file is opened
+    pairs = _synthetic_pairs(args.n, seed=args.seed,
+                             error_rate=args.error_rate)
     write_pair_file(pairs, args.out)
-    log.info("wrote %d pairs to %s", len(pairs), args.out)
+    log.info("wrote %d pairs to %s", args.n, args.out)
     manifest = RunManifest(
         command="gen",
         config={"n": args.n, "error_rate": args.error_rate},
         seed=args.seed, inputs={}, outputs={"pairs": args.out},
         duration_seconds=time.monotonic() - started,
-        metrics={"n_pairs": len(pairs)})
+        metrics={"n_pairs": args.n})
     _write_manifest(manifest, args.out)
     return 0
 
@@ -225,7 +227,8 @@ def cmd_label(args) -> int:
     # checked pairs' sources with the aligner's labels: nothing to check
     merged = (marks[0] if len(marks) == 1 else
               [merge_annotator_labels(labels) for labels in zip(*marks)])
-    sentences = [_trusted_sentence(list(pair.source), labels)
+    # the pairs are this command's own: each sentence takes its source
+    sentences = [_trusted_sentence(pair.source, labels)
                  for pair, labels in zip(first, merged)]
     write_corpus(sentences, args.out)
     n_err = sum(s.labels.count("i") for s in sentences)
@@ -402,6 +405,8 @@ def cmd_gradcheck(args) -> int:
         max_len=args.max_len, dropout=0.0, attn_dropout=0.0)
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.sentences < 1:
+        raise ValueError(f"--sentences must be >= 1, got {args.sentences}")
     rng = np.random.default_rng(args.seed)
     # wide init keeps live-path gradients above finite-difference noise
     model = init_model(config, rng, init_std=0.5)

@@ -86,6 +86,9 @@ def _trusted_pair(source: list[str], corrected: list[str]) -> SentencePair:
 
 @dataclass(slots=True)
 class LabeledSentence:
+    """Words with a c/i label each.  build_corpus's TokenizedSentence of
+    a sentence it keeps whole holds these very lists, so neither record
+    may be mutated."""
     words: list[str]
     labels: list[str]
 
@@ -383,11 +386,17 @@ def _corrupt(tokens: list[str], rng: _Sampler) -> list[str]:
     return out
 
 
-def generate_synthetic_pairs(n: int, seed: int,
-                             error_rate: float = 0.5) -> list[SentencePair]:
-    """n (source, corrected) pairs; each source is corrupted with
-    probability error_rate by exactly one injected error.  Every token
-    comes from the fixed word lists, so no pair is checked."""
+def _draw_pair(rng: _Sampler, error_rate: float) -> SentencePair:
+    clean = _clean_sentence(rng)
+    if rng.random() < error_rate:
+        return _trusted_pair(_corrupt(clean, rng), clean)
+    return _trusted_pair(list(clean), clean)
+
+
+def _synthetic_pairs(n: int, seed: int,
+                     error_rate: float = 0.5) -> Iterator[SentencePair]:
+    """generate_synthetic_pairs' pairs, each drawn when it is asked for.
+    The arguments are checked here, before the first draw."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if seed < 0:
@@ -395,14 +404,15 @@ def generate_synthetic_pairs(n: int, seed: int,
     if not 0.0 <= error_rate <= 1.0:
         raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
     rng = _Sampler(seed)
-    pairs = []
-    for _ in range(n):
-        clean = _clean_sentence(rng)
-        if rng.random() < error_rate:
-            pairs.append(_trusted_pair(_corrupt(clean, rng), clean))
-        else:
-            pairs.append(_trusted_pair(list(clean), clean))
-    return pairs
+    return (_draw_pair(rng, error_rate) for _ in range(n))
+
+
+def generate_synthetic_pairs(n: int, seed: int,
+                             error_rate: float = 0.5) -> list[SentencePair]:
+    """n (source, corrected) pairs; each source is corrupted with
+    probability error_rate by exactly one injected error.  Every token
+    comes from the fixed word lists, so no pair is checked."""
+    return list(_synthetic_pairs(n, seed, error_rate))
 
 
 def pairs_to_labeled(pairs: Iterable[SentencePair]) -> list[LabeledSentence]:
@@ -471,7 +481,10 @@ def subtokenize(word: str, piece_to_id: dict[str, int]) -> list[str]:
 @dataclass(slots=True)
 class TokenizedSentence:
     """What the model consumes: sub-token ids plus, per word, the index
-    of its first sub-token (the row that carries the word's label)."""
+    of its first sub-token (the row that carries the word's label).
+    build_corpus gives a sentence it keeps whole the very words and
+    labels lists of its LabeledSentence, so neither record may be
+    mutated."""
     words: list[str]
     labels: list[str]
     sub_ids: list[int]
@@ -501,36 +514,34 @@ def _trusted_tokenized(words: list[str], labels: list[str], sub_ids: list[int],
     return tokenized
 
 
-def _tokenize(words: Sequence[str], labels: Sequence[str],
+def _tokenize(words: list[str], labels: list[str],
               piece_to_id: dict[str, int], max_len: int | None,
               word_ids: dict[str, list[int]]) -> TokenizedSentence:
     """Segment one labeled sentence, reading each word's sub-token ids
     from word_ids and segmenting only the words not in it yet.  The
-    cached lists are copied into the sentence, never shared with it.
+    cached id lists are copied into sub_ids, not shared.
     If max_len is given, whole words beyond the sub-token budget are
     dropped (logged); a first word longer than the whole budget is cut
-    mid-word as a last resort."""
-    kept_words: list[str] = []
-    kept_labels: list[str] = []
+    mid-word as a last resort.  A sentence kept whole keeps the given
+    words and labels lists; a cut one gets copies of their prefixes."""
     sub_ids: list[int] = []
     first: list[int] = []
-    for w, lab in zip(words, labels):
+    for w in words:
         ids = word_ids.get(w)
         if ids is None:
             ids = word_ids[w] = [piece_to_id[p]
                                  for p in subtokenize(w, piece_to_id)]
         if max_len is not None and len(sub_ids) + len(ids) > max_len:
-            if not kept_words:
+            if not first:
                 ids = ids[:max_len]
             else:
                 log.warning("truncating sentence at %d of %d words "
-                            "(max_len=%d)", len(kept_words), len(words), max_len)
+                            "(max_len=%d)", len(first), len(words), max_len)
+                words, labels = words[:len(first)], labels[:len(first)]
                 break
         first.append(len(sub_ids))
         sub_ids.extend(ids)
-        kept_words.append(w)
-        kept_labels.append(lab)
-    return _trusted_tokenized(kept_words, kept_labels, sub_ids, first)
+    return _trusted_tokenized(words, labels, sub_ids, first)
 
 
 @dataclass
@@ -607,8 +618,10 @@ def write_pair_file(pairs: Iterable[SentencePair], path) -> None:
 def read_pair_file(path) -> list[SentencePair]:
     """The pairs of a source<TAB>corrected file.  str.split() makes no
     empty token and none that holds whitespace, so a side is checked
-    only for being empty."""
+    only for being empty.  Equal tokens anywhere in the file are one
+    str object."""
     pairs = []
+    share = {}.setdefault  # the file's first str of each token
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -623,7 +636,8 @@ def read_pair_file(path) -> list[SentencePair]:
             if not src or not dst:
                 raise CorpusFormatError(
                     f"{path}: line {lineno}: empty sentence side")
-            pairs.append(_trusted_pair(src, dst))
+            pairs.append(_trusted_pair(list(map(share, src, src)),
+                                       list(map(share, dst, dst))))
     return pairs
 
 
@@ -644,8 +658,10 @@ def write_corpus(sentences: Iterable[LabeledSentence], path) -> None:
 def read_corpus_sentences(path) -> list[LabeledSentence]:
     """The sentences of a word<TAB>label file.  Each line is checked as
     it is read; a sentence is checked once more where it ends, for
-    whitespace inside a word."""
+    whitespace inside a word.  Equal words anywhere in the file are one
+    str object."""
     sentences = []
+    share = {}.setdefault  # the file's first str of each word
     words: list[str] = []
     labels: list[str] = []
     with open(path, encoding="utf-8") as fh:
@@ -655,7 +671,7 @@ def read_corpus_sentences(path) -> list[LabeledSentence]:
                 continue
             w, _, lab = line.partition("\t")
             if w and lab in _LABELS:  # a well-formed word line
-                words.append(w)
+                words.append(share(w, w))
                 labels.append(lab)
                 continue
             # any other line ends a sentence or is an error

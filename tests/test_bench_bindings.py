@@ -39,7 +39,8 @@ WRAPS = load("spans").WRAPS
 # WRAPS targets no command calls any more; ROADMAP item 1a re-binds
 # their spans.  Until then each must stay silent, or a span would start
 # timing something else unannounced.
-UNBOUND = {"gedlab.cli.dp_align_label", "gedlab.training.encode_batch",
+UNBOUND = {"gedlab.cli.dp_align_label", "gedlab.cli.generate_synthetic_pairs",
+           "gedlab.training.encode_batch",
            "gedlab.model.layer_attention_weights",
            "gedlab.evaluation.predict_word_probs",
            "gedlab.evaluation.word_attention"}
@@ -118,8 +119,6 @@ def test_traced_names_fire(tmp_path, monkeypatch):
     pairs, corpus = str(tmp_path / "pairs.tsv"), str(tmp_path / "c.tsv")
     ckpt = str(tmp_path / "m.ckpt")
     cli("gen", "--n", "24", "--seed", "1", "--out", pairs)
-    # corpus.generate times gen's one call
-    assert calls["gedlab.cli.generate_synthetic_pairs"] == 1
     cli("label", "--pairs", pairs, "--out", corpus)
     cli("train", "--corpus", corpus, "--dev", corpus, "--seed", "1",
         "--epochs", "1", "--layers", "1", "--hidden", "8",

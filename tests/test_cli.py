@@ -86,6 +86,16 @@ class TestExitCodes:
     def test_bad_error_rate_is_data_error(self, tmp_path):
         assert run("gen", "--n", "5", "--seed", "1", "--error-rate", "1.5",
                    "--out", str(tmp_path / "p.tsv")) == 2
+        # gen writes each pair as it draws it, so it checks its
+        # arguments before it opens the pair file
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_n_writes_nothing(self, tmp_path, capsys):
+        assert run("gen", "--n", "-1", "--seed", "1",
+                   "--out", str(tmp_path / "p.tsv")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: n must be >= 0"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["gen", "train", "sweep",
                                          "gradcheck"])
@@ -645,6 +655,16 @@ class TestGradcheck:
         assert run("gradcheck", "--layers", "1", "--hidden", "4",
                    "--sentences", "3", "--max-len", "1", "--seed", "0") == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize("sentences", ["0", "-2"])
+    def test_no_sentences_is_named(self, capsys, sentences):
+        # checked before the model is made: this model would not allocate
+        assert run("gradcheck", "--hidden", "1000000", "--heads", "1",
+                   "--sentences", sentences) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: --sentences must be >= 1, got {sentences}"]
+        assert captured.out == ""
 
     def test_vocab_without_a_free_id_is_data_error(self, capsys):
         assert run("gradcheck", "--layers", "1", "--hidden", "4",

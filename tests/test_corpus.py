@@ -558,6 +558,21 @@ class TestSubtokens:
         assert [t.sub_ids for t in corpus.tokenized] \
             == [sub_ids + [-1] for _, _, sub_ids, _ in want]
 
+    def test_whole_sentences_share_lists_and_cut_ones_own_theirs(self):
+        vocab = build_vocabulary([["aa", "bb"], ["aa", "bb"]])
+        whole = LabeledSentence(["aa", "bb"], ["c", "i"])
+        cut = LabeledSentence(["aa", "bb", "aa", "bb"], ["c", "i", "i", "c"])
+        corpus = build_corpus([whole, cut], vocab=vocab, max_len=3)
+        kept, clipped = corpus.tokenized
+        assert kept.words is whole.words and kept.labels is whole.labels
+        assert (clipped.words, clipped.labels) == (["aa", "bb", "aa"],
+                                                   ["c", "i", "i"])
+        assert clipped.words is not cut.words
+        assert clipped.labels is not cut.labels
+        assert (cut.words, cut.labels) == (["aa", "bb", "aa", "bb"],
+                                           ["c", "i", "i", "c"])
+        assert corpus.n_dropped_words == 1
+
     def test_overlong_first_word_is_cut(self):
         vocab = build_vocabulary([["abcdef"], ["xyz"]])
         t = tokenize_one(["abcdef"], ["c"], vocab, max_len=2)
@@ -571,6 +586,25 @@ class TestFileIO:
         path = tmp_path / "pairs.tsv"
         write_pair_file(pairs, path)
         assert read_pair_file(path) == pairs
+
+    def test_readers_keep_one_str_per_distinct_token(self, tmp_path):
+        # split() and partition() make a new str for each token; the
+        # readers keep the file's first one of each
+        path = tmp_path / "pairs.tsv"
+        path.write_text("the dog runs\tthe dogs run\n"
+                        "# dog\n"
+                        "dogs run\tthe dog runs\n")
+        a, b = read_pair_file(path)
+        assert a.source[0] is a.corrected[0] is b.corrected[0]
+        assert a.source[1] is b.corrected[1]
+        assert a.source[2] is b.corrected[2]
+        assert a.corrected[1] is b.source[0]
+        assert a.corrected[2] is b.source[1]
+        path = tmp_path / "corpus.tsv"
+        path.write_text("the\tc\ndog\ti\n\ndog\tc\nthe\tc\ndog\tc\n")
+        s, t = read_corpus_sentences(path)
+        assert s.words[0] is t.words[1]
+        assert s.words[1] is t.words[0] is t.words[2]
 
     def test_pair_file_bad_field_count(self, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -673,12 +707,20 @@ class TestFileIO:
 
 
 class TestRecordMemory:
-    # Bytes per sentence that read_corpus_sentences plus build_corpus
-    # still hold when they return, on the 3000 sentences below, CPython
-    # 3.11: 1459 while the records had a __dict__ each, and 1789 for
-    # records whose dict was filled by __dict__.update, which makes
-    # each one a full dict instead of a shared-key one.
+    # Bytes per sentence (or pair) that the readers, and build_corpus
+    # after read_corpus_sentences, still hold when they return, on the
+    # 3000 sentences below, CPython 3.11.  Read and built: 1459 while
+    # the records had a __dict__ each (1789 for records whose dict was
+    # filled by __dict__.update, which makes each one a full dict
+    # instead of a shared-key one); 1422 with slots but a str per word
+    # line and copied word and label lists; 717 with one str per
+    # distinct word and a whole sentence's lists shared.  read_pair_file
+    # held 1192 with a str per token and holds 351 with one per
+    # distinct token.
     RECORDS_WITH_DICT = 1459
+    SHARED_RECORDS = 900
+    SHARED_PAIRS = 500
+    N = 3000
 
     def test_reading_and_tokenizing_hold_less_than_dict_records(
             self, tmp_path):
@@ -696,3 +738,33 @@ class TestRecordMemory:
         assert not any(hasattr(record, "__dict__") for record in
                        chain(corpus.sentences, corpus.tokenized))
         assert held / n < self.RECORDS_WITH_DICT, held / n
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return generate_synthetic_pairs(self.N, seed=4, error_rate=0.5)
+
+    def held_by(self, read, path):
+        """What read(path) returns, and the bytes it holds then."""
+        tracemalloc.start()
+        try:
+            records = read(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return records, held
+
+    def test_read_and_built_records_share_words(self, tmp_path, pairs):
+        path = tmp_path / "corpus.tsv"
+        write_corpus(pairs_to_labeled(pairs), path)
+        corpus, held = self.held_by(
+            lambda p: build_corpus(read_corpus_sentences(p), max_len=32),
+            path)
+        assert corpus.n_sentences == self.N
+        assert held / self.N <= self.SHARED_RECORDS, held / self.N
+
+    def test_read_pairs_share_their_tokens(self, tmp_path, pairs):
+        path = tmp_path / "pairs.tsv"
+        write_pair_file(pairs, path)
+        read, held = self.held_by(read_pair_file, path)
+        assert read == pairs
+        assert held / self.N <= self.SHARED_PAIRS, held / self.N

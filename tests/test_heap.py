@@ -101,13 +101,18 @@ def test_failed_libc_lookup_changes_no_bit(corpus_path, tmp_path,
             == kept["metrics"]["epoch_losses"])
 
 
+def _child_env() -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 @needs_resource
 def test_peak_rss_does_not_grow_with_epochs(corpus_path, tmp_path):
     # freed heap is kept, not leaked: after the first epoch the steps
     # reuse it, so 4 epochs peak where 1 does
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = _child_env()
     runs = {}
     for epochs in (1, 4):
         out = tmp_path / f"e{epochs}.ckpt"
@@ -123,3 +128,30 @@ def test_peak_rss_does_not_grow_with_epochs(corpus_path, tmp_path):
         assert proc.returncode == 0, err.decode()
         peaks[epochs] = _manifest(out)["metrics"]["max_rss_mb"]
     assert abs(peaks[4] - peaks[1]) < 1.0, peaks
+
+
+# gedlab gen in a child process that prints its peak RSS in KiB
+GEN_PEAK = """
+import resource, sys
+from gedlab.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+@needs_resource
+def test_gen_peak_rss_does_not_grow_with_n(tmp_path):
+    # gen writes each pair as it draws it and holds none: 80000 pairs
+    # peak where 20000 do.  Holding them all peaked at 42.4 and 62.2 MB.
+    runs = {n: subprocess.Popen(
+        [sys.executable, "-c", GEN_PEAK, "gen", "--n", str(n),
+         "--seed", "3", "--out", str(tmp_path / f"{n}.tsv")],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for n in (20000, 80000)}
+    peaks = {}
+    for n, proc in runs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
+        peaks[n] = int(out) / 1024
+    assert abs(peaks[80000] - peaks[20000]) < 3.0, peaks
