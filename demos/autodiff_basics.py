@@ -6,7 +6,7 @@
 import numpy as np
 
 from gedlab import Tensor, backward, finite_diff_check, reset_graph
-from gedlab.tensor import cross_entropy, linear, linear_relu, softmax, sum_all
+from gedlab.tensor import cross_entropy, linear, linear_relu, sum_all
 
 # a two-layer scalar bowl: f(w) = sum(relu(x W1) W2)
 rng = np.random.default_rng(0)
@@ -17,9 +17,10 @@ w2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
 # relu(x W + b); a zero constant b drops it
 no_b1, no_b2 = Tensor(np.zeros(5)), Tensor(np.zeros(2))
 
+# cross_entropy takes logits and applies the row softmax itself
 hidden = linear_relu(x, w1, no_b1)
-probs = softmax(linear(hidden, w2, no_b2))
-loss = cross_entropy(probs, np.array([0, 1, 1, 0]))
+logits = linear(hidden, w2, no_b2)
+loss = cross_entropy(logits, np.array([0, 1, 1, 0]))
 print("loss:", loss.item())
 
 backward(loss)
@@ -33,9 +34,8 @@ w2.zero_grad()
 
 
 def f():
-    return cross_entropy(
-        softmax(linear(linear_relu(x, w1, no_b1), w2, no_b2)),
-        np.array([0, 1, 1, 0]))
+    return cross_entropy(linear(linear_relu(x, w1, no_b1), w2, no_b2),
+                         np.array([0, 1, 1, 0]))
 
 
 report = finite_diff_check(f, [("w1", w1), ("w2", w2)], eps=1e-5, tol=1e-4)

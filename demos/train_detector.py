@@ -42,11 +42,12 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\ncheckpoint:", path.stat().st_size, "bytes")
     model = load_checkpoint(path)
 
-# one sentence is a batch of one; a probability tie goes to "c"
+# one sentence is a batch of one; the forward returns class logits,
+# and a tie goes to "c"
 sent = dev.tokenized[0]
 with no_grad():
-    probs, _ = forward_batch(model, [sent.sub_ids], [sent.first_sub_index])
-flags = ["i" if k == CLASS_ERR else "c" for k in probs.data.argmax(axis=1)]
+    logits, _ = forward_batch(model, [sent.sub_ids], [sent.first_sub_index])
+flags = ["i" if k == CLASS_ERR else "c" for k in logits.data.argmax(axis=1)]
 print("\nreloaded model on one dev sentence:")
 for word, gold, hyp in zip(sent.words, sent.labels, flags):
     mark = "" if gold == hyp else "   <- got %r" % hyp

@@ -231,7 +231,7 @@ def cmd_label(args) -> int:
     sentences = [_trusted_sentence(pair.source, labels)
                  for pair, labels in zip(first, merged)]
     write_corpus(sentences, args.out)
-    n_err = sum(s.labels.count("i") for s in sentences)
+    n_err = sum(s.labels.count(LABEL_ERR) for s in sentences)
     log.info("labeled %d sentences (%d error tokens) to %s",
              len(sentences), n_err, args.out)
     manifest = RunManifest(

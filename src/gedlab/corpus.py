@@ -19,7 +19,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
+PAD_ID = 0      # RESERVED_PIECES[0]: a piece's id is its place there
 PAD_PIECE, UNK_PIECE, BOS_PIECE, EOS_PIECE = "[PAD]", "[UNK]", "[BOS]", "[EOS]"
 RESERVED_PIECES = (PAD_PIECE, UNK_PIECE, BOS_PIECE, EOS_PIECE)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .model import (  # noqa: F401
 )
 from .tensor import no_grad
 
-# class indices; the error class is the positive one
-CLASS_OK = 0
+# class index of the error class, the positive one; clean is 0
 CLASS_ERR = 1
 
 # sentences per forward in evaluate and attention_summary.  gedlab eval
@@ -60,14 +59,7 @@ class EvalReport:
     seed: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "precision": self.precision, "recall": self.recall,
-            "f_half": self.f_half, "n_sentences": self.n_sentences,
-            "n_tokens": self.n_tokens,
-            "config_fingerprint": self.config_fingerprint,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -86,31 +78,32 @@ def report_from_counts(tp: int, fp: int, fn: int, tn: int,
 def _corpus_forwards(model: Model, sentences: list[TokenizedSentence]):
     """One eval forward under no_grad per batch of EVAL_BATCH corpus
     indices, taken by sub-token count with ties in corpus order so each
-    batch pads little.  Yields (batch indices, probs, record); no_grad
+    batch pads little.  Yields (batch indices, logits, record); no_grad
     does not span a yield."""
     order = sorted(range(len(sentences)),
                    key=lambda i: len(sentences[i].sub_ids))
     for start in range(0, len(order), EVAL_BATCH):
         batch = order[start:start + EVAL_BATCH]
         with no_grad():
-            probs, record = forward_batch(
+            logits, record = forward_batch(
                 model, [sentences[i].sub_ids for i in batch],
                 [sentences[i].first_sub_index for i in batch])
-        yield batch, probs, record
+        yield batch, logits, record
 
 
 def evaluate(model: Model, corpus: LabeledCorpus,
              seed: int | None = None) -> EvalReport:
     """Corpus-wide counts first, then the metrics.  Eval forwards, in
-    length-sorted batches under no_grad; a probability tie goes to the
-    clean class (argmax picks the lowest index).  A corpus without words
-    is a ValueError: it has nothing to score."""
+    length-sorted batches under no_grad, each word flagged by the argmax
+    of its logits; a tie goes to the clean class (argmax picks the
+    lowest index).  A corpus without words is a ValueError: it has
+    nothing to score."""
     sentences = corpus.tokenized
     if not any(s.first_sub_index for s in sentences):
         raise ValueError("corpus has no word positions to score")
     tp = fp = fn = tn = 0
-    for batch, probs, _ in _corpus_forwards(model, sentences):
-        flagged = np.argmax(probs.data, axis=1) == CLASS_ERR
+    for batch, logits, _ in _corpus_forwards(model, sentences):
+        flagged = np.argmax(logits.data, axis=1) == CLASS_ERR
         gold = np.array([lab == LABEL_ERR for i in batch
                          for lab in sentences[i].labels])
         tp += int(np.sum(flagged & gold))

@@ -9,10 +9,12 @@ feed it:
   over depth, and mix per-layer value projections with those weights;
   the heads side by side feed the output layer.  One key and one value
   map per layer serve all J heads, and one score vector every (layer,
-  head) pair.  The head up to the logits is one tensor.depth_attention
-  node, which takes the parameters in the shapes they are stored in.
+  head) pair.  The whole head is one tensor.depth_attention node,
+  which takes the parameters in the shapes they are stored in.
 
 The other heads' affine maps x W + b are one tensor.linear node each.
+Every head returns class logits; tensor.cross_entropy takes their
+softmax.
 The embedding is not a state: states[l] is block l+1's output.  A head
 given an rng is a training forward, with dropout (dropout_rates).
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from .encoder import INIT_STD, ModelConfig, draw_normal, dropout_rates
 from .tensor import (
-    Tensor, add, depth_attention, dropout, linear, scale, softmax,
+    Tensor, add, depth_attention, dropout, linear, scale,
 )
 
 
@@ -47,10 +49,6 @@ class AttentionRecord:
     def __post_init__(self):
         if self.weights.ndim != 3:
             raise ValueError(f"weights must be [n, J, L], got {self.weights.shape}")
-
-    @property
-    def n_tokens(self) -> int:
-        return self.weights.shape[0]
 
 
 @dataclass
@@ -158,15 +156,16 @@ def _check_states(states, config: ModelConfig) -> None:
 
 def final_layer_forward(states, params: FinalHeadParams, config: ModelConfig,
                         rng=None) -> Tensor:
-    """softmax(h^L W + b) per token."""
+    """Class logits h^L W + b per token."""
     _check_states(states, config)
     h = dropout(states[-1], dropout_rates(config, rng)[0], rng)
-    return softmax(linear(h, params.w_out, params.b_out), axis=1)
+    return linear(h, params.w_out, params.b_out)
 
 
 def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
                  rng=None) -> Tensor:
-    """softmax over the mean of per-layer transforms of the L states."""
+    """Class logits of the mean of per-layer transforms of the L
+    states."""
     _check_states(states, config)
     if len(params.w_proj) != config.n_layers:
         raise ValueError("avgl params do not match n_layers")
@@ -177,7 +176,7 @@ def avgl_forward(states, params: AvglHeadParams, config: ModelConfig,
         term = linear(h, params.w_proj[l], params.b_proj[l])
         total = term if total is None else add(total, term)
     c = scale(total, 1.0 / config.n_layers)
-    return softmax(linear(c, params.w_out, params.b_out), axis=1)
+    return linear(c, params.w_out, params.b_out)
 
 
 def layer_attention_weights(states, params: MhmlaHeadParams,
@@ -188,12 +187,12 @@ def layer_attention_weights(states, params: MhmlaHeadParams,
 
 def mhmla_forward(states, params: MhmlaHeadParams, config: ModelConfig,
                   rng=None) -> tuple[Tensor, AttentionRecord]:
-    """Class probabilities plus the attention weights that produced them:
-    tensor.depth_attention over the L states, then a softmax."""
+    """Class logits plus the attention weights that produced them: one
+    tensor.depth_attention node over the L states."""
     _check_states(states, config)
     logits, weights = depth_attention(
         states, params.w_k, params.b_k, params.w_a, params.b_a,
         params.w_v, params.b_v, params.w_out, params.b_out,
         *dropout_rates(config, rng), rng)
     record = AttentionRecord(weights.transpose(0, 2, 1))
-    return softmax(logits, axis=1), record
+    return logits, record

@@ -1,8 +1,8 @@
 """Whole-model assembly: encoder plus classification head, all
 trainable parameters as views of one flat buffer, laid out by the
 encoder's and the head's layout lists (encoder_shapes, head_shapes),
-and the one forward from sentences to word probabilities that
-training, evaluation and attention export share."""
+and the one forward from sentences to word class logits that training,
+evaluation and attention export share."""
 from __future__ import annotations
 
 import math
@@ -103,9 +103,9 @@ def check_views(named_params, flat: np.ndarray, checked=()) -> list:
 
 def head_forward(states: list[Tensor], model: Model,
                  rng: np.random.Generator | None = None):
-    """Class probabilities from the L block outputs.
+    """Class logits from the L block outputs.
 
-    Returns (probs, record); record is None for head types that do not
+    Returns (logits, record); record is None for head types that do not
     attend over depth.
     """
     cfg = model.config
@@ -171,7 +171,7 @@ def forward_batch(model: Model, sub_ids: Sequence, first_sub_index: Sequence,
     those rows.  sub_ids[b] and first_sub_index[b] are sentence b's.
     Given an rng it is a training forward; without one it draws nothing.
 
-    Returns (probs [n_words x n_classes], record or None), the words in
+    Returns (logits [n_words x n_classes], record or None), the words in
     batch order; record is None for head types that do not attend over
     depth.
     """
@@ -184,7 +184,7 @@ def forward_batch(model: Model, sub_ids: Sequence, first_sub_index: Sequence,
 def predict_word_probs(model: Model, sub_ids, first_sub_index):
     """forward_batch on one sentence, an eval forward.
 
-    Returns (probs [n_words x n_classes], record or None).
+    Returns (logits [n_words x n_classes], record or None).
     """
     return forward_batch(model, [sub_ids], [first_sub_index])
 

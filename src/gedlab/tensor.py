@@ -30,7 +30,7 @@ FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 
 __all__ = [
     "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
-    "add", "scale", "linear", "linear_relu", "softmax", "dropout",
+    "add", "scale", "linear", "linear_relu", "dropout",
     "self_attention", "residual_norm", "depth_attention", "gather_rows",
     "sum_all",
     "cross_entropy", "finite_diff_check", "GradCheckReport",
@@ -241,28 +241,6 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # -------------------------------------------------------------- nonlinearity
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Row-stable softmax along one axis (max subtraction)."""
-    nd = x.data.ndim
-    if nd == 0:
-        raise ValueError("softmax needs at least one axis")
-    ax = axis if axis >= 0 else nd + axis
-    if not 0 <= ax < nd:
-        raise ValueError(f"softmax axis {axis} out of range for shape {x.shape}")
-    if x.data.shape[ax] == 0:
-        raise ValueError("softmax along an empty axis")
-    z = x.data - x.data.max(axis=ax, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=ax, keepdims=True)
-    out = Tensor(y)
-
-    def bwd(g, pending):
-        dot = (g * y).sum(axis=ax, keepdims=True)
-        _acc(pending, x, y * (g - dot))
-
-    return _record(out, (x,), bwd)
-
 
 def _check_rate(rate: float, rng) -> None:
     """A dropout rate is in [0, 1), and one above 0 draws from rng."""
@@ -552,14 +530,14 @@ def sum_all(x: Tensor) -> Tensor:
 
 # --------------------------------------------------------------------- loss
 
-def cross_entropy(probabilities: Tensor, targets) -> Tensor:
-    """Mean over rows of -ln p[target], p clamped at PROB_CLAMP.
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean over rows of -ln p[target], p the row softmax of logits
+    (max-subtracted) clamped at PROB_CLAMP, as one node.
 
-    Takes probabilities (each row must already sum to 1 within 1e-6),
-    not logits; pair with softmax."""
-    _need_2d(probabilities, "cross_entropy")
-    p = probabilities.data
-    n, c = p.shape
+    Backward takes the clamp-aware gradient dp of the loss in p, times
+    g, back through the softmax: p * (dp - the row sum of dp * p)."""
+    _need_2d(logits, "cross_entropy")
+    n, c = logits.shape
     if n == 0:
         raise ValueError("cross_entropy needs at least one row")
     t = np.asarray(targets, dtype=np.int64)
@@ -567,23 +545,20 @@ def cross_entropy(probabilities: Tensor, targets) -> Tensor:
         raise ValueError(f"targets shape {t.shape} does not match {n} rows")
     if t.min() < 0 or t.max() >= c:
         raise ValueError(f"target class out of range [0, {c}): {t.min()}..{t.max()}")
-    sums = p.sum(axis=1)
-    bad = ~(np.abs(sums - 1.0) <= 1e-6)  # NaN rows are bad too
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"row {i} is not a distribution (sums to {sums[i]!r})")
+    e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
     picked = p[np.arange(n), t]
     clamped = np.maximum(picked, PROB_CLAMP)
     out = Tensor(-np.log(clamped).mean())
 
     def bwd(g, pending):
-        if probabilities.requires_grad:
-            dp = np.zeros_like(p)
-            live = picked > PROB_CLAMP  # clamp region is flat
-            dp[np.arange(n), t] = np.where(live, -1.0 / clamped, 0.0) / n
-            _acc(pending, probabilities, dp * g)
+        dp = np.zeros_like(p)
+        live = picked > PROB_CLAMP  # clamp region is flat
+        dp[np.arange(n), t] = np.where(live, -1.0 / clamped, 0.0) / n
+        dp = dp * g
+        _acc(pending, logits, p * (dp - (dp * p).sum(axis=1, keepdims=True)))
 
-    return _record(out, (probabilities,), bwd)
+    return _record(out, (logits,), bwd)
 
 
 # ----------------------------------------------------------- gradient check

@@ -153,9 +153,9 @@ def batch_loss(model: Model, batch: Sequence[TokenizedSentence],
                rng: np.random.Generator | None = None) -> Tensor:
     """Mean cross-entropy over the words of a batch; with dropout when
     given an rng."""
-    probs, _ = forward_batch(model, [t.sub_ids for t in batch],
-                             [t.first_sub_index for t in batch], rng)
-    return cross_entropy(probs,
+    logits, _ = forward_batch(model, [t.sub_ids for t in batch],
+                              [t.first_sub_index for t in batch], rng)
+    return cross_entropy(logits,
                          label_targets([lab for t in batch
                                         for lab in t.labels]))
 

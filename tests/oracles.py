@@ -12,8 +12,10 @@ through forward_batch.  weighted_sum seeds an op's output with an
 upstream gradient, as one tape node.  pair_part reads one
 (layer, head) pair's own block out of the MHMLA head's joined
 parameters, forced_depth_params pins the depth weights to constants
-through those parameters, and mhmla_reference computes the MHMLA head
-one pair at a time in plain numpy.  linear_reference and
+through those parameters, and mhmla_reference computes the MHMLA head's
+logits one pair at a time in plain numpy.  cross_entropy_reference is
+the loss as a softmax and then a loss over its probabilities, with the
+gradient through both.  linear_reference and
 layer_norm_reference are the unfused numpy forms of an affine map and
 an affine layer norm; linear_relu_reference, residual_norm_reference and
 self_attention_reference build the fused encoder ops from them (and
@@ -31,7 +33,9 @@ import numpy as np
 from gedlab.corpus import LABEL_ERR, LABEL_OK
 from gedlab.evaluation import CLASS_ERR
 from gedlab.model import forward_batch
-from gedlab.tensor import MASK_LOGIT, NORM_EPS, Tensor, _acc, _record, no_grad
+from gedlab.tensor import (
+    MASK_LOGIT, NORM_EPS, PROB_CLAMP, Tensor, _acc, _record, no_grad,
+)
 
 _RANK = {"match": 0, "sub": 1, "del": 2, "ins": 3}
 
@@ -163,12 +167,12 @@ def confusion_counts(predicted, gold):
 
 def predict_labels(model, sub_ids, first_sub_index):
     """Eval-mode labels for one sentence, a batch of one through
-    forward_batch; a probability tie goes to the clean class (argmax
-    picks the lowest index)."""
+    forward_batch; a logit tie goes to the clean class (argmax picks
+    the lowest index)."""
     with no_grad():
-        probs, _ = forward_batch(model, [sub_ids], [first_sub_index])
+        logits, _ = forward_batch(model, [sub_ids], [first_sub_index])
     return [LABEL_ERR if k == CLASS_ERR else LABEL_OK
-            for k in np.argmax(probs.data, axis=1)]
+            for k in np.argmax(logits.data, axis=1)]
 
 
 def weighted_sum(x, w):
@@ -233,7 +237,7 @@ def mhmla_reference(states, params, config):
     and the weighted sum of the values h^l W_v + b_v.  The heads, side
     by side, feed the output layer.
 
-    Returns (probs [n x classes], weights [n, J, L]).
+    Returns (logits [n x classes], weights [n, J, L]).
     """
     hs = [s.data for s in states]
     L, J = config.n_layers, config.layer_attn_heads
@@ -251,7 +255,25 @@ def mhmla_reference(states, params, config):
                          for l in range(L)))
     logits = (np.concatenate(heads, axis=1) @ params.w_out.data
               + params.b_out.data)
-    return _softmax(logits, axis=1), np.stack(weights, axis=1)
+    return logits, np.stack(weights, axis=1)
+
+
+def cross_entropy_reference(logits, targets):
+    """The loss in two steps, a row softmax and then the mean of -ln of
+    each row's target probability clamped at PROB_CLAMP, and its
+    gradient in the logits: the loss's clamp-aware gradient dp in the
+    probabilities, through the softmax's backward.  Returns (loss,
+    dlogits) for an upstream gradient of 1."""
+    n = logits.shape[0]
+    rows = np.arange(n)
+    p = _softmax(logits, axis=1)
+    picked = p[rows, targets]
+    clamped = np.maximum(picked, PROB_CLAMP)
+    loss = -np.log(clamped).mean()
+    dp = np.zeros_like(p)
+    dp[rows, targets] = np.where(picked > PROB_CLAMP, -1.0 / clamped, 0.0) / n
+    dot = (dp * p).sum(axis=1, keepdims=True)
+    return loss, p * (dp - dot)
 
 
 def linear_reference(x, w, b, g):

@@ -15,7 +15,7 @@ from oracles import (
 
 import gedlab.corpus
 from gedlab.corpus import (
-    CELL_BUDGET, LABEL_ERR, LABEL_OK, RESERVED_PIECES, UNK_ID,
+    CELL_BUDGET, LABEL_ERR, LABEL_OK, RESERVED_PIECES, UNK_PIECE,
     CorpusFormatError, LabeledSentence, SentencePair, TokenizedSentence,
     _check_token, _check_tokens, _chunks, _distance_matrices, _Sampler,
     align_labels,
@@ -546,7 +546,7 @@ class TestSubtokens:
                 for s in sentences]
         assert [(t.words, t.labels, t.sub_ids, t.first_sub_index)
                 for t in corpus.tokenized] == want
-        assert corpus.tokenized[1].sub_ids[0] == UNK_ID
+        assert corpus.tokenized[1].sub_ids[0] == vocab.piece_to_id[UNK_PIECE]
         assert corpus.n_dropped_words == 4
         assert len(corpus.tokenized[3].sub_ids) == 6
         for t in corpus.tokenized:

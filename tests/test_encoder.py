@@ -10,7 +10,7 @@ from gedlab.encoder import (
 from gedlab.model import alloc_model
 from gedlab.tensor import (
     Tensor, add, backward, cross_entropy, finite_diff_check, gather_rows,
-    linear, no_grad, reset_graph, softmax,
+    linear, no_grad, reset_graph,
 )
 
 
@@ -226,8 +226,7 @@ class TestBlockGradients:
 
         def f():
             states = encode_batch([ids], params, cfg)[0]
-            probs = softmax(linear(states[-1], out_w, no_b), axis=1)
-            return cross_entropy(probs, targets)
+            return cross_entropy(linear(states[-1], out_w, no_b), targets)
 
         names = encoder_named(model) + [("out_w", out_w)]
         report = finite_diff_check(f, names, eps=1e-5, tol=1e-4)
@@ -246,9 +245,8 @@ class TestBlockGradients:
         targets = [rng.integers(0, 2, size=len(s)) for s in sents]
 
         def loss_of(state, rows, target):
-            probs = softmax(linear(gather_rows(state, rows), out_w, no_b),
-                            axis=1)
-            return cross_entropy(probs, target)
+            return cross_entropy(linear(gather_rows(state, rows), out_w, no_b),
+                                 target)
 
         def grads():
             out = {n: p.grad.copy() for n, p in encoder_named(model)}

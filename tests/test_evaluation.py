@@ -83,7 +83,7 @@ def per_sentence_csv(model, corpus) -> str:
     for t in corpus.tokenized:
         record = word_attention(model, t.sub_ids, t.first_sub_index)
         total += record.weights.sum(axis=0)
-        n += record.n_tokens
+        n += record.weights.shape[0]
     return summary_to_csv(AttentionSummary(matrix=total / n, n_tokens=n))
 
 

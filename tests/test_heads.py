@@ -57,14 +57,17 @@ def random_states(rng, cfg, n_tokens=5):
 
 class TestShapes:
     def test_probs_shape_and_rows_sum(self, rng):
+        # the head returns class logits, whose softmax the loss takes;
+        # each token's weights over layers are a distribution per head
         cfg = cfg_for()
         params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         with no_grad():
-            probs, record = mhmla_forward(states, params, cfg)
-        assert probs.shape == (5, 2)
-        assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-12)
+            logits, record = mhmla_forward(states, params, cfg)
+        assert logits.shape == (5, 2)
+        assert np.all(np.isfinite(logits.data))
         assert record.weights.shape == (5, cfg.layer_attn_heads, cfg.n_layers)
+        assert np.allclose(record.weights.sum(axis=2), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("j", [1, 8])
     def test_head_count_degeneracy(self, rng, j):
@@ -72,8 +75,8 @@ class TestShapes:
         params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         with no_grad():
-            probs, record = mhmla_forward(states, params, cfg)
-        assert probs.shape == (5, 2)
+            logits, record = mhmla_forward(states, params, cfg)
+        assert logits.shape == (5, 2)
         assert record.weights.shape == (5, j, cfg.n_layers)
 
     def test_rejects_wrong_state_count(self, rng):
@@ -95,25 +98,22 @@ class TestShapes:
         params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         with no_grad():
-            probs = final_layer_forward(states, params, cfg)
-        logits = states[-1].data @ params.w_out.data + params.b_out.data
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        assert np.allclose(probs.data, e / e.sum(axis=1, keepdims=True),
-                           atol=1e-14)
+            logits = final_layer_forward(states, params, cfg)
+        assert np.array_equal(
+            logits.data, states[-1].data @ params.w_out.data + params.b_out.data)
 
     def test_avgl_head_matches_numpy(self, rng):
         cfg = cfg_for("avgl")
         params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg)
         with no_grad():
-            probs = avgl_forward(states, params, cfg)
+            logits = avgl_forward(states, params, cfg)
         c = np.mean([states[l].data @ params.w_proj[l].data
                      + params.b_proj[l].data
                      for l in range(cfg.n_layers)], axis=0)
-        logits = c @ params.w_out.data + params.b_out.data
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        assert np.allclose(probs.data, e / e.sum(axis=1, keepdims=True),
-                           atol=1e-14)
+        assert np.allclose(logits.data,
+                           c @ params.w_out.data + params.b_out.data,
+                           rtol=0.0, atol=1e-13)
 
 
 class TestAttentionWeights:
@@ -236,12 +236,12 @@ class TestLayout:
         cfg = cfg_for(n_layers=L, layer_attn_heads=J, key_dim=dk, hidden=h)
         params = drawn_head(cfg, rng, init_std=0.5).head
         states = random_states(rng, cfg, n_tokens=6)
-        want_probs, want_weights = mhmla_reference(states, params, cfg)
+        want_logits, want_weights = mhmla_reference(states, params, cfg)
         with no_grad():
-            probs, record = mhmla_forward(states, params, cfg)
+            logits, record = mhmla_forward(states, params, cfg)
             alone = layer_attention_weights(states, params, cfg)
         assert record.weights.shape == (6, J, L)
-        assert np.abs(probs.data - want_probs).max() < 1e-12
+        assert np.abs(logits.data - want_logits).max() < 1e-12
         assert np.abs(record.weights - want_weights).max() < 1e-12
         assert np.array_equal(alone.weights, record.weights)
 
@@ -306,8 +306,8 @@ class TestGradients:
             targets = [0, 1, 1, 0]
 
             def f():
-                probs, _ = mhmla_forward(states, params, cfg)
-                return cross_entropy(probs, targets)
+                logits, _ = mhmla_forward(states, params, cfg)
+                return cross_entropy(logits, targets)
 
             report = finite_diff_check(f, head_named(model), eps=1e-5,
                                        tol=1e-4)

@@ -1,9 +1,9 @@
-"""Every public top-level function and class of src/gedlab/ has a user:
-some code in src/, perfbench/ or demos/ names it outside its own
-definition.  Tests do not count, and neither does a re-export in
-__init__.py, so a name that only tests call fails here.  perfbench/
-names the functions its tracer wraps as strings (spans.WRAPS), so there
-a string constant counts as a use too."""
+"""Every public top-level function, class and UPPER_CASE constant of
+src/gedlab/ has a user: some code in src/, perfbench/ or demos/ names it
+outside its own definition.  Tests do not count, and neither does a
+re-export in __init__.py, so a name that only tests read fails here.
+perfbench/ names the functions its tracer wraps as strings
+(spans.WRAPS), so there a string constant counts as a use too."""
 import ast
 from pathlib import Path
 
@@ -29,6 +29,17 @@ def names_in(node, strings: bool) -> set[str]:
     return out
 
 
+def defined(stmt) -> list[str]:
+    """The function or class stmt defines, or the UPPER_CASE names it
+    binds at module level."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and n.id.isupper()]
+
+
 def test_every_public_name_has_a_user():
     outside = set()
     for folder, strings in (("perfbench", True), ("demos", False)):
@@ -41,10 +52,10 @@ def test_every_public_name_has_a_user():
             for module, body in bodies.items()
             for k, stmt in enumerate(body)}
     unused = [
-        f"{module}.{stmt.name}"
+        f"{module}.{name}"
         for module, body in bodies.items() for k, stmt in enumerate(body)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_") and stmt.name not in outside
-        and not any(stmt.name in names for at, names in uses.items()
+        for name in defined(stmt)
+        if not name.startswith("_") and name not in outside
+        and not any(name in names for at, names in uses.items()
                     if at != (module, k))]
     assert not unused, f"public names with no user but tests: {unused}"

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from gedlab.tensor import (
-    GradCheckReport, Tensor, active_graph, add, backward, cross_entropy,
-    depth_attention, dropout, finite_diff_check, gather_rows, linear,
-    linear_relu, no_grad, reset_graph, residual_norm, scale,
-    self_attention, softmax, sum_all,
+    PROB_CLAMP, GradCheckReport, Tensor, active_graph, add, backward,
+    cross_entropy, depth_attention, dropout, finite_diff_check, gather_rows,
+    linear, linear_relu, no_grad, reset_graph, residual_norm, scale,
+    self_attention, sum_all,
 )
 from oracles import (
-    depth_attention_reference, layer_norm_reference, linear_reference,
+    cross_entropy_reference, depth_attention_reference,
+    layer_norm_reference, linear_reference,
     linear_relu_reference, residual_norm_reference, self_attention_reference,
     weighted_sum,
 )
@@ -72,29 +73,22 @@ class TestForwardValues:
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
             linear(a, b, Tensor(np.zeros(5)))
 
-    def test_softmax_uniform(self):
-        y = softmax(Tensor([1.0, 1.0]), axis=0)
-        assert np.allclose(y.data, [0.5, 0.5], atol=1e-15)
-
     def test_softmax_log2(self):
-        y = softmax(Tensor([math.log(2.0), 0.0, 0.0]), axis=0)
-        assert np.allclose(y.data, [0.5, 0.25, 0.25], atol=1e-15)
+        # the loss's own softmax of [ln 2, 0, 0] is [0.5, 0.25, 0.25]
+        logits = Tensor([[math.log(2.0), 0.0, 0.0]] * 3)
+        loss = cross_entropy(logits, [0, 1, 2])
+        expect = (math.log(2.0) + 2 * math.log(4.0)) / 3.0
+        assert abs(loss.item() - expect) < 1e-15
 
     def test_softmax_extreme_logits_stay_finite(self):
-        y = softmax(Tensor([1000.0, 0.0]), axis=0)
-        assert np.all(np.isfinite(y.data))
-        assert abs(y.data[0] - 1.0) < 1e-12
-        assert abs(y.data[1]) < 1e-12
-
-    def test_softmax_rows_sum_to_one(self, rng):
-        x = Tensor(rng.normal(size=(7, 5)) * 10)
-        y = softmax(x, axis=1)
-        assert np.allclose(y.data.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(y.data >= 0)
-
-    def test_softmax_empty_axis_errors(self):
-        with pytest.raises(ValueError, match="empty"):
-            softmax(Tensor(np.zeros((3, 0))), axis=1)
+        # max subtraction: exp never sees 1000; the other class's
+        # probability underflows to 0, so its loss is the clamp's
+        logits = Tensor([[1000.0, 0.0]], requires_grad=True)
+        assert cross_entropy(logits, [0]).item() == 0.0
+        loss = cross_entropy(logits, [1])
+        assert abs(loss.item() + math.log(PROB_CLAMP)) < 1e-12
+        backward(loss)
+        assert np.all(np.isfinite(logits.grad))
 
     def test_relu_values(self):
         y = bare_relu(Tensor([[-1.0, 0.0, 2.0]]))
@@ -112,32 +106,41 @@ class TestForwardValues:
         assert np.all(np.abs(y.var(axis=1) - 1.0) < 1e-8)
 
     def test_cross_entropy_half(self):
-        loss = cross_entropy(Tensor([[0.5, 0.5]]), [0])
+        loss = cross_entropy(Tensor([[0.0, 0.0]]), [0])
         assert abs(loss.item() - math.log(2.0)) < 1e-15
 
     def test_cross_entropy_onehot_is_zero(self):
-        loss = cross_entropy(Tensor([[1.0, 0.0]]), [0])
+        # exp(-1000) is 0, so the softmax row is exactly one-hot
+        loss = cross_entropy(Tensor([[0.0, -1000.0]]), [0])
         assert loss.item() == 0.0
 
     def test_cross_entropy_two_rows(self):
         # (-ln 0.9 - ln 0.75) / 2, computed with math.log
         expect = (-math.log(0.9) - math.log(0.75)) / 2.0
         assert abs(expect - 0.1965212940548036) < 1e-15
-        loss = cross_entropy(Tensor([[0.9, 0.1], [0.25, 0.75]]), [0, 1])
+        logits = np.log([[0.9, 0.1], [0.25, 0.75]])
+        loss = cross_entropy(Tensor(logits), [0, 1])
         assert abs(loss.item() - expect) < 1e-12
-
-    def test_cross_entropy_rejects_non_distribution(self):
-        with pytest.raises(ValueError, match="row 0"):
-            cross_entropy(Tensor([[0.7, 0.7]]), [0])
-
-    def test_cross_entropy_rejects_nan_rows(self):
-        # |NaN - 1| > 1e-6 is False, so a NaN row must fail the other way
-        with pytest.raises(ValueError, match="row 1"):
-            cross_entropy(Tensor([[0.5, 0.5], [np.nan, 0.5]]), [0, 1])
 
     def test_cross_entropy_rejects_bad_target(self):
         with pytest.raises(ValueError, match="out of range"):
-            cross_entropy(Tensor([[0.5, 0.5]]), [2])
+            cross_entropy(Tensor([[0.0, 0.0]]), [2])
+
+    @pytest.mark.parametrize("n, c", [(1, 2), (7, 2), (5, 3)])
+    def test_cross_entropy_is_the_two_step_reference(self, rng, n, c):
+        # loss and logits gradient equal a softmax followed by a loss on
+        # its probabilities, bit for bit; row 0's target probability is
+        # under PROB_CLAMP, so the clamp's flat region is covered too
+        x = rng.normal(size=(n, c)) * 3.0
+        t = rng.integers(0, c, size=n)
+        x[0] = 40.0
+        x[0, t[0]] = -40.0
+        logits = Tensor(x, requires_grad=True)
+        loss = cross_entropy(logits, t)
+        backward(loss)
+        want_loss, want_grad = cross_entropy_reference(x, t)
+        assert loss.item() == want_loss
+        assert np.array_equal(logits.grad, want_grad)
 
     def test_gather_rows_picks(self):
         x = Tensor(np.arange(12.0).reshape(4, 3))
@@ -270,8 +273,7 @@ class TestFiniteDifferences:
     def test_softmax_cross_entropy(self, rng):
         logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         targets = rng.integers(0, 3, size=5)
-        _fd_on(lambda: cross_entropy(softmax(logits, axis=1), targets),
-               [logits])
+        _fd_on(lambda: cross_entropy(logits, targets), [logits])
 
     def test_row_norm_with_affine(self, rng):
         x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)

@@ -205,16 +205,16 @@ class TestRowSelection:
                                      model.encoder, model.config, rng)
             rows, targets = batch_word_rows(batch,
                                             states[0].shape[0] // len(batch))
-            probs, _ = head_forward([gather_rows(s, rows) for s in states],
-                                    model, rng)
-            return cross_entropy(probs, targets).item()
+            logits, _ = head_forward([gather_rows(s, rows) for s in states],
+                                     model, rng)
+            return cross_entropy(logits, targets).item()
 
-        probs, _ = forward_batch(model, [t.sub_ids for t in batch],
-                                 [t.first_sub_index for t in batch],
-                                 np.random.default_rng(9))
+        logits, _ = forward_batch(model, [t.sub_ids for t in batch],
+                                  [t.first_sub_index for t in batch],
+                                  np.random.default_rng(9))
         targets = label_targets([lab for t in batch for lab in t.labels])
         want = unfolded(np.random.default_rng(9))
-        assert cross_entropy(probs, targets).item() == want
+        assert cross_entropy(logits, targets).item() == want
         assert batch_loss(model, batch,
                           np.random.default_rng(9)).item() == want
 
@@ -442,8 +442,8 @@ class TestTrainLoop:
         assert sizes[32] <= 2.2 * sizes[16], sizes
 
     def test_depth_attention_head_adds_few_tape_nodes(self):
-        # the MHMLA head is one depth_attention node and a softmax, as
-        # many as the final head's linear and softmax.  At L=J=4, a
+        # the MHMLA head is one depth_attention node, as many as the
+        # final head's linear.  At L=J=4, a
         # matmul chain per (layer, head) pair recorded 165 nodes more
         # than the final head; one key and one value linear per layer
         # over per-pair tensors joined on every forward, 41; with the
@@ -459,19 +459,20 @@ class TestTrainLoop:
             nodes[head_type] = len(active_graph().nodes)
         assert nodes["mhmla"] <= nodes["final"], nodes
 
-    def test_desk_step_records_26_tape_nodes(self):
+    def test_desk_step_records_25_tape_nodes(self):
         # three for the embedding, four per encoder block
         # (self_attention, residual_norm, linear_relu, residual_norm),
-        # a word-row gather_rows per block output, depth_attention and
-        # softmax for the MHMLA head, and the loss.  With a gather of
-        # the embedding's word rows too, 27; with the head built from
-        # concat, reshape, mul and per-layer linear maps, 46; with one
-        # node per affine map, layer norm, relu and attention, 82, and
-        # before those were fused, 150
+        # a word-row gather_rows per block output, depth_attention for
+        # the MHMLA head, and the loss, which takes the softmax.  With a
+        # softmax node of its own, 26; with a gather of the embedding's
+        # word rows too, 27; with the head built from concat, reshape,
+        # mul and per-layer linear maps, 46; with one node per affine
+        # map, layer norm, relu and attention, 82, and before those
+        # were fused, 150
         rng = np.random.default_rng(0)
         model = init_model(desk_config(), rng)
         batch_loss(model, desk_batch(rng), rng)
-        assert len(active_graph().nodes) == 26
+        assert len(active_graph().nodes) == 25
 
     def test_b64_desk_batch_tape_is_at_most_50_mib(self):
         # 45.4 MiB; with the MHMLA head as 21 nodes, 49.4 MiB, and with
@@ -580,15 +581,15 @@ class TestTrainLoop:
             rates_0 = replace(model, config=replace(
                 model.config, dropout=0.0, attn_dropout=0.0))
             before = np.random.get_state()
-            probs, record = forward_batch(model, sub_ids, first)
+            logits, record = forward_batch(model, sub_ids, first)
             after = np.random.get_state()
             assert np.array_equal(before[1], after[1])
             assert before[2:] == after[2:]
             plain, plain_record = forward_batch(rates_0, sub_ids, first)
-            assert np.array_equal(probs.data, plain.data), head_type
+            assert np.array_equal(logits.data, plain.data), head_type
             trained, _ = forward_batch(model, sub_ids, first,
                                        np.random.default_rng(5))
-            assert not np.array_equal(probs.data, trained.data), head_type
+            assert not np.array_equal(logits.data, trained.data), head_type
             if record is not None:
                 assert np.array_equal(record.weights, plain_record.weights)
                 assert np.allclose(record.weights.sum(axis=2), 1.0)
@@ -601,10 +602,10 @@ class TestTrainLoop:
                            np.random.default_rng(1))
         sub_ids = [t.sub_ids for t in corpus.tokenized]
         first = [t.first_sub_index for t in corpus.tokenized]
-        probs, record = forward_batch(model, sub_ids, first)
+        logits, record = forward_batch(model, sub_ids, first)
         trained, trained_record = forward_batch(model, sub_ids, first,
                                                 np.random.default_rng(5))
-        assert np.array_equal(probs.data, trained.data)
+        assert np.array_equal(logits.data, trained.data)
         if record is not None:
             assert np.array_equal(record.weights, trained_record.weights)
         assert (batch_loss(model, corpus.tokenized).item()
@@ -858,6 +859,6 @@ class TestCheckpoints:
         loaded = load_checkpoint(path)
         t = corpus.tokenized[0]
         with no_grad():
-            probs, _ = predict_word_probs(loaded, t.sub_ids,
-                                          t.first_sub_index)
-        assert probs.shape == (len(t.words), 2)
+            logits, _ = predict_word_probs(loaded, t.sub_ids,
+                                           t.first_sub_index)
+        assert logits.shape == (len(t.words), 2)
