@@ -46,18 +46,26 @@ class Tensor:
     keeps grad None.  Repeated backward passes accumulate into a leaf's
     grad (callers reset via zero_grad).
 
+    A leaf may have a gradient home, an array of its shape that the
+    optimizer owns (training.AdamState gives each parameter its view of
+    one flat buffer).  backward then copies the leaf's first
+    contribution into the home, adds each later one in place, in the
+    order they arrive, and sets grad to the home itself.  zero_grad
+    only drops the reference, so the next backward overwrites the home.
+
     An op's backward closure holds the op's input Tensors, so any op
     output a caller holds keeps its whole graph alive, reset_graph()
     or not.  Drop it, or keep only its value, before the next forward.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_grad_home")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward: Callable | None = None
+        self._grad_home: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -125,24 +133,42 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
 
 
 def _acc(pending: dict, t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
+    if not t.requires_grad:
+        return
+    home = t._grad_home
+    if home is not None and t.grad is None:     # first contribution
+        home[...] = g
+        t.grad = home
+    elif home is not None and t.grad is home:
+        home += g
+    else:
         cur = pending.get(t)
         pending[t] = g if cur is None else cur + g
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad for every reachable
-    requires_grad leaf.  An interior node's gradient goes to its
-    backward and is dropped, so the tape holds no gradient arrays.
-    loss must be a scalar."""
+    requires_grad leaf, a leaf with a gradient home in that home (see
+    Tensor).  An interior node's gradient goes to its backward and is
+    dropped, so the tape holds no gradient arrays.  loss must be a
+    scalar, and an op's output must still be on this thread's tape: a
+    ValueError says so after reset_graph() or from another thread,
+    where the walk would reach no leaf."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+    nodes = active_graph().nodes
+    if loss._backward is not None and not any(
+            n is loss for n in reversed(nodes)):
+        raise ValueError("backward: the loss is an op output that is not "
+                         "on this thread's tape (reset_graph() ran after "
+                         "its forward, or another thread recorded it)")
     pending: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    for node in reversed(active_graph().nodes):
+    for node in reversed(nodes):
         g = pending.pop(node, None)
         if g is not None:
             node._backward(g, pending)
-    # whatever is left never went through an op: leaves (parameters, inputs)
+    # whatever is left never went through an op: leaves (parameters,
+    # inputs) without a home, or whose grad a caller set
     for leaf, g in pending.items():
         if leaf.requires_grad:
             leaf.grad = g if leaf.grad is None else leaf.grad + g

@@ -12,7 +12,7 @@ import logging
 import math
 import struct
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import islice, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -69,16 +69,35 @@ class TrainConfig:
 
 # -------------------------------------------------------------------- Adam
 
+# adam_step updates the buffers in blocks of this many entries.  Its
+# widest phase touches five block arrays (the moments, the parameters
+# and two scratch blocks): 5 * 8 * ADAM_BLOCK bytes = 1.25 MiB, which
+# stays in a 2 MiB per-core L2 cache, and the scratch is two blocks, not
+# a second full-size buffer.
+ADAM_BLOCK = 32768
+
+
 class AdamState:
     """Adam's step count and moments over a model's flat float64
-    parameter buffer.  `m`, `v` and the joined gradient share its
-    layout, so one vectorized update covers every tensor.  `views` are
-    the parameter arrays the last step's check_views passed."""
+    parameter buffer.  `m`, `v` and the gradient buffer `grad` share its
+    layout, so one vectorized update covers every tensor.
 
-    def __init__(self, flat: np.ndarray):
-        self.t, self.flat, self.views = 0, flat, []
-        self.m, self.v, self.grad, self.scratch = (
-            np.zeros_like(flat) for _ in range(4))
+    Given the parameters (views of flat in its order, as check_views
+    has them), each one's gradient home becomes its view of `grad`, so
+    backward accumulates straight into the buffer that adam_step reads.
+    `homes` lists those views in order; `views` are the parameter
+    arrays the last check_views passed."""
+
+    def __init__(self, flat: np.ndarray, named_params=()):
+        self.t, self.flat = 0, flat
+        self.m, self.v, self.grad = (np.zeros_like(flat) for _ in range(3))
+        named_params = list(named_params)
+        self.views = check_views(named_params, flat) if named_params else []
+        self.homes, start = [], 0
+        for (_, p), a in zip(named_params, self.views):
+            p._grad_home = self.grad[start:start + a.size].reshape(a.shape)
+            self.homes.append(p._grad_home)
+            start += a.size
 
 
 def _first_nonfinite(params: list, joined: np.ndarray) -> str:
@@ -92,32 +111,44 @@ def _first_nonfinite(params: list, joined: np.ndarray) -> str:
     raise AssertionError("every entry is finite")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the 1-D a is finite, read ADAM_BLOCK
+    entries at a time so no full-size mask is made."""
+    return all(np.isfinite(a[i:i + ADAM_BLOCK]).all()
+               for i in range(0, a.size, ADAM_BLOCK))
+
+
 def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     """One bias-corrected Adam update of every parameter, in place.
 
-    A parameter whose grad is None keeps its value and moments.  A
-    non-finite gradient raises FloatingPointError naming the first bad
-    parameter before anything, t included, is written; a non-finite
-    value after the update raises it too, naming the parameter.  The
-    parameters must be views of state.flat in its order (check_views):
-    a rebound p.data raises ValueError naming it."""
+    A parameter's gradient is read from state.grad where it is the
+    parameter's home there, and copied in otherwise (a grad set by
+    hand).  A parameter whose grad is None has its slice zeroed and
+    keeps its value and moments.  A non-finite gradient raises
+    FloatingPointError naming the first bad parameter before anything,
+    t included, is written; a non-finite value after the update raises
+    it too, naming the parameter.  The update runs ADAM_BLOCK entries
+    at a time and leaves state.grad, and so every home, holding this
+    step's gradient.  The parameters must be views of state.flat in
+    its order (check_views): a rebound p.data raises ValueError naming
+    it."""
     params = list(named_params)
     state.views = check_views(params, state.flat, state.views)
-    grads, skipped, start = [], [], 0
-    for name, p in params:
-        g = p.grad
-        if g is None:
-            g = np.zeros(p.shape)
-            skipped.append(slice(start, start + g.size))
-        elif g.shape != p.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match {name} {p.shape}")
-        grads.append(g.reshape(-1))
-        start += g.size
-    flat, m, v, g, s = state.flat, state.m, state.v, state.grad, state.scratch
-    np.concatenate(grads, out=g)
+    flat, m, v, g = state.flat, state.m, state.v, state.grad
+    skipped, start = [], 0
+    for (name, p), home in zip_longest(params, state.homes):
+        stop = start + p.data.size
+        if p.grad is None:
+            g[start:stop] = 0.0
+            skipped.append(slice(start, stop))
+        elif p.grad is not home:
+            if p.grad.shape != p.shape:
+                raise ValueError(f"gradient shape {p.grad.shape} does not "
+                                 f"match {name} {p.shape}")
+            g[start:stop] = p.grad.reshape(-1)
+        start = stop
     t = state.t + 1
-    if not np.isfinite(g).all():
+    if not _all_finite(g):
         raise FloatingPointError(
             f"non-finite gradient in {_first_nonfinite(params, g)} at step {t}")
     state.t = t
@@ -126,23 +157,29 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     # v = b2*v + ((1-b2)*g)*g, then
     # p -= (lr * m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
     b1, b2 = config.beta1, config.beta2
-    m *= b1
-    np.multiply(g, 1.0 - b1, out=s)
-    m += s
-    v *= b2
-    np.multiply(g, 1.0 - b2, out=s)
-    s *= g
-    v += s
-    np.divide(v, 1.0 - b2 ** t, out=s)
-    np.sqrt(s, out=s)
-    s += config.adam_eps
-    np.divide(m, 1.0 - b1 ** t, out=g)
-    g *= config.learning_rate
-    g /= s
-    flat -= g
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    s_block, u_block = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    for i in range(0, flat.size, ADAM_BLOCK):
+        j = min(i + ADAM_BLOCK, flat.size)
+        gb, mb, vb = g[i:j], m[i:j], v[i:j]
+        s, u = s_block[:j - i], u_block[:j - i]
+        mb *= b1
+        np.multiply(gb, 1.0 - b1, out=s)
+        mb += s
+        vb *= b2
+        np.multiply(gb, 1.0 - b2, out=s)
+        s *= gb
+        vb += s
+        np.divide(vb, c2, out=s)
+        np.sqrt(s, out=s)
+        s += config.adam_eps
+        np.divide(mb, c1, out=u)
+        u *= config.learning_rate
+        u /= s
+        flat[i:j] -= u
     for a, k, saved in kept:
         a[k] = saved
-    if not np.isfinite(flat).all():
+    if not _all_finite(flat):
         raise FloatingPointError(
             f"non-finite value in {_first_nonfinite(params, flat)} at step {t}")
 
@@ -204,7 +241,7 @@ def train(corpus: LabeledCorpus, model_config: ModelConfig,
     rng = np.random.default_rng(train_config.seed)
     model = init_model(model_config, rng)
     params = model.named
-    state = AdamState(model.flat)
+    state = AdamState(model.flat, params)
     losses: list[float] = []
     for epoch in range(train_config.epochs):
         order = rng.permutation(len(sentences))

@@ -587,6 +587,43 @@ class TestTrainEval:
                    "--corpus", str(workdir / "dev.tsv")) == 2
 
 
+class TestPinnedTraining:
+    """Same-seed `train` runs at the desk model whose checkpoint bytes
+    and full-precision epoch losses are pinned, so a change to a step's
+    arithmetic, its order or its draws shows here.  The figures hold for
+    one numpy and BLAS build; on another the test skips, naming it."""
+
+    BUILD = {"numpy": "2.4.6", "blas": "scipy-openblas",
+             "blas_version": "0.3.31.188.0"}
+    RUNS = {
+        "b16": (["--batch-size", "16", "--dropout", "0",
+                 "--attn-dropout", "0"],
+                "6cda96a05e8c5a65eaa474ca116983b6"
+                "30e4a40a71066db1ebb591b68d45d37e",
+                [0.6876476817618725, 0.6481479899862349]),
+        "b4": (["--batch-size", "4", "--dropout", "0.1",
+                "--attn-dropout", "0.1"],
+               "3df6fad9ed6c0bba246b5d401a93a4d8"
+               "724fda450119a41d67a3c67bcc2263cb",
+               [0.6237946873048864, 0.3242595540394073]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_checkpoint_and_losses_are_pinned(self, workdir, tmp_path, name):
+        build = {k: gedlab.cli.numeric_environment()[k] for k in self.BUILD}
+        if build != self.BUILD:
+            pytest.skip(f"pinned on {self.BUILD}, this is {build}")
+        flags, digest, losses = self.RUNS[name]
+        out = tmp_path / f"{name}.ckpt"
+        assert run("train", "--corpus", str(workdir / "corpus.tsv"),
+                   "--seed", "3", "--epochs", "2", *flags,
+                   "--out", str(out)) == 0
+        metrics = json.loads((tmp_path / f"{name}.ckpt.manifest.json")
+                             .read_text())["metrics"]
+        assert metrics["epoch_losses"] == losses
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestAttn:
     def test_csv_shape_and_row_sums(self, workdir, trained, capsys):
         assert run("attn", "--checkpoint", str(trained),

@@ -2,6 +2,7 @@
 against central differences, and the contract errors."""
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -180,6 +181,31 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
             backward(add(x, x))
+
+    def test_loss_off_this_threads_tape_rejected(self):
+        # without the check, backward walked a tape that did not hold
+        # the loss: x.grad stayed None and the op output took grad 1.0
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = sum_all(x)
+        reset_graph()
+        with pytest.raises(ValueError, match="not on this thread's tape"):
+            backward(loss)
+        assert x.grad is None and loss.grad is None
+        loss = sum_all(x)
+        raised = []
+
+        def elsewhere():
+            try:
+                backward(loss)
+            except ValueError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=elsewhere)
+        worker.start()
+        worker.join()
+        assert len(raised) == 1 and x.grad is None and loss.grad is None
+        backward(loss)
+        assert np.array_equal(x.grad, [1.0, 1.0]) and loss.grad is None
 
     def test_relu_subgradient_zero_at_zero(self):
         # a zero x @ w leaves the pre-activation b: -1, exactly 0 and 2
