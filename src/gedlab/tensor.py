@@ -136,11 +136,16 @@ def _acc(pending: dict, t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     home = t._grad_home
-    if home is not None and t.grad is None:     # first contribution
-        home[...] = g
-        t.grad = home
-    elif home is not None and t.grad is home:
-        home += g
+    if home is not None and (t.grad is None or t.grad is home):
+        # a write into the home would broadcast a wrong shape
+        if g.shape != home.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match "
+                             f"its leaf's {home.shape}")
+        if t.grad is None:                      # first contribution
+            home[...] = g
+            t.grad = home
+        else:
+            home += g
     else:
         cur = pending.get(t)
         pending[t] = g if cur is None else cur + g

@@ -12,7 +12,7 @@ import logging
 import math
 import struct
 from dataclasses import asdict, dataclass
-from itertools import islice, zip_longest
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -82,17 +82,19 @@ class AdamState:
     parameter buffer.  `m`, `v` and the gradient buffer `grad` share its
     layout, so one vectorized update covers every tensor.
 
-    Given the parameters (views of flat in its order, as check_views
-    has them), each one's gradient home becomes its view of `grad`, so
-    backward accumulates straight into the buffer that adam_step reads.
-    `homes` lists those views in order; `views` are the parameter
-    arrays the last check_views passed."""
+    named_params are the parameters, views of flat in its order (as
+    check_views has them).  Each one's gradient home becomes its view
+    of `grad`, so backward accumulates straight into the buffer that
+    adam_step reads; `homes` lists those views in order.  The homes
+    stay on the parameters until the caller clears them (train() does
+    before it returns).  `views` are the parameter arrays the last
+    check_views passed."""
 
-    def __init__(self, flat: np.ndarray, named_params=()):
+    def __init__(self, flat: np.ndarray, named_params):
         self.t, self.flat = 0, flat
         self.m, self.v, self.grad = (np.zeros_like(flat) for _ in range(3))
         named_params = list(named_params)
-        self.views = check_views(named_params, flat) if named_params else []
+        self.views = check_views(named_params, flat)
         self.homes, start = [], 0
         for (_, p), a in zip(named_params, self.views):
             p._grad_home = self.grad[start:start + a.size].reshape(a.shape)
@@ -109,13 +111,6 @@ def _first_nonfinite(params: list, joined: np.ndarray) -> str:
             return name
         start = stop
     raise AssertionError("every entry is finite")
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of the 1-D a is finite, read ADAM_BLOCK
-    entries at a time so no full-size mask is made."""
-    return all(np.isfinite(a[i:i + ADAM_BLOCK]).all()
-               for i in range(0, a.size, ADAM_BLOCK))
 
 
 def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
@@ -136,7 +131,7 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     state.views = check_views(params, state.flat, state.views)
     flat, m, v, g = state.flat, state.m, state.v, state.grad
     skipped, start = [], 0
-    for (name, p), home in zip_longest(params, state.homes):
+    for (name, p), home in zip(params, state.homes, strict=True):
         stop = start + p.data.size
         if p.grad is None:
             g[start:stop] = 0.0
@@ -148,7 +143,7 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
             g[start:stop] = p.grad.reshape(-1)
         start = stop
     t = state.t + 1
-    if not _all_finite(g):
+    if not np.isfinite(g).all():
         raise FloatingPointError(
             f"non-finite gradient in {_first_nonfinite(params, g)} at step {t}")
     state.t = t
@@ -179,7 +174,7 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
         flat[i:j] -= u
     for a, k, saved in kept:
         a[k] = saved
-    if not _all_finite(flat):
+    if not np.isfinite(flat).all():
         raise FloatingPointError(
             f"non-finite value in {_first_nonfinite(params, flat)} at step {t}")
 
@@ -257,6 +252,10 @@ def train(corpus: LabeledCorpus, model_config: ModelConfig,
         log.info("epoch %d/%d  mean loss %.6f", epoch + 1,
                  train_config.epochs, losses[-1])
     reset_graph()
+    # only the loop accumulates into the state's buffer: a later
+    # backward on the returned model leaves grads of its own
+    for _, p in params:
+        p._grad_home = None
     # snap parameters onto the float32 grid checkpoints use, so the
     # returned model predicts bit-identically to its saved-and-reloaded
     # copy

@@ -49,7 +49,7 @@ def test_steady_state_step_takes_no_faults():
     rng = np.random.default_rng(1)
     model = init_model(config, rng)
     params = model.named
-    state = AdamState(model.flat)
+    state = AdamState(model.flat, params)
     faults = []
     for _ in range(train_config.epochs):
         order = rng.permutation(len(corpus.tokenized))

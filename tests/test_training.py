@@ -1,6 +1,7 @@
 """Optimizer oracle, the training loop's determinism contract, and the
 checkpoint byte format."""
 import json
+import re
 import struct
 import tracemalloc
 from dataclasses import fields, replace
@@ -19,8 +20,8 @@ from gedlab.model import (
     predict_word_probs, word_rows,
 )
 from gedlab.tensor import (
-    Tensor, active_graph, add, backward, cross_entropy, gather_rows, no_grad,
-    reset_graph, scale,
+    Tensor, _acc, active_graph, add, backward, cross_entropy, gather_rows,
+    no_grad, reset_graph, scale,
 )
 from gedlab.training import (
     ADAM_BLOCK, CHECKPOINT_MAGIC, AdamState, CheckpointError, TrainConfig,
@@ -255,12 +256,12 @@ class TestAdam:
         flat, (p,) = one_buffer(np.array([[1.0, -2.0]]))
         p.grad = np.zeros_like(p.data)
         before = p.data.copy()
-        adam_step([("p", p)], AdamState(flat), TrainConfig())
+        adam_step([("p", p)], AdamState(flat, [("p", p)]), TrainConfig())
         assert np.array_equal(p.data, before)
 
     def test_none_gradient_is_skipped(self):
         flat, (p,) = one_buffer(np.ones((2, 2)))
-        adam_step([("p", p)], AdamState(flat), TrainConfig())
+        adam_step([("p", p)], AdamState(flat, [("p", p)]), TrainConfig())
         assert np.array_equal(p.data, np.ones((2, 2)))
 
     def test_first_step_is_signed_learning_rate(self):
@@ -268,7 +269,7 @@ class TestAdam:
         for g in (0.37, -41.0, 5e-7):
             flat, (p,) = one_buffer(np.array([[2.0]]))
             p.grad = np.array([[g]])
-            adam_step([("p", p)], AdamState(flat), tc)
+            adam_step([("p", p)], AdamState(flat, [("p", p)]), tc)
             delta = p.data[0, 0] - 2.0
             expected = -tc.learning_rate * g / (abs(g) + tc.adam_eps)
             assert abs(delta - expected) < 1e-12
@@ -278,7 +279,7 @@ class TestAdam:
         expected = reference_adam_trace(
             x0=5.0, grad_fn=lambda x: x - 3.0, lr=0.1, steps=10)
         flat, (p,) = one_buffer(np.array([[5.0]]))
-        state = AdamState(flat)
+        state = AdamState(flat, [("p", p)])
         for want in expected:
             p.grad = p.data - 3.0
             adam_step([("p", p)], state, tc)
@@ -288,14 +289,14 @@ class TestAdam:
         flat, (p,) = one_buffer(np.ones((2,)))
         p.grad = np.array([1.0, np.nan])
         with pytest.raises(FloatingPointError, match="enc.00.attn.w_q"):
-            adam_step([("enc.00.attn.w_q", p)], AdamState(flat),
-                      TrainConfig())
+            adam_step([("enc.00.attn.w_q", p)],
+                      AdamState(flat, [("enc.00.attn.w_q", p)]), TrainConfig())
 
     def test_shape_mismatch_rejected(self):
         flat, (p,) = one_buffer(np.ones((2, 2)))
         p.grad = np.ones((2,))
         with pytest.raises(ValueError, match="shape"):
-            adam_step([("p", p)], AdamState(flat), TrainConfig())
+            adam_step([("p", p)], AdamState(flat, [("p", p)]), TrainConfig())
 
     def test_ten_steps_match_per_tensor_oracle_with_a_skipped_grad(self):
         rng = np.random.default_rng(5)
@@ -305,7 +306,7 @@ class TestAdam:
         flat = [(f"p{i}", p) for i, p in enumerate(tensors)]
         ref = [(f"p{i}", Tensor(x.copy(), requires_grad=True))
                for i, x in enumerate(start)]
-        state, ref_state = AdamState(buffer), AdamState(np.zeros(0))
+        state, ref_state = AdamState(buffer, flat), AdamState(np.zeros(0), [])
         tc = TrainConfig(learning_rate=0.05)
         for step in range(1, 11):
             for (_, p), (_, q) in zip(flat, ref):
@@ -344,7 +345,7 @@ class TestAdam:
         params = [(f"p{i}", p) for i, p in enumerate(tensors)]
         ref = [(f"p{i}", Tensor(x.copy(), requires_grad=True))
                for i, x in enumerate(start)]
-        state, ref_state = AdamState(buffer, params), AdamState(np.zeros(0))
+        state, ref_state = AdamState(buffer, params), AdamState(np.zeros(0), [])
         tc = TrainConfig(learning_rate=0.05)
         for step in range(1, 11):
             live = [0, 2] if step == 4 else [0, 1, 2, 3]
@@ -381,7 +382,7 @@ class TestAdam:
     def test_nonfinite_gradient_writes_nothing(self):
         buffer, tensors = one_buffer(np.ones((2, 3)), np.ones(4), np.ones(1))
         params = list(zip("abc", tensors))
-        state = AdamState(buffer)
+        state = AdamState(buffer, params)
         tc = TrainConfig(learning_rate=0.1)
         for _, p in params:
             p.grad = np.full(p.shape, 0.5)
@@ -403,7 +404,7 @@ class TestAdam:
     def test_rebound_parameter_rejected(self):
         buffer, tensors = one_buffer(np.ones((2, 2)), np.ones((2, 2)))
         params = list(zip(("enc.00.ffn.w1", "enc.00.ffn.w2"), tensors))
-        state = AdamState(buffer)
+        state = AdamState(buffer, params)
         for _, p in params:
             p.grad = np.ones((2, 2))
         adam_step(params, state, TrainConfig())
@@ -417,7 +418,7 @@ class TestAdam:
         for _, p in params:
             p.grad = np.ones(p.shape)
         with pytest.raises(ValueError, match="b is not its view"):
-            adam_step(params[::-1], AdamState(buffer), TrainConfig())
+            adam_step(params[::-1], AdamState(buffer, params), TrainConfig())
         assert np.array_equal(buffer, np.ones(5))
 
 
@@ -439,6 +440,8 @@ class TestTrainLoop:
         assert all(l >= 0.0 and np.isfinite(l) for l in result.epoch_losses)
         for _, p in result.model.named:
             assert np.isfinite(p.data).all()
+            # the training state's gradient buffer does not outlive it
+            assert p.grad is None and p._grad_home is None
 
     def test_same_seed_gives_bit_identical_traces_and_params(self):
         corpus = small_corpus()
@@ -557,7 +560,7 @@ class TestTrainLoop:
         tracemalloc.start()
         try:
             backward(batch_loss(model, batch, rng))
-            adam_step(params, AdamState(model.flat), TrainConfig())
+            adam_step(params, AdamState(model.flat, params), TrainConfig())
             for _, p in params:
                 p.zero_grad()
             mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
@@ -701,8 +704,9 @@ class TestGradientBuffer:
         # the leaves' own gradient arrays held 1.32 MiB past the tape;
         # now about 1 KiB
         assert after_backward - forward <= 64 * 1024
-        # two block-sized scratch arrays: 0.54 MiB above the step's
-        # start; a full-size temporary would add 1.31 MiB more
+        # two block-sized scratch arrays and the finiteness check's
+        # 0.16 MiB bool mask: 0.67 MiB above the step's start; a
+        # full-size float temporary would add 1.31 MiB more
         assert adam_peak - after_backward <= 0.75 * 2 ** 20
         offset = 0
         for (name, p), home in zip(params, state.homes):
@@ -711,6 +715,23 @@ class TestGradientBuffer:
             assert p.grad.__array_interface__["data"][0] == (
                 state.grad.__array_interface__["data"][0] + 8 * offset), name
             offset += p.data.size
+
+    def test_wrong_shaped_contribution_to_a_home_rejected(self):
+        # written into the home, a () or (1, 3) gradient would broadcast
+        # over the (3,) parameter
+        buffer, (p,) = one_buffer(np.ones(3))
+        state = AdamState(buffer, [("p", p)])
+        for wrong in (np.asarray(2.0), np.ones((1, 3))):
+            with pytest.raises(ValueError, match=rf"gradient shape "
+                               rf"{re.escape(str(wrong.shape))} does not "
+                               rf"match its leaf's \(3,\)"):
+                _acc({}, p, wrong)
+            assert p.grad is None
+        _acc({}, p, np.ones(3))
+        with pytest.raises(ValueError, match="gradient shape"):
+            _acc({}, p, np.ones((1, 3)))
+        assert p.grad is state.homes[0]
+        assert np.array_equal(state.grad, np.ones(3))
 
     def test_load_eval_and_attn_allocate_no_gradient_buffer(self, tmp_path):
         corpus = small_corpus()
