@@ -50,8 +50,9 @@ class Tensor:
     optimizer owns (training.AdamState gives each parameter its view of
     one flat buffer).  backward then copies the leaf's first
     contribution into the home, adds each later one in place, in the
-    order they arrive, and sets grad to the home itself.  zero_grad
-    only drops the reference, so the next backward overwrites the home.
+    order they arrive, and sets grad to the home itself; a contribution
+    of another shape is a ValueError.  zero_grad only drops the
+    reference, so the next backward overwrites the home.
 
     An op's backward closure holds the op's input Tensors, so any op
     output a caller holds keeps its whole graph alive, reset_graph()
