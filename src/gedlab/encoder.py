@@ -5,14 +5,11 @@ multi-head scaled dot-product self-attention and a relu FFN, each with
 residual + layer norm.  Every block's output is kept so heads can
 attend over depth.
 
-A batch is one padded [B*T x hidden] matrix.  A block is four fused
-tape nodes: tensor.self_attention (the q, k and v projections and
-multi-head attention), tensor.residual_norm (the w_o map, dropout,
-residual and layer norm), tensor.linear_relu (the FFN's first map) and
-residual_norm again (its second map).  Each sentence attends only over
-its own T positions, and PAD positions are masked out as keys.  They
-still flow through as queries; their rows are garbage and callers
-ignore them.
+A batch is one padded [B*T x hidden] matrix: one tensor.embed node,
+which keeps only the ids and positions, then four fused tape nodes per
+block (_block).  Each sentence attends only over its own T positions,
+and PAD positions are masked out as keys.  They still flow through as
+queries; their rows are garbage and callers ignore them.
 """
 from __future__ import annotations
 
@@ -27,8 +24,7 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .tensor import (
-    Tensor, add, dropout, gather_rows, linear_relu, residual_norm,
-    self_attention,
+    Tensor, dropout, embed, linear_relu, residual_norm, self_attention,
 )
 
 HEAD_TYPES = ("final", "avgl", "mhmla")
@@ -255,14 +251,9 @@ def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
         if arr.size == 0:
             raise ValueError(f"sentence {b} is empty")
         ids[b, :arr.size] = arr
-    flat = ids.reshape(-1)
-    if flat.min() < 0 or flat.max() >= config.vocab_size:
-        raise ValueError(
-            f"token id out of range [0, {config.vocab_size}): "
-            f"{flat.min()}..{flat.max()}")
-    positions = np.tile(np.arange(t_max), len(sentences))
-    h = add(gather_rows(params.token_embedding, flat),
-            gather_rows(params.position_embedding, positions))
+    # embed rejects an id out of the token table's range
+    h = embed(params.token_embedding, params.position_embedding,
+              ids.reshape(-1), np.tile(np.arange(t_max), len(sentences)))
     h = dropout(h, dropout_rates(config, rng)[0], rng)
     key_real = ids != PAD_ID
     states = []

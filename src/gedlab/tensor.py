@@ -7,11 +7,12 @@ backward() can walk the tape once, in reverse.
 No op broadcasts: add takes two tensors of one shape, and the fused
 ops take their bias and gain rows at exactly the output width.
 
-The fused ops (linear, linear_relu, self_attention, residual_norm and
-depth_attention) record one node each and keep only the arrays their
-backwards read.  Each backward hands out its gradients in the order
-that separate nodes for the same arithmetic would, so a tensor that
-several ops read sums its gradients in the same order, bit for bit.
+The fused ops (linear, linear_relu, self_attention, residual_norm,
+depth_attention and embed) record one node each and keep only the
+arrays their backwards read.  Each backward hands out its gradients in
+the order that separate nodes for the same arithmetic would, so a
+tensor that several ops read sums its gradients in the same order, bit
+for bit.
 """
 from __future__ import annotations
 
@@ -28,15 +29,6 @@ MASK_LOGIT = -1e30      # attention score of a masked (PAD) key
 NORM_EPS = 1e-12        # added to the row variance in residual_norm
 FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 
-__all__ = [
-    "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
-    "add", "scale", "linear", "linear_relu", "dropout",
-    "self_attention", "residual_norm", "depth_attention", "gather_rows",
-    "sum_all",
-    "cross_entropy", "finite_diff_check", "GradCheckReport",
-    "PROB_CLAMP", "MASK_LOGIT", "NORM_EPS", "FD_ZERO_TOL",
-]
-
 
 class Tensor:
     """A float64 array plus the bookkeeping backward() needs.
@@ -47,16 +39,13 @@ class Tensor:
     grad (callers reset via zero_grad).
 
     A leaf may have a gradient home, an array of its shape that the
-    optimizer owns (training.AdamState gives each parameter its view of
-    one flat buffer).  backward then copies the leaf's first
-    contribution into the home, adds each later one in place, in the
-    order they arrive, and sets grad to the home itself; a contribution
-    of another shape is a ValueError.  zero_grad only drops the
-    reference, so the next backward overwrites the home.
+    optimizer owns (its view of training.AdamState's buffer).  Its
+    first contribution is written into the home, later ones are added
+    there in arrival order (another shape is a ValueError), and grad is
+    the home itself; zero_grad only drops the reference.
 
-    An op's backward closure holds the op's input Tensors, so any op
-    output a caller holds keeps its whole graph alive, reset_graph()
-    or not.  Drop it, or keep only its value, before the next forward.
+    An op's backward closure holds the op's input Tensors, so a held op
+    output keeps its whole graph alive, reset_graph() or not.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_grad_home")
@@ -98,11 +87,9 @@ _LOCAL = threading.local()
 
 
 def active_graph() -> Graph:
-    g = getattr(_LOCAL, "graph", None)
-    if g is None:
-        g = Graph()
-        _LOCAL.graph = g
-    return g
+    if not hasattr(_LOCAL, "graph"):
+        _LOCAL.graph = Graph()
+    return _LOCAL.graph
 
 
 def reset_graph() -> None:
@@ -153,13 +140,12 @@ def _acc(pending: dict, t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into .grad for every reachable
-    requires_grad leaf, a leaf with a gradient home in that home (see
-    Tensor).  An interior node's gradient goes to its backward and is
-    dropped, so the tape holds no gradient arrays.  loss must be a
-    scalar, and an op's output must still be on this thread's tape: a
-    ValueError says so after reset_graph() or from another thread,
-    where the walk would reach no leaf."""
+    """Accumulate d(loss)/d(leaf) into .grad (or its home, see Tensor)
+    for every reachable requires_grad leaf.  An interior node's gradient
+    goes to its backward and is dropped, so the tape holds no gradient
+    arrays.  loss must be a scalar, and an op output must still be on
+    this thread's tape (not after reset_graph() or from another
+    thread), or a ValueError says so."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     nodes = active_graph().nodes
@@ -191,23 +177,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add needs two tensors of one shape, got "
                          f"{a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data)
 
     def bwd(g, pending):
         _acc(pending, a, g)
         _acc(pending, b, g)
 
-    return _record(out, (a, b), bwd)
+    return _record(Tensor(a.data + b.data), (a, b), bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(x.data * c)
 
     def bwd(g, pending):
         _acc(pending, x, g * c)
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor(x.data * c), (x,), bwd)
 
 
 def _check_affine(op: str, x: Tensor, ws, bs,
@@ -245,16 +229,13 @@ def _affine_grads(pending: dict, x: Tensor, w: Tensor, b: Tensor | None,
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: the product is never kept apart from the
-    sum.  With zero b it is the plain product.  Backward hands out, in
-    this order, b's gradient g summed over rows, x's g @ w.T and w's
-    x.T @ g."""
+    sum.  With zero b it is the plain product."""
     _check_affine("linear", x, (w,), (b,))
-    out = Tensor(_affine(x, w, b))
 
     def bwd(g, pending):
         _affine_grads(pending, x, w, b, g)
 
-    return _record(out, (x, w, b), bwd)
+    return _record(Tensor(_affine(x, w, b)), (x, w, b), bwd)
 
 
 def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -264,12 +245,11 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_affine("linear_relu", x, (w,), (b,))
     y = _affine(x, w, b)
     np.maximum(y, 0.0, out=y)
-    out = Tensor(y)
 
     def bwd(g, pending):
         _affine_grads(pending, x, w, b, g * (y > 0.0))
 
-    return _record(out, (x, w, b), bwd)
+    return _record(Tensor(y), (x, w, b), bwd)
 
 
 # -------------------------------------------------------------- nonlinearity
@@ -300,12 +280,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate == 0.0:
         return x
     keep = _keep_mask(x.data.shape, rate, rng)
-    out = Tensor(x.data * keep)
 
     def bwd(g, pending):
         _acc(pending, x, g * keep)
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor(x.data * keep), (x,), bwd)
 
 
 def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
@@ -316,17 +295,15 @@ def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
     of a padded batch, projections included, as one node.
 
     h is [B*T x k], row b * T + n holding token n of sentence b;
-    key_real is the [B, T] bool mask of real tokens.  Queries are
-    h @ w_q + b_q, keys h @ w_k (a key bias would add one constant to
-    all of a query's scores, which the softmax cancels) and values
-    h @ w_v + b_v, each [B*T x m].  Per sentence and head:
-    softmax((Q Kt) / sqrt(m / n_heads)) over its own keys, PAD keys set
-    to MASK_LOGIT first, so exp() gives them exactly zero weight.  With
-    rate > 0, inverted dropout on those weights draws one
-    [B, n_heads, T, T] mask from rng.  Returns the heads' P V merged
-    back to [B*T x m].  No [B*T x B*T] array is ever built, and only
-    the per-head Q, K, V and weights are kept for backward, which
-    hands h its gradients through v, then k, then q.
+    key_real is the [B, T] bool mask of real tokens.  Q = h @ w_q + b_q,
+    K = h @ w_k (a key bias would shift all of a query's scores alike,
+    which the softmax cancels) and V = h @ w_v + b_v.  Per sentence and
+    head: softmax(Q Kt / sqrt(m / n_heads)) over its own keys, PAD keys
+    at MASK_LOGIT, so they get exactly zero weight; with rate > 0, one
+    [B, n_heads, T, T] dropout mask on those weights.  Returns the
+    heads' P V merged back to [B*T x m].  No [B*T x B*T] array is
+    built, only Q, K, V and the weights are kept, and backward, in
+    place on its own arrays, hands h its gradients through v, k, q.
     """
     _check_affine("self_attention", h, (w_q, w_k, w_v), (b_q, b_v),
                   "h [n x k], w_q, w_k and w_v [k x m], b_q and b_v [m]")
@@ -359,36 +336,35 @@ def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     keep = _keep_mask(p.shape, rate, rng)
-    out = Tensor(merge((p if keep is None else p * keep) @ vh))
 
     def bwd(g, pending):
         go = heads(g)
-        pd = p if keep is None else p * keep
-        gv = merge(pd.transpose(0, 1, 3, 2) @ go)
-        dp = go @ vh.transpose(0, 1, 3, 2)
+        _affine_grads(pending, h, w_v, b_v, merge(
+            (p if keep is None else p * keep).transpose(0, 1, 3, 2) @ go))
+        ds = go @ vh.transpose(0, 1, 3, 2)      # d(weights)
+        del go
         if keep is not None:
-            dp *= keep
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_sqrt
-        _affine_grads(pending, h, w_v, b_v, gv)
+            ds *= keep
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p                                 # d(scores), in place
+        ds *= inv_sqrt
         _affine_grads(pending, h, w_k, None,
                       merge(ds.transpose(0, 1, 3, 2) @ qh))
         _affine_grads(pending, h, w_q, b_q, merge(ds @ kh))
 
-    return _record(out, (h, w_q, b_q, w_k, w_v, b_v), bwd)
+    return _record(Tensor(merge((p if keep is None else p * keep) @ vh)),
+                   (h, w_q, b_q, w_k, w_v, b_v), bwd)
 
 
 def residual_norm(h: Tensor, x: Tensor, w: Tensor, b: Tensor, gain: Tensor,
                   bias: Tensor, rate: float = 0.0,
                   rng: np.random.Generator | None = None) -> Tensor:
     """A post-norm sublayer's exit as one node:
-    layer_norm(h + dropout(x @ w + b)), the layer norm affine, each row
-    s of the sum standardized, y = (s - mean) / sqrt(pop_var +
-    NORM_EPS), then y * gain + bias.  With rate > 0, inverted dropout
-    draws one mask of h's shape from rng.
-
-    Only the output is recorded; y stays in the closure for backward,
-    which gives bias, then gain, then h (the residual), then b, x and w
-    their gradients."""
+    layer_norm(h + dropout(x @ w + b)): each row s of the sum becomes
+    y = (s - mean) / sqrt(pop_var + NORM_EPS), then y * gain + bias.
+    With rate > 0, dropout draws one mask of h's shape from rng.  Only
+    y is kept; backward gives bias, then gain, then h (the residual),
+    then b, x and w their gradients."""
     _check_affine("residual_norm", x, (w,), (b,))
     width = w.shape[1]
     if (h.shape != (x.shape[0], width) or gain.shape != (width,)
@@ -435,9 +411,11 @@ def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
 
     With rate > 0, dropout draws a mask for every state, then for every
     layer's keys; with attn_rate > 0, one for the weights.  Returns
-    (logits, weights [n, L, J] as used).  Backward hands out gradients
-    in the order separate nodes would: w_out's L slices in layer order,
-    and each state its value gradient before its key gradient.
+    (logits, weights [n, L, J] as used).  Not their [n x L*m] mix but
+    the keys, values and weights are kept; backward rebuilds a layer's
+    mix for w_out and works a layer at a time, handing out gradients in
+    the order separate nodes would: w_out's L slices in layer order, and
+    each state its value gradient before its key gradient.
     """
     L, lens = len(states), [len(p) for p in (w_k, b_k, w_v, b_v)]
     if not L or len({s.shape for s in states}) > 1 or lens != [L] * 4:
@@ -487,77 +465,115 @@ def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
     p = p / p.sum(axis=1, keepdims=True)        # softmax over layers
     keep_w = _keep_mask(p.shape, attn_rate, rng)
     weights = p if keep_w is None else p * keep_w
-    values = np.concatenate([_affine(x, w, b)
-                             for x, w, b in zip(xs, w_v, b_v)], axis=1)
-    by_head = (n, L, J, m // J)
-    mixed = (values.reshape(by_head) * weights[..., None]).reshape(n, L * m)
-    w_cat = np.concatenate([w_out.data] * L)
+    values = [_affine(x, w, b).reshape(n, J, m // J)
+              for x, w, b in zip(xs, w_v, b_v)]
+
+    def mixed(l):       # layer l's values weighted per head, [n x m]
+        return (values[l] * weights[:, l, :, None]).reshape(n, m)
+
+    logits = (np.concatenate([mixed(l) for l in range(L)], axis=1)
+              @ np.concatenate([w_out.data] * L) + b_out.data)
 
     def bwd(g, pending):
         _acc(pending, b_out, g.sum(axis=0))
-        gm = (g @ w_cat.T).reshape(by_head)
-        for part in np.split(mixed.T @ g, L):
-            _acc(pending, w_out, part)
-        gv = np.split((gm * weights[..., None]).reshape(n, L * m), L, axis=1)
-        gw = (gm * values.reshape(by_head)).sum(axis=-1)
+        for l in range(L):
+            _acc(pending, w_out, mixed(l).T @ g)
+        go = (g @ w_out.data.T).reshape(n, J, m // J)
+        gw = np.stack([(go * v).sum(axis=-1) for v in values], axis=1)
         gw = gw if keep_w is None else gw * keep_w
-        gs = p * (gw - (gw * p).sum(axis=1, keepdims=True))
-        gs = gs.reshape(n, L * J)
+        gs = (p * (gw - (gw * p).sum(axis=1, keepdims=True))).reshape(n, L * J)
         _acc(pending, b_a, gs.sum(axis=0))
-        gk = gs @ mw.T
         _acc(pending, w_a, ((keys.T @ gs) * blocks).sum(axis=1, keepdims=True))
         ds = dropped()
         for l in reversed(range(L)):
-            _affine_grads(pending, ds[l], w_v[l], b_v[l], gv[l])
+            _affine_grads(pending, ds[l], w_v[l], b_v[l],
+                          (go * weights[:, l, :, None]).reshape(n, m))
         for l in reversed(range(L)):
             c = slice(l * kw, (l + 1) * kw)
-            gl = gk[:, c] if keep_k[l] is None else gk[:, c] * keep_k[l]
-            _affine_grads(pending, ds[l], w_k[l], b_k[l],
-                          gl * (keys[:, c] > 0.0))
+            gl = gs @ mw[c].T
+            if keep_k[l] is not None:
+                gl *= keep_k[l]
+            gl *= keys[:, c] > 0.0
+            _affine_grads(pending, ds[l], w_k[l], b_k[l], gl)
         for s, d, k in reversed(list(zip(states, ds, keep_s))):
             if d is not s and d in pending:
                 _acc(pending, s, pending.pop(d) * k)
 
     inputs = (*states, *w_k, *b_k, w_a, b_a, *w_v, *b_v, w_out, b_out)
-    return _record(Tensor(mixed @ w_cat + b_out.data), inputs, bwd), weights
+    return _record(Tensor(logits), inputs, bwd), weights
 
 
 # ------------------------------------------------------------ shape plumbing
 
-def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows x[indices].  Backward scatter-adds, so repeated
-    indices accumulate (embedding lookups rely on this); strictly
-    increasing indices, such as word rows, own one gradient row each,
-    which backward writes directly."""
-    _need_2d(x, "gather_rows")
+def _rows(x: Tensor, indices, op: str) -> np.ndarray:
+    """indices as 1-D int64 rows of the 2-D x, or a ValueError."""
+    _need_2d(x, op)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
-        raise ValueError(f"gather_rows needs a 1-D index list, got shape {idx.shape}")
+        raise ValueError(f"{op} needs a 1-D index list, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ValueError(
             f"row index out of range: valid [0, {x.shape[0]}), got "
             f"[{idx.min()}, {idx.max()}]")
-    out = Tensor(x.data[idx])
+    return idx
+
+
+def _scatter_rows(pending: dict, x: Tensor, idx: np.ndarray, g) -> None:
+    """Hand x the gradient of x[idx]: g's rows added at idx into zeros,
+    or into x's zeroed gradient home as x's first contribution."""
+    if not x.requires_grad:
+        return
+    home = x._grad_home if x.grad is None else None
+    if home is None:
+        dx = np.zeros_like(x.data)
+    else:
+        home[...] = 0.0
+        dx = x.grad = home
+    if idx.size < 2 or (idx[1:] > idx[:-1]).all():
+        dx[idx] = g     # each row once, such as word rows
+    else:
+        np.add.at(dx, idx, g)
+    if home is None:
+        _acc(pending, x, dx)
+
+
+def embed(token: Tensor, position: Tensor, ids, positions) -> Tensor:
+    """token[ids] + position[positions] as one node that keeps only the
+    index lists.  Backward scatter-adds g into the position table, then
+    into the token table."""
+    ids, positions = (_rows(token, ids, "embed"),
+                      _rows(position, positions, "embed"))
+    if ids.shape != positions.shape or token.shape[1] != position.shape[1]:
+        raise ValueError(f"embed needs as many ids as positions and two "
+                         f"tables of one width, got {ids.shape}, "
+                         f"{positions.shape}, {token.shape} and "
+                         f"{position.shape}")
 
     def bwd(g, pending):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            if idx.size < 2 or (idx[1:] > idx[:-1]).all():
-                dx[idx] = g
-            else:
-                np.add.at(dx, idx, g)
-            _acc(pending, x, dx)
+        _scatter_rows(pending, position, positions, g)
+        _scatter_rows(pending, token, ids, g)
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor(token.data[ids] + position.data[positions]),
+                   (token, position), bwd)
+
+
+def gather_rows(x: Tensor, indices) -> Tensor:
+    """Select rows x[indices], such as a batch's word rows.  Backward
+    scatter-adds, so repeated rows accumulate."""
+    idx = _rows(x, indices, "gather_rows")
+
+    def bwd(g, pending):
+        _scatter_rows(pending, x, idx, g)
+
+    return _record(Tensor(x.data[idx]), (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
 
     def bwd(g, pending):
         _acc(pending, x, np.broadcast_to(g, x.data.shape).copy())
 
-    return _record(out, (x,), bwd)
+    return _record(Tensor(x.data.sum()), (x,), bwd)
 
 
 # --------------------------------------------------------------------- loss
@@ -566,8 +582,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean over rows of -ln p[target], p the row softmax of logits
     (max-subtracted) clamped at PROB_CLAMP, as one node.
 
-    Backward takes the clamp-aware gradient dp of the loss in p, times
-    g, back through the softmax: p * (dp - the row sum of dp * p)."""
+    Backward runs the clamp-aware gradient dp in p, times g, back
+    through the softmax: p * (dp - the row sum of dp * p)."""
     _need_2d(logits, "cross_entropy")
     n, c = logits.shape
     if n == 0:
@@ -581,7 +597,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     p = e / e.sum(axis=1, keepdims=True)
     picked = p[np.arange(n), t]
     clamped = np.maximum(picked, PROB_CLAMP)
-    out = Tensor(-np.log(clamped).mean())
 
     def bwd(g, pending):
         dp = np.zeros_like(p)
@@ -590,7 +605,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         dp = dp * g
         _acc(pending, logits, p * (dp - (dp * p).sum(axis=1, keepdims=True)))
 
-    return _record(out, (logits,), bwd)
+    return _record(Tensor(-np.log(clamped).mean()), (logits,), bwd)
 
 
 # ----------------------------------------------------------- gradient check
@@ -611,19 +626,14 @@ def finite_diff_check(
 ) -> GradCheckReport:
     """Compare backward() gradients of f() against central differences.
 
-    f is nullary, returns a scalar Tensor, and must be deterministic
-    (it is evaluated twice up front to catch live dropout or an unseeded
-    rng).  Every component of every parameter is perturbed by +-eps, so
-    keep this at desk scale.  Relative error per component is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-
-    Components where both estimates are below FD_ZERO_TOL count as exact
-    agreement: on a flat direction (one that moves every input of a
-    softmax equally, which it cancels) the true derivative is zero and
-    both sides measure only rounding jitter, so their ratio says nothing
-    about gradient correctness.  A non-finite
-    estimate on either side is a relative error of inf, a failure.
-    eps and tol must be finite and > 0.
+    f is nullary, returns a scalar Tensor and must be deterministic
+    (two calls up front catch live dropout or an unseeded rng).  Every
+    component of every parameter is perturbed by +-eps, so keep this at
+    desk scale.  The relative error per component is |analytic -
+    numeric| / max(|analytic|, |numeric|, 1e-8).  Two estimates below
+    FD_ZERO_TOL agree: on a direction a softmax cancels, both measure
+    only rounding.  A non-finite estimate is an error of inf, a
+    failure.  eps and tol must be finite and > 0.
     """
     for name, value in (("eps", eps), ("tol", tol)):
         if not 0.0 < value < np.inf:
@@ -644,15 +654,10 @@ def finite_diff_check(
         p.zero_grad()
     reset_graph()
     backward(f())
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params
-    }
+    analytic = {name: np.zeros_like(p.data) if p.grad is None
+                else p.grad.copy() for name, p in params}
     reset_graph()
-
-    worst = 0.0
-    worst_name = ""
-    n_checked = 0
+    worst, worst_name = 0.0, ""
     with no_grad():
         for name, p in params:
             flat = p.data.reshape(-1)
@@ -672,9 +677,8 @@ def finite_diff_check(
                     rel = 0.0
                 else:
                     rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-                n_checked += 1
                 if rel > worst:
                     worst = rel
                     worst_name = f"{name}[{i}]"
-    worst = float(worst)
+    worst, n_checked = float(worst), sum(p.data.size for _, p in params)
     return GradCheckReport(worst, worst_name, n_checked, worst < tol)

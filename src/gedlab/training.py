@@ -200,18 +200,21 @@ def _train_step(model: Model, params: list, state: AdamState,
     """One forward, backward and Adam update on a batch; returns the
     batch's mean loss.
 
-    The loss Tensor must not outlive its step: every op's backward
+    The loss Tensor must not outlive its backward: every op's backward
     closure holds its input Tensors, so the loss keeps the whole graph
     of the step reachable after reset_graph() has emptied the tape.
-    Held across the next forward, it would double the step's peak
-    memory.  Returning a float lets the graph go with these locals."""
+    The step keeps the loss as a float and lets the graph go, tape and
+    loss, before Adam runs, so Adam's scratch never adds to it."""
     reset_graph()
     loss = batch_loss(model, batch, rng)
     backward(loss)
+    value = loss.item()
+    del loss
+    reset_graph()
     adam_step(params, state, config)
     for _, p in params:
         p.zero_grad()
-    return loss.item()
+    return value
 
 
 @dataclass
@@ -251,7 +254,6 @@ def train(corpus: LabeledCorpus, model_config: ModelConfig,
         losses.append(loss_sum / word_count)
         log.info("epoch %d/%d  mean loss %.6f", epoch + 1,
                  train_config.epochs, losses[-1])
-    reset_graph()
     # only the loop accumulates into the state's buffer: a later
     # backward on the returned model leaves grads of its own
     for _, p in params:

@@ -9,9 +9,9 @@ import pytest
 
 from gedlab.tensor import (
     PROB_CLAMP, GradCheckReport, Tensor, active_graph, add, backward,
-    cross_entropy, depth_attention, dropout, finite_diff_check, gather_rows,
-    linear, linear_relu, no_grad, reset_graph, residual_norm, scale,
-    self_attention, sum_all,
+    cross_entropy, depth_attention, dropout, embed, finite_diff_check,
+    gather_rows, linear, linear_relu, no_grad, reset_graph, residual_norm,
+    scale, self_attention, sum_all,
 )
 from oracles import (
     cross_entropy_reference, depth_attention_reference,
@@ -275,6 +275,66 @@ def _fd_on(op_builder, tensors, tol=1e-6, eps=1e-5):
     assert report.passed, (
         f"max rel err {report.max_rel_err:.3e} at {report.worst_param}")
     return report
+
+
+class TestEmbed:
+    """embed(token, position, ids, positions) against numpy's row
+    gathers and np.add.at."""
+
+    @pytest.mark.parametrize("ids, positions", [
+        pytest.param([3, 1, 3, 0, 1], [0, 1, 2, 0, 1], id="repeats"),
+        pytest.param([2], [1], id="one_row"),
+    ])
+    @pytest.mark.parametrize("homes", [False, True])
+    def test_matches_gather_and_add_at(self, rng, ids, positions, homes):
+        token = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        position = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        if homes:
+            # NaN shows a home that the first contribution did not zero
+            for t in (token, position):
+                t._grad_home = np.full(t.shape, np.nan)
+        up = rng.normal(size=(len(ids), 3))
+        out = embed(token, position, ids, positions)
+        loss = weighted_sum(out, up)
+        backward(loss)
+        assert np.array_equal(out.data,
+                              token.data[ids] + position.data[positions])
+        want = {}
+        for t, idx in ((token, ids), (position, positions)):
+            want[t] = np.zeros(t.shape)
+            np.add.at(want[t], idx, up)
+            assert np.array_equal(t.grad, want[t])
+            assert (t.grad is t._grad_home) == homes
+        backward(loss)      # a second contribution adds to the first
+        for t in (token, position):
+            assert np.array_equal(t.grad, want[t] + want[t])
+
+    @pytest.mark.parametrize("position, ids, got", [
+        pytest.param((4, 3), [0, 1], "(2,), (1,), (5, 3) and (4, 3)",
+                     id="more_ids_than_positions"),
+        pytest.param((4, 2), [0], "(1,), (1,), (5, 3) and (4, 2)",
+                     id="tables_differ_in_width"),
+    ])
+    def test_rejects_bad_shapes(self, position, ids, got):
+        with pytest.raises(ValueError, match=re.escape(
+                f"embed needs as many ids as positions and two tables of "
+                f"one width, got {got}")):
+            embed(Tensor(np.ones((5, 3))), Tensor(np.ones(position)), ids,
+                  [0])
+
+    def test_rejects_out_of_range_rows(self):
+        token, position = Tensor(np.ones((5, 3))), Tensor(np.ones((4, 3)))
+        with pytest.raises(ValueError, match=re.escape(
+                "row index out of range: valid [0, 4), got [0, 4]")):
+            embed(token, position, [0, 1], [0, 4])
+
+    def test_passes_fd(self, rng):
+        token = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        position = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        up = rng.normal(size=(6, 3))
+        _fd_on(lambda: weighted_sum(embed(token, position, [4, 0, 4, 2, 0, 1],
+                                          [0, 1, 2, 3, 0, 1]), up),
+               [token, position])
 
 
 class TestFiniteDifferences:
@@ -551,8 +611,9 @@ class TestFusedOps:
             assert np.array_equal(got.grad, want)
 
     def test_each_op_records_one_node(self, rng):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         ones, zeros = Tensor(np.ones((4, 4))), Tensor(np.zeros(4))
+        x = embed(Tensor(rng.normal(size=(5, 4)), requires_grad=True), ones,
+                  [4, 0, 4], [0, 1, 2])
         h = linear(x, ones, zeros)
         r = linear_relu(h, ones, zeros)
         mixed = self_attention(r, ones, zeros, ones, ones, zeros,
@@ -562,7 +623,7 @@ class TestFusedOps:
         depth_attention([mixed, out], [ones] * 2, [zeros] * 2,
                         Tensor(np.ones((8, 1))), zeros, [ones] * 2,
                         [zeros] * 2, ones, zeros)
-        assert len(active_graph().nodes) == 5
+        assert len(active_graph().nodes) == 6
 
     @pytest.mark.parametrize("shapes, message", [
         pytest.param(dict(states=[(5, 4)] * 3),
