@@ -795,10 +795,10 @@ class TestGradientBuffer:
             offset += p.data.size
 
     def test_embedding_grads_scatter_into_their_homes(self):
-        # at a vocabulary of 2000 the token table is 1 MiB.  Its
-        # gradient was a zeroed [V x H] array, scattered into and then
-        # copied into the home: the embedding's backward peaked 1 MiB
-        # above its start
+        # the embedding's backward peaks 5 KiB above its start.  At a
+        # vocabulary of 2000 the token table is 1 MiB; its gradient was
+        # a zeroed [V x H] array, scattered into and then copied into
+        # the home, and the backward peaked 1 MiB above its start
         rng = np.random.default_rng(0)
         model = init_model(desk_config(vocab_size=2000), rng)
         state = AdamState(model.flat, model.named)
