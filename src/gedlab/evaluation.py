@@ -21,11 +21,12 @@ from .tensor import no_grad
 CLASS_ERR = 1
 
 # sentences per forward in evaluate and attention_summary.  gedlab eval
-# of a desk model on 1000 sentences (1 BLAS thread) took 1.40 s one
-# sentence per forward and 0.34 s at 16, 32 or 64; the process peaked
-# at 39.7 MB RSS one at a time, 41.1 at 16, 43.0 at 32 and 46.3 at 64.
-# Beside perfbench's own checks, infer_eval's peak went 42.5 -> 43.0 MB
-# at 16 but to 47.7 MB (+12%) at 64, past the benchmark's 10% bound
+# of infer_eval's desk checkpoint on its 1000 held-out sentences (1 BLAS
+# thread, CPU time, three interleaved runs) took 0.70-0.95 s one
+# sentence per forward, 0.18-0.27 s at 8 and 0.15-0.18 s at 16, 32 or
+# 64, with no trend past 16; the process peaked at 38.0 MB RSS one at a
+# time, 38.3 at 16, 40.1 at 32 and 43.2 at 64: 16 is as fast as 64 and
+# peaks 4.9 MB lower
 EVAL_BATCH = 16
 
 

@@ -7,12 +7,15 @@ backward() can walk the tape once, in reverse.
 No op broadcasts: add takes two tensors of one shape, and the fused
 ops take their bias and gain rows at exactly the output width.
 
-The fused ops (linear, linear_relu, self_attention, residual_norm,
-depth_attention and embed) record one node each and keep only the
-arrays their backwards read.  Each backward hands out its gradients in
-the order that separate nodes for the same arithmetic would, so a
-tensor that several ops read sums its gradients in the same order, bit
-for bit.
+The fused ops record one node each and keep only what their backwards
+read: linear nothing of its own, linear_relu its output, residual_norm
+its standardized rows, embed its index lists, self_attention its
+softmax weights and depth_attention its weights and masks.  The last
+two rebuild their projections (q, k, v; keys, values) in backward from
+the inputs and the weights' current values, the same bits as the
+forward's.  Each backward hands out its gradients in the order that
+separate nodes for the same arithmetic would, so a tensor that several
+ops read sums its gradients in the same order, bit for bit.
 """
 from __future__ import annotations
 
@@ -45,7 +48,9 @@ class Tensor:
     the home itself; zero_grad only drops the reference.
 
     An op's backward closure holds the op's input Tensors, so a held op
-    output keeps its whole graph alive, reset_graph() or not.
+    output keeps its whole graph alive, reset_graph() or not.  A
+    parameter's data must not change between a forward and its
+    backward, which rebuilds projections from it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_grad_home")
@@ -302,8 +307,10 @@ def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
     at MASK_LOGIT, so they get exactly zero weight; with rate > 0, one
     [B, n_heads, T, T] dropout mask on those weights.  Returns the
     heads' P V merged back to [B*T x m].  No [B*T x B*T] array is
-    built, only Q, K, V and the weights are kept, and backward, in
-    place on its own arrays, hands h its gradients through v, k, q.
+    built and only the weights are kept: heads are strided views of the
+    [B*T x m] projections, and backward rebuilds V, Q and K from h and
+    the weights each just before it reads it, handing h its gradients
+    through v, k, q.
     """
     _check_affine("self_attention", h, (w_q, w_k, w_v), (b_q, b_v),
                   "h [n x k], w_q, w_k and w_v [k x m], b_q and b_v [m]")
@@ -320,39 +327,39 @@ def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
     dh = width // n_heads
     inv_sqrt = 1.0 / math.sqrt(dh)
 
-    def heads(x):       # [B*T x m] -> contiguous [B, heads, T, dh]
-        return np.ascontiguousarray(
-            x.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3))
+    def heads(x):       # [B*T x m] -> its [B, heads, T, dh] view
+        return x.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x):       # [B, heads, T, dh] -> [B*T x m]
-        return x.transpose(0, 2, 1, 3).reshape(b * t, width)
+    def proj(w, bias):  # h @ w + bias, per head
+        return heads(_affine(h, w, bias))
 
-    qh = heads(_affine(h, w_q, b_q))
-    kh = heads(_affine(h, w_k, None))
-    vh = heads(_affine(h, w_v, b_v))
-    p = np.where(real[:, None, None, :],
-                 (qh @ kh.transpose(0, 1, 3, 2)) * inv_sqrt, MASK_LOGIT)
+    def product(x, y, out):     # x @ y written into out's head view
+        np.matmul(x, y, out=heads(out))
+        return out
+
+    p = np.where(real[:, None, None, :], (proj(w_q, b_q) @ proj(
+        w_k, None).transpose(0, 1, 3, 2)) * inv_sqrt, MASK_LOGIT)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     keep = _keep_mask(p.shape, rate, rng)
 
     def bwd(g, pending):
-        go = heads(g)
-        _affine_grads(pending, h, w_v, b_v, merge(
-            (p if keep is None else p * keep).transpose(0, 1, 3, 2) @ go))
-        ds = go @ vh.transpose(0, 1, 3, 2)      # d(weights)
-        del go
+        go, gh = heads(g), np.empty((b * t, width))
+        _affine_grads(pending, h, w_v, b_v, product(
+            (p if keep is None else p * keep).transpose(0, 1, 3, 2), go, gh))
+        ds = go @ proj(w_v, b_v).transpose(0, 1, 3, 2)     # d(weights)
         if keep is not None:
             ds *= keep
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p                                 # d(scores), in place
         ds *= inv_sqrt
-        _affine_grads(pending, h, w_k, None,
-                      merge(ds.transpose(0, 1, 3, 2) @ qh))
-        _affine_grads(pending, h, w_q, b_q, merge(ds @ kh))
+        _affine_grads(pending, h, w_k, None, product(
+            ds.transpose(0, 1, 3, 2), proj(w_q, b_q), gh))
+        _affine_grads(pending, h, w_q, b_q, product(ds, proj(w_k, None), gh))
 
-    return _record(Tensor(merge((p if keep is None else p * keep) @ vh)),
+    return _record(Tensor(product(p if keep is None else p * keep,
+                                  proj(w_v, b_v), np.empty((b * t, width)))),
                    (h, w_q, b_q, w_k, w_v, b_v), bwd)
 
 
@@ -378,8 +385,9 @@ def residual_norm(h: Tensor, x: Tensor, w: Tensor, b: Tensor, gain: Tensor,
     if keep is not None:
         y *= keep
     y += h.data                     # s = h + dropout(x @ w + b)
-    y -= y.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((y * y).mean(axis=1, keepdims=True) + NORM_EPS)
+    # sum / width is mean's own arithmetic, without its Python wrapper
+    y -= y.sum(axis=1, keepdims=True) / width
+    inv = 1.0 / np.sqrt((y * y).sum(axis=1, keepdims=True) / width + NORM_EPS)
     y *= inv                        # s standardized: y
     out = y * gain.data
     out += bias.data
@@ -388,8 +396,8 @@ def residual_norm(h: Tensor, x: Tensor, w: Tensor, b: Tensor, gain: Tensor,
         _acc(pending, bias, g.sum(axis=0))
         _acc(pending, gain, (g * y).sum(axis=0))
         gy = g * gain.data
-        gm = gy.mean(axis=1, keepdims=True)
-        gyy = (gy * y).mean(axis=1, keepdims=True)
+        gm = gy.sum(axis=1, keepdims=True) / width
+        gyy = (gy * y).sum(axis=1, keepdims=True) / width
         gs = inv * (gy - gm - y * gyy)
         _acc(pending, h, gs)
         _affine_grads(pending, x, w, b, gs if keep is None else gs * keep)
@@ -411,11 +419,12 @@ def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
 
     With rate > 0, dropout draws a mask for every state, then for every
     layer's keys; with attn_rate > 0, one for the weights.  Returns
-    (logits, weights [n, L, J] as used).  Not their [n x L*m] mix but
-    the keys, values and weights are kept; backward rebuilds a layer's
-    mix for w_out and works a layer at a time, handing out gradients in
-    the order separate nodes would: w_out's L slices in layer order, and
-    each state its value gradient before its key gradient.
+    (logits, weights [n, L, J] as used).  Only the weights and the
+    masks are kept: backward rebuilds from the states, with the same
+    masks, each layer's values and mix a layer at a time, then all
+    layers' keys, and hands out gradients in the order separate nodes
+    would: w_out's L slices in layer order, and each state its value
+    gradient before its key gradient.
     """
     L, lens = len(states), [len(p) for p in (w_k, b_k, w_v, b_v)]
     if not L or len({s.shape for s in states}) > 1 or lens != [L] * 4:
@@ -448,52 +457,62 @@ def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
         return [s if k is None else Tensor(s.data * k, s.requires_grad)
                 for s, k in zip(states, keep_s)]
 
+    def keys_of(xs):    # every layer's keys after dropout, [n x L*kw]
+        keys = np.empty((n, L * kw))
+        for l, (x, k) in enumerate(zip(xs, keep_k)):
+            c = keys[:, l * kw:(l + 1) * kw]
+            np.maximum(_affine(x, w_k[l], b_k[l]), 0.0, out=c)
+            if k is not None:
+                c *= k
+        return keys
+
+    def values_of(x, l):    # layer l's values, [n, J, m / J]
+        return _affine(x, w_v[l], b_v[l]).reshape(n, J, m // J)
+
     xs = dropped()
-    relu = [np.maximum(_affine(x, w, b), 0.0)
-            for x, w, b in zip(xs, w_k, b_k)]
-    keep_k = [_keep_mask(r.shape, rate, rng) for r in relu]
-    keys = np.concatenate([r if k is None else r * k
-                           for r, k in zip(relu, keep_k)], axis=1)
-    del relu
+    keep_k = [_keep_mask((n, kw), rate, rng) for _ in range(L)]
     # pair (l, j) owns the dk key columns from (l*J + j)*dk and as many
     # rows of w_a, which score them in column l*J + j
     blocks = np.repeat(np.eye(L * J), kw // J, axis=0)
     mw = blocks * w_a.data
-    scores = (keys @ mw + b_a.data).reshape(n, L, J)
-    keys = keys if _grad_enabled() else None    # only backward reads them
+    scores = (keys_of(xs) @ mw + b_a.data).reshape(n, L, J)
     p = np.exp(scores - scores.max(axis=1, keepdims=True))
     p = p / p.sum(axis=1, keepdims=True)        # softmax over layers
     keep_w = _keep_mask(p.shape, attn_rate, rng)
     weights = p if keep_w is None else p * keep_w
-    values = [_affine(x, w, b).reshape(n, J, m // J)
-              for x, w, b in zip(xs, w_v, b_v)]
 
-    def mixed(l):       # layer l's values weighted per head, [n x m]
-        return (values[l] * weights[:, l, :, None]).reshape(n, m)
+    def mixed(v, l):    # v [n, J, m / J] weighted by layer l's heads: [n x m]
+        return (v * weights[:, l, :, None]).reshape(n, m)
 
-    logits = (np.concatenate([mixed(l) for l in range(L)], axis=1)
+    logits = (np.concatenate([mixed(values_of(x, l), l)
+                              for l, x in enumerate(xs)], axis=1)
               @ np.concatenate([w_out.data] * L) + b_out.data)
 
     def bwd(g, pending):
+        ds = dropped()
         _acc(pending, b_out, g.sum(axis=0))
-        for l in range(L):
-            _acc(pending, w_out, mixed(l).T @ g)
         go = (g @ w_out.data.T).reshape(n, J, m // J)
-        gw = np.stack([(go * v).sum(axis=-1) for v in values], axis=1)
+        gw = np.empty((n, L, J))
+        for l in range(L):
+            v = values_of(ds[l], l)
+            _acc(pending, w_out, mixed(v, l).T @ g)
+            gw[:, l] = (go * v).sum(axis=-1)
+        del v
         gw = gw if keep_w is None else gw * keep_w
         gs = (p * (gw - (gw * p).sum(axis=1, keepdims=True))).reshape(n, L * J)
+        keys = keys_of(ds)
         _acc(pending, b_a, gs.sum(axis=0))
         _acc(pending, w_a, ((keys.T @ gs) * blocks).sum(axis=1, keepdims=True))
-        ds = dropped()
+        live = keys > 0.0
+        del keys
         for l in reversed(range(L)):
-            _affine_grads(pending, ds[l], w_v[l], b_v[l],
-                          (go * weights[:, l, :, None]).reshape(n, m))
+            _affine_grads(pending, ds[l], w_v[l], b_v[l], mixed(go, l))
         for l in reversed(range(L)):
             c = slice(l * kw, (l + 1) * kw)
             gl = gs @ mw[c].T
             if keep_k[l] is not None:
                 gl *= keep_k[l]
-            gl *= keys[:, c] > 0.0
+            gl *= live[:, c]
             _affine_grads(pending, ds[l], w_k[l], b_k[l], gl)
         for s, d, k in reversed(list(zip(states, ds, keep_s))):
             if d is not s and d in pending:
@@ -529,8 +548,13 @@ def _scatter_rows(pending: dict, x: Tensor, idx: np.ndarray, g) -> None:
     else:
         home[...] = 0.0
         dx = x.grad = home
+    t = int(idx.max()) + 1 if idx.size else 0
     if idx.size < 2 or (idx[1:] > idx[:-1]).all():
         dx[idx] = g     # each row once, such as word rows
+    elif idx.size % t == 0 and (idx.reshape(-1, t) == np.arange(t)).all():
+        # tile(arange(t), B), such as positions: the sum of g's [t x H]
+        # blocks, in np.add.at's order from 0.0, at a fraction of its time
+        g.reshape(-1, t, g.shape[1]).sum(axis=0, out=dx[:t])
     else:
         np.add.at(dx, idx, g)
     if home is None:

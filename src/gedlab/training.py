@@ -326,7 +326,7 @@ def load_checkpoint(path) -> Model:
                              "shape: [int >= 0], offset: int} objects")
     except (ValueError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from exc
-    payload = blob[fixed + head_len:]
+    payload = memoryview(blob)[fixed + head_len:]     # no copy
     # at most one entry more than the manifest lists: enough to tell
     # that the config wants more, however many layers it asks for
     shapes = dict(islice(parameter_shapes(config), len(manifest) + 1))
@@ -366,6 +366,7 @@ def load_checkpoint(path) -> Model:
                 f"wants {want} (out of order)")
     model = alloc_model(config)
     model.flat[...] = np.frombuffer(payload, dtype="<f4")
+    del payload, blob       # copied: freed before the check's bool mask
     if not np.isfinite(model.flat).all():
         raise CheckpointError(f"{path}: non-finite value in "
                               f"{_first_nonfinite(model.named, model.flat)}")

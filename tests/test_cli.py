@@ -606,6 +606,11 @@ class TestPinnedTraining:
                "3df6fad9ed6c0bba246b5d401a93a4d8"
                "724fda450119a41d67a3c67bcc2263cb",
                [0.6237946873048864, 0.3242595540394073]),
+        "b64": (["--batch-size", "64", "--dropout", "0.1",
+                 "--attn-dropout", "0.1"],
+                "a99541236338091fbed86a0fe8b4b2a7"
+                "9c9c3cb11999ddddbcb0f7acc557c763",
+                [0.6961871513745088, 0.6797541588005553]),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))

@@ -309,6 +309,35 @@ class TestEmbed:
         for t in (token, position):
             assert np.array_equal(t.grad, want[t] + want[t])
 
+    @pytest.mark.parametrize("positions", [
+        *(pytest.param(np.tile(np.arange(t), b), id=f"tile_b{b}_t{t}")
+          for b, t in ((2, 1), (3, 2), (16, 11), (64, 24))),
+        pytest.param([0, 1, 2, 0, 1], id="ragged"),
+        pytest.param([0, 1, 1, 0], id="blocks_out_of_order"),
+        pytest.param([0, 1, 0, 1, 2, 2], id="blocks_of_other_rows"),
+    ])
+    @pytest.mark.parametrize("homes", [False, True])
+    def test_scatter_has_add_at_bits(self, rng, positions, homes):
+        # tile(arange(T), B) positions are summed over B as [T x H]
+        # blocks, any other list goes through np.add.at; both must give
+        # np.add.at's bits.  -0.0 everywhere in column 0 shows a sum
+        # that does not start from +0.0, as np.add.at into zeros does
+        positions = np.asarray(positions)
+        token = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        position = Tensor(rng.normal(size=(30, 4)), requires_grad=True)
+        if homes:
+            for t in (token, position):
+                t._grad_home = np.full(t.shape, np.nan)
+        ids = rng.integers(0, 5, size=positions.size)
+        up = rng.normal(size=(positions.size, 4))
+        up[rng.random(up.shape) < 0.3] = -0.0
+        up[:, 0] = -0.0
+        backward(weighted_sum(embed(token, position, ids, positions), up))
+        for t, idx in ((token, ids), (position, positions)):
+            want = np.zeros(t.shape)
+            np.add.at(want, idx, up)
+            assert t.grad.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("position, ids, got", [
         pytest.param((4, 3), [0, 1], "(2,), (1,), (5, 3) and (4, 3)",
                      id="more_ids_than_positions"),
