@@ -337,8 +337,9 @@ def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
         np.matmul(x, y, out=heads(out))
         return out
 
-    p = np.where(real[:, None, None, :], (proj(w_q, b_q) @ proj(
-        w_k, None).transpose(0, 1, 3, 2)) * inv_sqrt, MASK_LOGIT)
+    p = np.where(real[:, None, None, :],
+                 (proj(w_q, b_q) @ proj(w_k, None).transpose(0, 1, 3, 2))
+                 * inv_sqrt, MASK_LOGIT)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

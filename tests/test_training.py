@@ -561,10 +561,9 @@ class TestTrainLoop:
         # the 45 MiB bound then); with the embedding's two row gathers
         # on the tape and depth_attention keeping its [n x L*m] mixed
         # values, 44.9 MiB (45.4 MiB measured earlier, under the 50 MiB
-        # bound then);
-        # with the MHMLA head as 21 nodes, 49.4 MiB, and with the q, k,
-        # v, w_o and FFN outputs and the residual sums on the tape,
-        # which no backward reads, 78.3 MiB
+        # bound then); with the MHMLA head as 21 nodes, 49.4 MiB, and
+        # with the q, k, v, w_o and FFN outputs and the residual sums on
+        # the tape, which no backward reads, 78.3 MiB
         rng = np.random.default_rng(0)
         model = init_model(desk_config(), rng)
         batch_loss(model, desk_batch(rng) * 4, rng)
@@ -608,12 +607,12 @@ class TestTrainLoop:
         # the MHMLA head's keys and values kept, 49.3 MiB and 41.4
         # (under the 52 MiB bound then).  With the embedding's gathers
         # on the tape, depth_attention's mixed values kept and its
-        # backward L layers wide, 54.7 MiB and 44.9
-        # (55.1 and 45.4 measured earlier, under the 66 MiB bound then;
-        # 58.9 and 49.4 with the MHMLA head as 21 nodes).  With one node
-        # per affine map and layer norm the step peaked at 87.8 MiB, and
-        # with every interior gradient kept and Adam allocating per
-        # tensor at about 131 MiB
+        # backward L layers wide, 54.7 MiB and 44.9 (55.1 and 45.4
+        # measured earlier, under the 66 MiB bound then; 58.9 and 49.4
+        # with the MHMLA head as 21 nodes).  With one node per affine
+        # map and layer norm the step peaked at 87.8 MiB, and with every
+        # interior gradient kept and Adam allocating per tensor at about
+        # 131 MiB
         rng = np.random.default_rng(0)
         model = init_model(desk_config(), rng)
         params = model.named
