@@ -267,10 +267,10 @@ def _load_training_data(args):
 
 
 def _train_and_score(corpus, dev, model_config, train_config, ckpt):
-    """Train, save to ckpt and, given a dev corpus, score the RELOADED
-    model, so `eval` on the checkpoint reproduces the numbers exactly.
-    Also returns the minor page faults train() took (None where the
-    resource module is missing)."""
+    """Train, save to ckpt and, given a dev corpus, score the trained
+    model (on the checkpoint's float32 grid), so `eval` on the checkpoint
+    reproduces the numbers exactly.  Also returns the minor page faults
+    train() took (None where the resource module is missing)."""
     faults = _minor_faults()
     result = train(corpus, model_config, train_config)
     if faults is not None:
@@ -278,7 +278,7 @@ def _train_and_score(corpus, dev, model_config, train_config, ckpt):
     save_checkpoint(result.model, ckpt)
     report = None
     if dev is not None:
-        report = evaluate(load_checkpoint(ckpt), dev, seed=train_config.seed)
+        report = evaluate(result.model, dev, seed=train_config.seed)
     return result, report, faults
 
 

@@ -213,9 +213,9 @@ def _check_affine(op: str, x: Tensor, ws, bs,
                          f"{', '.join(shapes[:-1])} and {shapes[-1]}")
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor | None) -> np.ndarray:
+def _affine(x: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
     """x @ w + b as one new array; b None adds nothing."""
-    y = x.data @ w.data
+    y = x @ w.data
     if b is not None:
         y += b.data
     return y
@@ -240,7 +240,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g, pending):
         _affine_grads(pending, x, w, b, g)
 
-    return _record(Tensor(_affine(x, w, b)), (x, w, b), bwd)
+    return _record(Tensor(_affine(x.data, w, b)), (x, w, b), bwd)
 
 
 def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -248,7 +248,7 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     masks g where the output is not above 0 (the pre-activation's sign;
     subgradient 0 at exactly 0), then runs linear's backward."""
     _check_affine("linear_relu", x, (w,), (b,))
-    y = _affine(x, w, b)
+    y = _affine(x.data, w, b)
     np.maximum(y, 0.0, out=y)
 
     def bwd(g, pending):
@@ -331,7 +331,7 @@ def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
         return x.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
 
     def proj(w, bias):  # h @ w + bias, per head
-        return heads(_affine(h, w, bias))
+        return heads(_affine(h.data, w, bias))
 
     def product(x, y, out):     # x @ y written into out's head view
         np.matmul(x, y, out=heads(out))
@@ -381,7 +381,7 @@ def residual_norm(h: Tensor, x: Tensor, w: Tensor, b: Tensor, gain: Tensor,
                          f"[m] beside x @ w of {(x.shape[0], width)}, got "
                          f"{h.shape}, {gain.shape} and {bias.shape}")
     _check_rate(rate, rng)
-    y = _affine(x, w, b)
+    y = _affine(x.data, w, b)
     keep = _keep_mask(y.shape, rate, rng)
     if keep is not None:
         y *= keep
@@ -425,7 +425,8 @@ def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
     masks, each layer's values and mix a layer at a time, then all
     layers' keys, and hands out gradients in the order separate nodes
     would: w_out's L slices in layer order, and each state its value
-    gradient before its key gradient.
+    gradient plus its key gradient, times its mask.  A dropped state is
+    a plain array, built where it is read.
     """
     L, lens = len(states), [len(p) for p in (w_k, b_k, w_v, b_v)]
     if not L or len({s.shape for s in states}) > 1 or lens != [L] * 4:
@@ -454,15 +455,15 @@ def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
     _check_rate(attn_rate, rng)
     keep_s = [_keep_mask(s.shape, rate, rng) for s in states]
 
-    def dropped():      # the states after dropout, as Tensors off the tape
-        return [s if k is None else Tensor(s.data * k, s.requires_grad)
-                for s, k in zip(states, keep_s)]
+    def dropped(l):     # layer l's state after dropout, [n x h]
+        x, k = states[l].data, keep_s[l]
+        return x if k is None else x * k
 
-    def keys_of(xs):    # every layer's keys after dropout, [n x L*kw]
+    def keys_of():      # every layer's keys after dropout, [n x L*kw]
         keys = np.empty((n, L * kw))
-        for l, (x, k) in enumerate(zip(xs, keep_k)):
+        for l, k in enumerate(keep_k):
             c = keys[:, l * kw:(l + 1) * kw]
-            np.maximum(_affine(x, w_k[l], b_k[l]), 0.0, out=c)
+            np.maximum(_affine(dropped(l), w_k[l], b_k[l]), 0.0, out=c)
             if k is not None:
                 c *= k
         return keys
@@ -470,13 +471,12 @@ def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
     def values_of(x, l):    # layer l's values, [n, J, m / J]
         return _affine(x, w_v[l], b_v[l]).reshape(n, J, m // J)
 
-    xs = dropped()
     keep_k = [_keep_mask((n, kw), rate, rng) for _ in range(L)]
     # pair (l, j) owns the dk key columns from (l*J + j)*dk and as many
     # rows of w_a, which score them in column l*J + j
     blocks = np.repeat(np.eye(L * J), kw // J, axis=0)
     mw = blocks * w_a.data
-    scores = (keys_of(xs) @ mw + b_a.data).reshape(n, L, J)
+    scores = (keys_of() @ mw + b_a.data).reshape(n, L, J)
     p = np.exp(scores - scores.max(axis=1, keepdims=True))
     p = p / p.sum(axis=1, keepdims=True)        # softmax over layers
     keep_w = _keep_mask(p.shape, attn_rate, rng)
@@ -485,39 +485,45 @@ def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
     def mixed(v, l):    # v [n, J, m / J] weighted by layer l's heads: [n x m]
         return (v * weights[:, l, :, None]).reshape(n, m)
 
-    logits = (np.concatenate([mixed(values_of(x, l), l)
-                              for l, x in enumerate(xs)], axis=1)
+    logits = (np.concatenate([mixed(values_of(dropped(l), l), l)
+                              for l in range(L)], axis=1)
               @ np.concatenate([w_out.data] * L) + b_out.data)
 
     def bwd(g, pending):
-        ds = dropped()
         _acc(pending, b_out, g.sum(axis=0))
         go = (g @ w_out.data.T).reshape(n, J, m // J)
         gw = np.empty((n, L, J))
         for l in range(L):
-            v = values_of(ds[l], l)
+            v = values_of(dropped(l), l)
             _acc(pending, w_out, mixed(v, l).T @ g)
             gw[:, l] = (go * v).sum(axis=-1)
         del v
         gw = gw if keep_w is None else gw * keep_w
         gs = (p * (gw - (gw * p).sum(axis=1, keepdims=True))).reshape(n, L * J)
-        keys = keys_of(ds)
+        keys = keys_of()
         _acc(pending, b_a, gs.sum(axis=0))
         _acc(pending, w_a, ((keys.T @ gs) * blocks).sum(axis=1, keepdims=True))
         live = keys > 0.0
         del keys
         for l in reversed(range(L)):
-            _affine_grads(pending, ds[l], w_v[l], b_v[l], mixed(go, l))
-        for l in reversed(range(L)):
-            c = slice(l * kw, (l + 1) * kw)
+            c, x = slice(l * kw, (l + 1) * kw), dropped(l)
+            gv = mixed(go, l)
+            _acc(pending, b_v[l], gv.sum(axis=0))
+            _acc(pending, w_v[l], x.T @ gv)
+            dx = gv @ w_v[l].data.T
+            del gv
             gl = gs @ mw[c].T
             if keep_k[l] is not None:
                 gl *= keep_k[l]
             gl *= live[:, c]
-            _affine_grads(pending, ds[l], w_k[l], b_k[l], gl)
-        for s, d, k in reversed(list(zip(states, ds, keep_s))):
-            if d is not s and d in pending:
-                _acc(pending, s, pending.pop(d) * k)
+            _acc(pending, b_k[l], gl.sum(axis=0))
+            _acc(pending, w_k[l], x.T @ gl)
+            del x
+            dx += gl @ w_k[l].data.T
+            del gl      # before the next layer's dropped state is built
+            if keep_s[l] is not None:
+                dx *= keep_s[l]
+            _acc(pending, states[l], dx)
 
     inputs = (*states, *w_k, *b_k, w_a, b_a, *w_v, *b_v, w_out, b_out)
     return _record(Tensor(logits), inputs, bwd), weights

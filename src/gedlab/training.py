@@ -83,20 +83,20 @@ class AdamState:
     layout, so one vectorized update covers every tensor.
 
     named_params are the parameters, views of flat in its order (as
-    check_views has them).  Each one's gradient home becomes its view
-    of `grad`, so backward accumulates straight into the buffer that
-    adam_step reads; `homes` lists those views in order.  The homes
-    stay on the parameters until the caller clears them (train() does
-    before it returns).  `views` are the parameter arrays the last
-    check_views passed."""
+    check_views has them); `named` keeps them as a list.  Each one's
+    gradient home becomes its view of `grad`, so backward accumulates
+    straight into the buffer that adam_step reads; `homes` lists those
+    views in order.  The homes stay on the parameters until the caller
+    clears them (train() does before it returns).  `views` are the
+    parameter arrays the last check_views passed."""
 
     def __init__(self, flat: np.ndarray, named_params):
         self.t, self.flat = 0, flat
         self.m, self.v, self.grad = (np.zeros_like(flat) for _ in range(3))
-        named_params = list(named_params)
-        self.views = check_views(named_params, flat)
+        self.named = list(named_params)
+        self.views = check_views(self.named, flat)
         self.homes, start = [], 0
-        for (_, p), a in zip(named_params, self.views):
+        for (_, p), a in zip(self.named, self.views):
             p._grad_home = self.grad[start:start + a.size].reshape(a.shape)
             self.homes.append(p._grad_home)
             start += a.size
@@ -113,41 +113,32 @@ def _first_nonfinite(params: list, joined: np.ndarray) -> str:
     raise AssertionError("every entry is finite")
 
 
-def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected Adam update of every parameter, in place.
+def adam_step(state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of every parameter of state.named,
+    in place, with the gradient backward left in state.grad.
 
-    A parameter's gradient is read from state.grad where it is the
-    parameter's home there, and copied in otherwise (a grad set by
-    hand).  A parameter whose grad is None has its slice zeroed and
-    keeps its value and moments.  A non-finite gradient raises
-    FloatingPointError naming the first bad parameter before anything,
-    t included, is written; a non-finite value after the update raises
-    it too, naming the parameter.  The update runs ADAM_BLOCK entries
-    at a time and leaves state.grad, and so every home, holding this
-    step's gradient.  The parameters must be views of state.flat in
-    its order (check_views): a rebound p.data raises ValueError naming
-    it."""
-    params = list(named_params)
+    A parameter whose grad is not its home there (no backward reached
+    it, or its grad was set by hand) raises ValueError naming it, and a
+    non-finite gradient raises FloatingPointError naming the first bad
+    parameter, both before anything, t included, is written; a
+    non-finite value after the update raises FloatingPointError too,
+    naming the parameter.  The update runs ADAM_BLOCK entries at a time
+    and leaves state.grad, and so every home, holding this step's
+    gradient.  The parameters must still be views of state.flat in its
+    order (check_views): a rebound p.data raises ValueError naming it."""
+    params = state.named
     state.views = check_views(params, state.flat, state.views)
+    for (name, p), home in zip(params, state.homes):
+        if p.grad is not home:
+            raise ValueError(f"{name} has no gradient in the state's buffer: "
+                             f"no backward reached it, or its grad was set "
+                             f"by hand")
     flat, m, v, g = state.flat, state.m, state.v, state.grad
-    skipped, start = [], 0
-    for (name, p), home in zip(params, state.homes, strict=True):
-        stop = start + p.data.size
-        if p.grad is None:
-            g[start:stop] = 0.0
-            skipped.append(slice(start, stop))
-        elif p.grad is not home:
-            if p.grad.shape != p.shape:
-                raise ValueError(f"gradient shape {p.grad.shape} does not "
-                                 f"match {name} {p.shape}")
-            g[start:stop] = p.grad.reshape(-1)
-        start = stop
     t = state.t + 1
     if not np.isfinite(g).all():
         raise FloatingPointError(
             f"non-finite gradient in {_first_nonfinite(params, g)} at step {t}")
     state.t = t
-    kept = [(a, k, a[k].copy()) for k in skipped for a in (flat, m, v)]
     # per entry, in this order: m = b1*m + (1-b1)*g,
     # v = b2*v + ((1-b2)*g)*g, then
     # p -= (lr * m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
@@ -172,8 +163,6 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
         u *= config.learning_rate
         u /= s
         flat[i:j] -= u
-    for a, k, saved in kept:
-        a[k] = saved
     if not np.isfinite(flat).all():
         raise FloatingPointError(
             f"non-finite value in {_first_nonfinite(params, flat)} at step {t}")
@@ -194,7 +183,7 @@ def batch_loss(model: Model, batch: Sequence[TokenizedSentence],
 
 # ---------------------------------------------------------------- the loop
 
-def _train_step(model: Model, params: list, state: AdamState,
+def _train_step(model: Model, state: AdamState,
                 batch: Sequence[TokenizedSentence], config: TrainConfig,
                 rng: np.random.Generator) -> float:
     """One forward, backward and Adam update on a batch; returns the
@@ -211,8 +200,8 @@ def _train_step(model: Model, params: list, state: AdamState,
     value = loss.item()
     del loss
     reset_graph()
-    adam_step(params, state, config)
-    for _, p in params:
+    adam_step(state, config)
+    for _, p in state.named:
         p.zero_grad()
     return value
 
@@ -238,8 +227,7 @@ def train(corpus: LabeledCorpus, model_config: ModelConfig,
         raise ValueError("training corpus is empty")
     rng = np.random.default_rng(train_config.seed)
     model = init_model(model_config, rng)
-    params = model.named
-    state = AdamState(model.flat, params)
+    state = AdamState(model.flat, model.named)
     losses: list[float] = []
     for epoch in range(train_config.epochs):
         order = rng.permutation(len(sentences))
@@ -248,15 +236,15 @@ def train(corpus: LabeledCorpus, model_config: ModelConfig,
         for start in range(0, len(order), train_config.batch_size):
             batch = [sentences[i] for i in order[start:start + train_config.batch_size]]
             n_words = sum(len(s.words) for s in batch)
-            loss_sum += _train_step(model, params, state, batch,
-                                    train_config, rng) * n_words
+            loss_sum += _train_step(model, state, batch, train_config,
+                                    rng) * n_words
             word_count += n_words
         losses.append(loss_sum / word_count)
         log.info("epoch %d/%d  mean loss %.6f", epoch + 1,
                  train_config.epochs, losses[-1])
     # only the loop accumulates into the state's buffer: a later
     # backward on the returned model leaves grads of its own
-    for _, p in params:
+    for _, p in state.named:
         p._grad_home = None
     # snap parameters onto the float32 grid checkpoints use, so the
     # returned model predicts bit-identically to its saved-and-reloaded

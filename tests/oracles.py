@@ -415,10 +415,10 @@ def depth_attention_reference(states, w_k, b_k, w_a, b_a, w_v, b_v, w_out,
             dw_out, db_out)
 
 
-def adam_reference(named_params, state, config):
-    """One bias-corrected Adam update, one parameter tensor at a time,
-    with the moments in per-name dicts on state.m and state.v (set up on
-    the first call, over whatever the state held).  A call
+def adam_reference(state, config):
+    """One bias-corrected Adam update, one tensor of state.named at a
+    time, with the moments in per-name dicts on state.m and state.v (set
+    up on the first call, over whatever the state held).  A call
     signature-compatible with gedlab.training.adam_step, so train() can
     run on it; it writes each p.data in place, so a parameter stays a
     view of its model's buffer."""
@@ -426,13 +426,8 @@ def adam_reference(named_params, state, config):
         state.m, state.v = {}, {}
     state.t += 1
     t, b1, b2 = state.t, config.beta1, config.beta2
-    for name, p in named_params:
+    for name, p in state.named:
         g = p.grad
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match {name} {p.data.shape}")
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient in {name} at step {t}")
         m = state.m.get(name)

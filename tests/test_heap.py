@@ -48,8 +48,7 @@ def test_steady_state_step_takes_no_faults():
     train_config = TrainConfig(batch_size=64, epochs=2, seed=1)
     rng = np.random.default_rng(1)
     model = init_model(config, rng)
-    params = model.named
-    state = AdamState(model.flat, params)
+    state = AdamState(model.flat, model.named)
     faults = []
     for _ in range(train_config.epochs):
         order = rng.permutation(len(corpus.tokenized))
@@ -57,7 +56,7 @@ def test_steady_state_step_takes_no_faults():
             batch = [corpus.tokenized[i]
                      for i in order[start:start + train_config.batch_size]]
             before = _minor_faults()
-            _train_step(model, params, state, batch, train_config, rng)
+            _train_step(model, state, batch, train_config, rng)
             faults.append(_minor_faults() - before)
     # the first two steps grow the heap to its working size
     assert statistics.median(faults[2:]) <= 32, faults

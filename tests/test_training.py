@@ -278,25 +278,50 @@ def one_buffer(*arrays):
     return flat, tensors
 
 
+def feed(state, grads):
+    """Write each parameter's gradient into its home in state.grad, as
+    backward's first contribution does."""
+    for (_, p), g in zip(state.named, grads, strict=True):
+        p.zero_grad()
+        _acc({}, p, np.asarray(g, dtype=np.float64))
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         flat, (p,) = one_buffer(np.array([[1.0, -2.0]]))
-        p.grad = np.zeros_like(p.data)
+        state = AdamState(flat, [("p", p)])
+        feed(state, [np.zeros_like(p.data)])
         before = p.data.copy()
-        adam_step([("p", p)], AdamState(flat, [("p", p)]), TrainConfig())
+        adam_step(state, TrainConfig())
         assert np.array_equal(p.data, before)
 
-    def test_none_gradient_is_skipped(self):
-        flat, (p,) = one_buffer(np.ones((2, 2)))
-        adam_step([("p", p)], AdamState(flat, [("p", p)]), TrainConfig())
-        assert np.array_equal(p.data, np.ones((2, 2)))
+    def test_gradient_not_in_its_home_rejected(self):
+        # unreached by backward (None), or set by hand, of the right
+        # shape or not: nothing, t included, is written
+        buffer, tensors = one_buffer(np.ones((2, 2)), np.ones(3))
+        params = list(zip(("enc.00.ffn.w1", "enc.00.ffn.b1"), tensors))
+        state = AdamState(buffer, params)
+        tc = TrainConfig(learning_rate=0.1)
+        feed(state, [np.full((2, 2), 0.5), np.full(3, -0.5)])
+        adam_step(state, tc)
+        feed(state, [np.ones((2, 2)), np.ones(3)])
+        held = [np.copy(a) for a in (buffer, state.m, state.v)]
+        for grad in (None, np.ones(3), np.ones((1, 3))):
+            tensors[1].grad = grad
+            with pytest.raises(ValueError, match="enc.00.ffn.b1 has no "
+                               "gradient in the state's buffer"):
+                adam_step(state, tc)
+            assert state.t == 1
+            for before, now in zip(held, (buffer, state.m, state.v)):
+                assert np.array_equal(before, now)
 
     def test_first_step_is_signed_learning_rate(self):
         tc = TrainConfig(learning_rate=0.01)
         for g in (0.37, -41.0, 5e-7):
             flat, (p,) = one_buffer(np.array([[2.0]]))
-            p.grad = np.array([[g]])
-            adam_step([("p", p)], AdamState(flat, [("p", p)]), tc)
+            state = AdamState(flat, [("p", p)])
+            feed(state, [[[g]]])
+            adam_step(state, tc)
             delta = p.data[0, 0] - 2.0
             expected = -tc.learning_rate * g / (abs(g) + tc.adam_eps)
             assert abs(delta - expected) < 1e-12
@@ -308,60 +333,45 @@ class TestAdam:
         flat, (p,) = one_buffer(np.array([[5.0]]))
         state = AdamState(flat, [("p", p)])
         for want in expected:
-            p.grad = p.data - 3.0
-            adam_step([("p", p)], state, tc)
+            feed(state, [p.data - 3.0])
+            adam_step(state, tc)
             assert abs(p.data[0, 0] - want) < 1e-12
 
     def test_nan_gradient_aborts_naming_parameter(self):
         flat, (p,) = one_buffer(np.ones((2,)))
-        p.grad = np.array([1.0, np.nan])
+        state = AdamState(flat, [("enc.00.attn.w_q", p)])
+        feed(state, [[1.0, np.nan]])
         with pytest.raises(FloatingPointError, match="enc.00.attn.w_q"):
-            adam_step([("enc.00.attn.w_q", p)],
-                      AdamState(flat, [("enc.00.attn.w_q", p)]), TrainConfig())
+            adam_step(state, TrainConfig())
 
-    def test_shape_mismatch_rejected(self):
-        flat, (p,) = one_buffer(np.ones((2, 2)))
-        p.grad = np.ones((2,))
-        with pytest.raises(ValueError, match="shape"):
-            adam_step([("p", p)], AdamState(flat, [("p", p)]), TrainConfig())
-
-    def test_ten_steps_match_per_tensor_oracle_with_a_skipped_grad(self):
+    def test_ten_steps_match_per_tensor_oracle(self):
         rng = np.random.default_rng(5)
         shapes = [(3, 5), (5,), (1,)]
         start = [rng.normal(size=s) for s in shapes]
         buffer, tensors = one_buffer(*start)
-        flat = [(f"p{i}", p) for i, p in enumerate(tensors)]
-        ref = [(f"p{i}", Tensor(x.copy(), requires_grad=True))
-               for i, x in enumerate(start)]
-        state, ref_state = AdamState(buffer, flat), AdamState(np.zeros(0), [])
+        ref_buffer, ref_tensors = one_buffer(*start)
+        state = AdamState(buffer, [(f"p{i}", p) for i, p in enumerate(tensors)])
+        ref_state = AdamState(ref_buffer, [(f"p{i}", p)
+                                           for i, p in enumerate(ref_tensors)])
         tc = TrainConfig(learning_rate=0.05)
         for step in range(1, 11):
-            for (_, p), (_, q) in zip(flat, ref):
-                p.grad = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
-                q.grad = p.grad.copy()
-            if step == 4:
-                # p1 fills entries 15..19 of the buffer
-                flat[1][1].grad = ref[1][1].grad = None
-                held = [a.copy() for a in (flat[1][1].data, state.m[15:20],
-                                           state.v[15:20])]
-            adam_step(flat, state, tc)
-            adam_reference(ref, ref_state, tc)
-            for (_, p), (_, q) in zip(flat, ref):
-                assert np.array_equal(p.data, q.data), step
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3)
+                     for s in shapes]
+            feed(state, grads)
+            feed(ref_state, grads)
+            adam_step(state, tc)
+            adam_reference(ref_state, tc)
+            assert np.array_equal(buffer, ref_buffer), step
             for mine, theirs in ((state.m, ref_state.m), (state.v, ref_state.v)):
-                joined = np.concatenate([theirs[n].reshape(-1) for n, _ in ref])
+                joined = np.concatenate([theirs[n].reshape(-1)
+                                         for n, _ in ref_state.named])
                 assert np.array_equal(mine, joined), step
-            if step == 4:
-                for before, now in zip(held, (flat[1][1].data, state.m[15:20],
-                                              state.v[15:20])):
-                    assert np.array_equal(before, now)
         assert state.t == ref_state.t == 10
 
     def test_blocked_update_matches_per_tensor_oracle(self):
         # four tensors over about 2.5 blocks, p1 across the first block
         # boundary and p2 across the second.  Gradients arrive through
-        # backward in the state's buffer, two contributions per tensor;
-        # at step 4, p1 has none and p3's is set by hand
+        # backward in the state's buffer, two contributions per tensor
         rng = np.random.default_rng(9)
         shapes = [(200, 150), (50, 70), (250, 160), (90, 100)]
         ends = np.cumsum([r * c for r, c in shapes])
@@ -369,37 +379,31 @@ class TestAdam:
         assert 2.5 * ADAM_BLOCK < ends[-1] < 2.6 * ADAM_BLOCK
         start = [rng.normal(size=s) for s in shapes]
         buffer, tensors = one_buffer(*start)
-        params = [(f"p{i}", p) for i, p in enumerate(tensors)]
-        ref = [(f"p{i}", Tensor(x.copy(), requires_grad=True))
-               for i, x in enumerate(start)]
-        state, ref_state = AdamState(buffer, params), AdamState(np.zeros(0), [])
+        ref_buffer, ref_tensors = one_buffer(*start)
+        state = AdamState(buffer, [(f"p{i}", p) for i, p in enumerate(tensors)])
+        ref_state = AdamState(ref_buffer, [(f"p{i}", p)
+                                           for i, p in enumerate(ref_tensors)])
         tc = TrainConfig(learning_rate=0.05)
         for step in range(1, 11):
-            live = [0, 2] if step == 4 else [0, 1, 2, 3]
             terms = [cross_entropy(
                 scale(tensors[i], 10.0 ** rng.integers(-3, 3)),
                 rng.integers(0, shapes[i][1], shapes[i][0]))
-                for i in live for _ in range(2)]
+                for i in range(4) for _ in range(2)]
             loss = terms[0]
             for term in terms[1:]:
                 loss = add(loss, term)
             backward(loss)
-            if step == 4:
-                tensors[3].grad = rng.normal(size=shapes[3])
-            grads = [None if p.grad is None else p.grad.copy()
-                     for p in tensors]
-            for (_, q), g in zip(ref, grads):
-                q.grad = g
-            adam_step(params, state, tc)
-            adam_reference(ref, ref_state, tc)
-            for (_, p), (_, q), g in zip(params, ref, grads):
-                assert np.array_equal(p.data, q.data), step
-                assert (p.grad is None if g is None
-                        else np.array_equal(p.grad, g)), step
+            grads = [p.grad.copy() for p in tensors]
+            feed(ref_state, grads)
+            adam_step(state, tc)
+            adam_reference(ref_state, tc)
+            assert np.array_equal(buffer, ref_buffer), step
+            for p, g in zip(tensors, grads):
+                assert np.array_equal(p.grad, g), step
             for mine, theirs in ((state.m, ref_state.m),
                                  (state.v, ref_state.v)):
                 joined = np.concatenate([theirs[n].reshape(-1)
-                                         for n, _ in ref])
+                                         for n, _ in ref_state.named])
                 assert np.array_equal(mine, joined), step
             for p in tensors:
                 p.zero_grad()
@@ -408,45 +412,52 @@ class TestAdam:
 
     def test_nonfinite_gradient_writes_nothing(self):
         buffer, tensors = one_buffer(np.ones((2, 3)), np.ones(4), np.ones(1))
-        params = list(zip("abc", tensors))
-        state = AdamState(buffer, params)
+        state = AdamState(buffer, list(zip("abc", tensors)))
         tc = TrainConfig(learning_rate=0.1)
-        for _, p in params:
-            p.grad = np.full(p.shape, 0.5)
-        adam_step(params, state, tc)
-        for _, p in params:
-            p.grad = np.full(p.shape, -2.0)
-        params[2][1].grad = np.array([np.nan])
-        before = [p.data.copy() for _, p in params]
+        feed(state, [np.full(p.shape, 0.5) for p in tensors])
+        adam_step(state, tc)
+        feed(state, [np.full((2, 3), -2.0), np.full(4, -2.0), [np.nan]])
+        before = [p.data.copy() for p in tensors]
         moments = [np.copy(state.m), np.copy(state.v)]
         with pytest.raises(FloatingPointError,
                            match="non-finite gradient in c at step 2"):
-            adam_step(params, state, tc)
+            adam_step(state, tc)
         assert state.t == 1
-        for was, (_, p) in zip(before, params):
+        for was, p in zip(before, tensors):
             assert np.array_equal(p.data, was)
         assert np.array_equal(state.m, moments[0])
         assert np.array_equal(state.v, moments[1])
 
+    def test_nonfinite_value_after_the_update_raises_once_written(self):
+        # the check runs after the update: b steps from -1e308 by about
+        # -1e308 to -inf, and t, the moments and every value are written
+        # when it raises
+        buffer, tensors = one_buffer(np.zeros(2), np.full(1, -1e308))
+        state = AdamState(buffer, list(zip("ab", tensors)))
+        feed(state, [np.zeros(2), np.ones(1)])
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match="non-finite value in b at step 1"):
+            adam_step(state, TrainConfig(learning_rate=1e308))
+        assert state.t == 1
+        assert np.array_equal(buffer, [0.0, 0.0, -np.inf])
+        assert state.m[2] > 0.0 and state.v[2] > 0.0
+
     def test_rebound_parameter_rejected(self):
         buffer, tensors = one_buffer(np.ones((2, 2)), np.ones((2, 2)))
-        params = list(zip(("enc.00.ffn.w1", "enc.00.ffn.w2"), tensors))
-        state = AdamState(buffer, params)
-        for _, p in params:
-            p.grad = np.ones((2, 2))
-        adam_step(params, state, TrainConfig())
-        params[1][1].data = params[1][1].data.copy()
+        state = AdamState(buffer, list(zip(("enc.00.ffn.w1", "enc.00.ffn.w2"),
+                                           tensors)))
+        feed(state, [np.ones((2, 2))] * 2)
+        adam_step(state, TrainConfig())
+        tensors[1].data = tensors[1].data.copy()
         with pytest.raises(ValueError, match="enc.00.ffn.w2"):
-            adam_step(params, state, TrainConfig())
+            adam_step(state, TrainConfig())
 
     def test_parameters_out_of_buffer_order_rejected(self):
         buffer, tensors = one_buffer(np.ones(3), np.ones(2))
         params = list(zip(("a", "b"), tensors))
-        for _, p in params:
-            p.grad = np.ones(p.shape)
         with pytest.raises(ValueError, match="b is not its view"):
-            adam_step(params[::-1], AdamState(buffer, params), TrainConfig())
-        assert np.array_equal(buffer, np.ones(5))
+            AdamState(buffer, params[::-1])
+        assert all(p._grad_home is None for p in tensors)
 
 
 class TestTrainLoop:
@@ -570,15 +581,22 @@ class TestTrainLoop:
         mib = tape_bytes() / 2 ** 20
         assert mib <= 30, mib
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
     def test_b64_depth_attention_backward_peaks_at_most_6_5_mib(
-            self, monkeypatch):
-        # 4.6 MiB above its start, rebuilding the values a layer at a
-        # time and the keys all L at once; 4.4 MiB with both kept, and
-        # 6.3 MiB with the rebuilt keys held to the end.  Keeping the
-        # [n x L*m] mixed values for w_out's gradient and building the
-        # value, weight and key gradients L layers wide at once, 9.7 MiB
+            self, monkeypatch, dropout):
+        # 4.15 MiB above its start at dropout 0 and 4.18 at 0.1,
+        # rebuilding each dropped state as a plain array where it is
+        # read, the values a layer at a time and the keys all L at once.
+        # With all L dropped states built as Tensors at the start and
+        # their gradients routed through the backward's pending dict,
+        # 4.6 MiB and 6.55.  At dropout 0: 4.4 MiB with the values and
+        # keys kept, and 6.3 MiB with the rebuilt keys held to the end.
+        # Keeping the [n x L*m] mixed values for w_out's gradient and
+        # building the value, weight and key gradients L layers wide at
+        # once, 9.7 MiB
         rng = np.random.default_rng(0)
-        model = init_model(desk_config(), rng)
+        model = init_model(desk_config(dropout=dropout, attn_dropout=dropout),
+                           rng)
         outs = []
 
         def recording(*args):
@@ -592,18 +610,28 @@ class TestTrainLoop:
         mib = backward_peak_of(node, loss) / 2 ** 20
         assert mib <= 6.5, mib
 
-    def test_backward_keeps_no_grad_on_tape_nodes(self):
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("head_type", HEAD_TYPES)
+    def test_backward_keeps_no_grad_on_tape_nodes(self, head_type, dropout):
         # kept on the tape until reset_graph, the interior gradients of
-        # this batch held 12.0 MiB (59.0 MiB on the B=64 batch)
+        # the MHMLA batch held 12.0 MiB (59.0 MiB on the B=64 batch).
+        # Every parameter's gradient is its home in the state's buffer,
+        # the one place adam_step reads: it rejects any other
         rng = np.random.default_rng(0)
-        model = init_model(desk_config(), rng)
+        model = init_model(desk_config(head_type=head_type, dropout=dropout,
+                                       attn_dropout=dropout), rng)
+        state = AdamState(model.flat, model.named)
         backward(batch_loss(model, desk_batch(rng), rng))
         assert all(node.grad is None for node in active_graph().nodes)
-        assert all(p.grad is not None for _, p in model.named)
+        for (name, p), home in zip(model.named, state.homes, strict=True):
+            assert p.grad is home, name
 
     def test_b64_desk_step_peaks_at_most_40_mib(self):
         # forward, backward, Adam and zero_grad, traced from before the
-        # forward: 36.4 MiB, the tape alone 28.6 MiB.  With q, k, v and
+        # forward, with the Adam state made before it as train() makes
+        # it, once for all steps: 36.1 MiB, the tape alone 28.6 MiB.
+        # With the leaves' gradients backward's own arrays, adopted by a
+        # state made after the backward's peak, 36.4 MiB.  With q, k, v and
         # the MHMLA head's keys and values kept, 49.3 MiB and 41.4
         # (under the 52 MiB bound then).  With the embedding's gathers
         # on the tape, depth_attention's mixed values kept and its
@@ -615,13 +643,13 @@ class TestTrainLoop:
         # 131 MiB
         rng = np.random.default_rng(0)
         model = init_model(desk_config(), rng)
-        params = model.named
         batch = desk_batch(rng) * 4
+        state = AdamState(model.flat, model.named)
         tracemalloc.start()
         try:
             backward(batch_loss(model, batch, rng))
-            adam_step(params, AdamState(model.flat, params), TrainConfig())
-            for _, p in params:
+            adam_step(state, TrainConfig())
+            for _, p in model.named:
                 p.zero_grad()
             mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
@@ -669,10 +697,10 @@ class TestTrainLoop:
             starts.append(tracemalloc.get_traced_memory()[0])
             return batch_loss(*args)
 
-        def update(named_params, state, config):
+        def update(state, config):
             seen.append((len(active_graph().nodes),
                          tracemalloc.get_traced_memory()[0] - starts[-1]))
-            adam_step(named_params, state, config)
+            adam_step(state, config)
 
         monkeypatch.setattr("gedlab.training.batch_loss", loss_of)
         monkeypatch.setattr("gedlab.training.adam_step", update)
@@ -698,9 +726,9 @@ class TestTrainLoop:
         def run(step_fn):
             seen = []
 
-            def recording(named_params, state, config):
-                step_fn(named_params, state, config)
-                seen.append([p.data.copy() for _, p in named_params])
+            def recording(state, config):
+                step_fn(state, config)
+                seen.append([p.data.copy() for _, p in state.named])
 
             monkeypatch.setattr("gedlab.training.adam_step", recording)
             return train(corpus, cfg, tc).epoch_losses, seen
@@ -788,7 +816,7 @@ class TestGradientBuffer:
             backward(loss)
             after_backward = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            adam_step(params, state, TrainConfig())
+            adam_step(state, TrainConfig())
             adam_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
