@@ -591,6 +591,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_out_dir(path: str | None) -> None:
+    """An --out in a directory that does not exist fails here, before
+    the command's work, not at the write after it."""
+    parent = os.path.dirname(path) if path else ""
+    if parent and not os.path.isdir(parent):
+        raise ValueError(f"output directory {parent} does not exist")
+
+
 def main(argv=None) -> int:
     # the CLI owns its process; library callers keep their own allocator
     global _heap_kept
@@ -601,6 +609,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out_dir(getattr(args, "out", None))
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -541,7 +541,8 @@ def _tokenize(words: list[str], labels: list[str],
                 break
         first.append(len(sub_ids))
         sub_ids.extend(ids)
-    return _trusted_tokenized(words, labels, sub_ids, first)
+    # exact-size copies: a list grown by appends keeps spare capacity
+    return _trusted_tokenized(words, labels, sub_ids[:], first[:])
 
 
 @dataclass
@@ -703,7 +704,7 @@ def _read_sentence(path, words: list[str],
         _check_tokens(words, "sentence")
     except ValueError as exc:
         raise _whitespace_error(path, exc) from None
-    return _trusted_sentence(words, labels)
+    return _trusted_sentence(words[:], labels[:])  # exact-size copies
 
 
 def _whitespace_error(path, exc: ValueError) -> CorpusFormatError:

@@ -6,10 +6,9 @@ residual + layer norm.  Every block's output is kept so heads can
 attend over depth.
 
 A batch is one padded [B*T x hidden] matrix: one tensor.embed node,
-which keeps only the ids and positions, then four fused tape nodes per
-block (_block).  Each sentence attends only over its own T positions,
-and PAD positions are masked out as keys.  They still flow through as
-queries; their rows are garbage and callers ignore them.
+then one tensor.encoder_block node per block.  Each sentence attends
+only over its own real positions; PAD rows still flow through as
+queries, and callers ignore them.
 """
 from __future__ import annotations
 
@@ -23,21 +22,18 @@ from typing import Iterator
 import numpy as np
 
 from .corpus import PAD_ID
-from .tensor import (
-    Tensor, dropout, embed, linear_relu, residual_norm, self_attention,
-)
+from .tensor import Tensor, dropout, embed, encoder_block
 
 HEAD_TYPES = ("final", "avgl", "mhmla")
 INIT_STD = 0.02
 
 
 def check_field_types(config) -> None:
-    """Hold each field of a config dataclass to its annotation, before
-    any range check reads it.  An int field takes a Python int, not a
-    bool (a numpy int would not survive the checkpoint's JSON header
-    either); a float field takes a finite int or float, not a bool; a
-    str field takes a str; an `X | None` field may also be None.  Reads
-    the annotations as strings (`from __future__ import annotations`)."""
+    """Hold each field of a config dataclass to its annotation (read as
+    a string), before any range check reads it.  An int field takes a
+    Python int, not a bool (a numpy int would not survive the JSON
+    checkpoint header); a float field a finite int or float, not a
+    bool; a str field a str; an `X | None` field may also be None."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind, _, optional = f.type.partition(" | ")
@@ -187,9 +183,9 @@ def draw_encoder_params(params: EncoderParams, rng: np.random.Generator,
                         init_std: float = INIT_STD) -> None:
     """Initialize zeroed encoder tensors in place: weights N(0,
     init_std), biases left 0, layer-norm gain 1.  Each layer's six
-    weights are drawn in turn, then both embeddings.  Training keeps
-    the default std; gradient checks pass a larger one so every path
-    carries a gradient comfortably above finite-difference noise."""
+    weights are drawn in turn, then both embeddings.  Gradient checks
+    pass a larger std to lift every gradient above finite-difference
+    noise."""
     for lp in params.layers:
         draw_normal(rng, init_std, lp.w_q, lp.w_k, lp.w_v, lp.w_o,
                     lp.w_ff1, lp.w_ff2)
@@ -206,38 +202,15 @@ def dropout_rates(config: ModelConfig,
     return (0.0, 0.0) if rng is None else (config.dropout, config.attn_dropout)
 
 
-def _block(h: Tensor, lp: LayerParams, config: ModelConfig, key_real,
-           rng: np.random.Generator | None) -> Tensor:
-    """One post-norm block as four tape nodes: self-attention with its
-    projections, the w_o residual and layer norm, the relu FFN's first
-    map, and its second map's residual and layer norm."""
-    rate, attn_rate = dropout_rates(config, rng)
-    mixed = self_attention(h, lp.w_q, lp.b_q, lp.w_k, lp.w_v, lp.b_v,
-                           key_real, config.self_attn_heads, attn_rate, rng)
-    h = residual_norm(h, mixed, lp.w_o, lp.b_o, lp.ln1_gain, lp.ln1_bias,
-                      rate, rng)
-    ff = linear_relu(h, lp.w_ff1, lp.b_ff1)
-    return residual_norm(h, ff, lp.w_ff2, lp.b_ff2, lp.ln2_gain, lp.ln2_bias,
-                         rate, rng)
-
-
 def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
                  rng: np.random.Generator | None = None):
-    """Forward several sentences as one matrix; the encoder's only
-    forward.
-
-    Each sentence is padded with PAD_ID to the longest length in the
-    batch and the rows are stacked:  row b * T + n is token n of
-    sentence b.  Each block's self-attention gets the [B, T] mask of
-    real tokens and runs per sentence, so a query sees only the real
-    tokens of its own sentence.  PAD keys get exactly zero weight, every
-    stored value stays finite, and the result on real rows equals the
-    per-sentence forward.  At a fixed padded length, work and memory
-    grow linearly in B.  Given an rng it is a training forward.
-
-    Returns (states, real): the L block outputs, each [B*T x hidden],
-    and a bool vector marking real rows.
-    """
+    """The encoder's only forward: the sentences padded with PAD_ID to
+    the longest, row b * T + n holding token n of sentence b.  A query
+    sees only its own sentence's real tokens (PAD keys get exactly zero
+    weight), so real rows equal the per-sentence forward, every value
+    stays finite, and at a fixed T work and memory grow linearly in B.
+    Given an rng it is a training forward.  Returns (states, real): the
+    L block outputs, each [B*T x hidden], and the real rows' mask."""
     if not sentences:
         raise ValueError("encode_batch needs at least one sentence")
     t_max = max(len(s) for s in sentences)
@@ -254,10 +227,13 @@ def encode_batch(sentences: list, params: EncoderParams, config: ModelConfig,
     # embed rejects an id out of the token table's range
     h = embed(params.token_embedding, params.position_embedding,
               ids.reshape(-1), np.tile(np.arange(t_max), len(sentences)))
-    h = dropout(h, dropout_rates(config, rng)[0], rng)
+    rate, attn_rate = dropout_rates(config, rng)
+    h = dropout(h, rate, rng)
     key_real = ids != PAD_ID
     states = []
     for lp in params.layers:
-        h = _block(h, lp, config, key_real, rng)
+        h = encoder_block(h, *(getattr(lp, f.name) for f in fields(lp)),
+                          key_real, config.self_attn_heads, rate, attn_rate,
+                          rng)
         states.append(h)
     return states, key_real.reshape(-1)

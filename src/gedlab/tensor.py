@@ -8,14 +8,11 @@ No op broadcasts: add takes two tensors of one shape, and the fused
 ops take their bias and gain rows at exactly the output width.
 
 The fused ops record one node each and keep only what their backwards
-read: linear nothing of its own, linear_relu its output, residual_norm
-its standardized rows, embed its index lists, self_attention its
-softmax weights and depth_attention its weights and masks.  The last
-two rebuild their projections (q, k, v; keys, values) in backward from
-the inputs and the weights' current values, the same bits as the
-forward's.  Each backward hands out its gradients in the order that
-separate nodes for the same arithmetic would, so a tensor that several
-ops read sums its gradients in the same order, bit for bit.
+read; encoder_block and depth_attention rebuild their projections in
+backward from the inputs and the weights' current values, the same
+bits as the forward's.  Each backward hands out its gradients in the
+order that separate nodes for the same arithmetic would, so a tensor
+that several ops read sums its gradients in that order, bit for bit.
 """
 from __future__ import annotations
 
@@ -29,17 +26,17 @@ import numpy as np
 
 PROB_CLAMP = 1e-12      # floor applied to probabilities before log
 MASK_LOGIT = -1e30      # attention score of a masked (PAD) key
-NORM_EPS = 1e-12        # added to the row variance in residual_norm
+NORM_EPS = 1e-12        # added to the row variance in layer norm
 FD_ZERO_TOL = 1e-10     # finite_diff_check: both estimates below = agree
 
 
 class Tensor:
     """A float64 array plus the bookkeeping backward() needs.
 
-    backward() deposits gradients on leaves only: tensors that no op on
-    the tape produced, such as parameters and inputs.  An op's output
-    keeps grad None.  Repeated backward passes accumulate into a leaf's
-    grad (callers reset via zero_grad).
+    backward() deposits gradients on leaves only (parameters, inputs:
+    tensors no op on the tape produced); an op's output keeps grad
+    None.  Repeated backward passes accumulate into a leaf's grad
+    (callers reset via zero_grad).
 
     A leaf may have a gradient home, an array of its shape that the
     optimizer owns (its view of training.AdamState's buffer).  Its
@@ -47,10 +44,10 @@ class Tensor:
     there in arrival order (another shape is a ValueError), and grad is
     the home itself; zero_grad only drops the reference.
 
-    An op's backward closure holds the op's input Tensors, so a held op
-    output keeps its whole graph alive, reset_graph() or not.  A
-    parameter's data must not change between a forward and its
-    backward, which rebuilds projections from it.
+    A backward closure holds its op's inputs, so a held op output keeps
+    its whole graph alive, reset_graph() or not.  A parameter's data
+    must not change between a forward and its backward, which rebuilds
+    projections from it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_grad_home")
@@ -146,11 +143,10 @@ def _acc(pending: dict, t: Tensor, g: np.ndarray) -> None:
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad (or its home, see Tensor)
-    for every reachable requires_grad leaf.  An interior node's gradient
-    goes to its backward and is dropped, so the tape holds no gradient
-    arrays.  loss must be a scalar, and an op output must still be on
-    this thread's tape (not after reset_graph() or from another
-    thread), or a ValueError says so."""
+    for every reachable requires_grad leaf; an interior node's gradient
+    goes to its backward and is dropped.  A loss that is not a scalar,
+    or an op output off this thread's tape (after reset_graph() or from
+    another thread), is a ValueError."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     nodes = active_graph().nodes
@@ -199,12 +195,12 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _record(Tensor(x.data * c), (x,), bwd)
 
 
-def _check_affine(op: str, x: Tensor, ws, bs,
+def _check_affine(op: str, x, ws, bs,
                   layout: str = "x [n x k], w [k x m] and b [m]") -> None:
     """x [n x k], every w in ws [k x m] and every b in bs [m], or a
     ValueError naming op's layout and all their shapes."""
     w_shape = ws[0].shape
-    if not (x.data.ndim == 2 and len(w_shape) == 2
+    if not (len(x.shape) == 2 and len(w_shape) == 2
             and w_shape[0] == x.shape[1]
             and all(w.shape == w_shape for w in ws)
             and all(b.shape == (w_shape[1],) for b in bs)):
@@ -221,15 +217,13 @@ def _affine(x: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
     return y
 
 
-def _affine_grads(pending: dict, x: Tensor, w: Tensor, b: Tensor | None,
-                  g: np.ndarray) -> None:
-    """Hand out the gradients of x @ w + b for an upstream g, in the
-    order of linear's backward: b's (g summed over rows), x's g @ w.T,
-    then w's x.T @ g."""
+def _affine_grads(pending: dict, x: np.ndarray, w: Tensor, b: Tensor | None,
+                  g: np.ndarray) -> np.ndarray:
+    """Hand b, then w their gradients of x @ w + b; return x's."""
     if b is not None:
         _acc(pending, b, g.sum(axis=0))
-    _acc(pending, x, g @ w.data.T)
-    _acc(pending, w, x.data.T @ g)
+    _acc(pending, w, x.T @ g)
+    return g @ w.data.T
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -238,7 +232,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_affine("linear", x, (w,), (b,))
 
     def bwd(g, pending):
-        _affine_grads(pending, x, w, b, g)
+        _acc(pending, x, _affine_grads(pending, x.data, w, b, g))
 
     return _record(Tensor(_affine(x.data, w, b)), (x, w, b), bwd)
 
@@ -252,7 +246,7 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     np.maximum(y, 0.0, out=y)
 
     def bwd(g, pending):
-        _affine_grads(pending, x, w, b, g * (y > 0.0))
+        _acc(pending, x, _affine_grads(pending, x.data, w, b, g * (y > 0.0)))
 
     return _record(Tensor(y), (x, w, b), bwd)
 
@@ -292,25 +286,22 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _record(Tensor(x.data * keep), (x,), bwd)
 
 
-def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
-                   w_v: Tensor, b_v: Tensor, key_real, n_heads: int,
-                   rate: float = 0.0,
-                   rng: np.random.Generator | None = None) -> Tensor:
-    """Multi-head scaled dot-product self-attention within each sentence
-    of a padded batch, projections included, as one node.
+def _self_attention(h: Tensor, w_q, b_q, w_k, w_v, b_v, key_real, n_heads,
+                    rate, rng):
+    """encoder_block's attention half: multi-head scaled dot-product
+    self-attention within each sentence of a padded batch.
 
-    h is [B*T x k], row b * T + n holding token n of sentence b;
-    key_real is the [B, T] bool mask of real tokens.  Q = h @ w_q + b_q,
-    K = h @ w_k (a key bias would shift all of a query's scores alike,
-    which the softmax cancels) and V = h @ w_v + b_v.  Per sentence and
-    head: softmax(Q Kt / sqrt(m / n_heads)) over its own keys, PAD keys
-    at MASK_LOGIT, so they get exactly zero weight; with rate > 0, one
-    [B, n_heads, T, T] dropout mask on those weights.  Returns the
-    heads' P V merged back to [B*T x m].  No [B*T x B*T] array is
-    built and only the weights are kept: heads are strided views of the
-    [B*T x m] projections, and backward rebuilds V, Q and K from h and
-    the weights each just before it reads it, handing h its gradients
-    through v, k, q.
+    h is [B*T x k], row b * T + n holding token n of sentence b, and
+    key_real the [B, T] mask of real tokens.  Q = h @ w_q + b_q, K = h
+    @ w_k (a key bias would cancel in the softmax), V = h @ w_v + b_v.
+    Per sentence and head: softmax(Q Kt / sqrt(m / n_heads)), PAD keys
+    at MASK_LOGIT (exactly zero weight), then a [B, n_heads, T, T]
+    dropout mask.
+
+    Keeps the weights and mask; returns (mix, bwd).  mix() rebuilds V
+    and returns [P V as [B*T x m], V]; bwd([g, V], pending) takes P V's
+    gradient g, empties the list so both die once read, and hands h its
+    gradients through v, k and q, rebuilding q and k.
     """
     _check_affine("self_attention", h, (w_q, w_k, w_v), (b_q, b_v),
                   "h [n x k], w_q, w_k and w_v [k x m], b_q and b_v [m]")
@@ -333,7 +324,8 @@ def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
     def proj(w, bias):  # h @ w + bias, per head
         return heads(_affine(h.data, w, bias))
 
-    def product(x, y, out):     # x @ y written into out's head view
+    def product(x, y, out=None):    # x @ y written into out's head view
+        out = np.empty((b * t, width)) if out is None else out
         np.matmul(x, y, out=heads(out))
         return out
 
@@ -345,34 +337,41 @@ def self_attention(h: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor,
     p /= p.sum(axis=-1, keepdims=True)
     keep = _keep_mask(p.shape, rate, rng)
 
-    def bwd(g, pending):
-        go, gh = heads(g), np.empty((b * t, width))
-        _affine_grads(pending, h, w_v, b_v, product(
-            (p if keep is None else p * keep).transpose(0, 1, 3, 2), go, gh))
-        ds = go @ proj(w_v, b_v).transpose(0, 1, 3, 2)     # d(weights)
+    def weights():
+        return p if keep is None else p * keep
+
+    def mix():
+        v = _affine(h.data, w_v, b_v)
+        return [product(weights(), heads(v)), v]
+
+    def bwd(held, pending):
+        g, v = held
+        held.clear()
+        go = heads(g)
+        gh = product(weights().transpose(0, 1, 3, 2), go)
+        _acc(pending, h, _affine_grads(pending, h.data, w_v, b_v, gh))
+        ds = go @ heads(v).transpose(0, 1, 3, 2)    # d(weights)
+        del g, go, v
         if keep is not None:
             ds *= keep
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p                                 # d(scores), in place
         ds *= inv_sqrt
-        _affine_grads(pending, h, w_k, None, product(
-            ds.transpose(0, 1, 3, 2), proj(w_q, b_q), gh))
-        _affine_grads(pending, h, w_q, b_q, product(ds, proj(w_k, None), gh))
+        _acc(pending, h, _affine_grads(pending, h.data, w_k, None, product(
+            ds.transpose(0, 1, 3, 2), proj(w_q, b_q), gh)))
+        _acc(pending, h, _affine_grads(pending, h.data, w_q, b_q,
+                                       product(ds, proj(w_k, None), gh)))
 
-    return _record(Tensor(product(p if keep is None else p * keep,
-                                  proj(w_v, b_v), np.empty((b * t, width)))),
-                   (h, w_q, b_q, w_k, w_v, b_v), bwd)
+    return mix, bwd
 
 
-def residual_norm(h: Tensor, x: Tensor, w: Tensor, b: Tensor, gain: Tensor,
-                  bias: Tensor, rate: float = 0.0,
-                  rng: np.random.Generator | None = None) -> Tensor:
-    """A post-norm sublayer's exit as one node:
-    layer_norm(h + dropout(x @ w + b)): each row s of the sum becomes
-    y = (s - mean) / sqrt(pop_var + NORM_EPS), then y * gain + bias.
-    With rate > 0, dropout draws one mask of h's shape from rng.  Only
-    y is kept; backward gives bias, then gain, then h (the residual),
-    then b, x and w their gradients."""
+def _residual_norm(h, x, w, b, gain, bias, rate, rng):
+    """encoder_block's sublayer exit, layer_norm(h + dropout(x @ w +
+    b)) over arrays: each row s of the sum becomes y = (s - mean) /
+    sqrt(pop_var + NORM_EPS), then y * gain + bias.  Keeps y, the rows'
+    inverse deviations and the mask; returns (out, bwd).  out() builds
+    the output; bwd(g, pending) hands bias, then gain their gradients
+    and returns those of h and of x @ w + b."""
     _check_affine("residual_norm", x, (w,), (b,))
     width = w.shape[1]
     if (h.shape != (x.shape[0], width) or gain.shape != (width,)
@@ -381,17 +380,20 @@ def residual_norm(h: Tensor, x: Tensor, w: Tensor, b: Tensor, gain: Tensor,
                          f"[m] beside x @ w of {(x.shape[0], width)}, got "
                          f"{h.shape}, {gain.shape} and {bias.shape}")
     _check_rate(rate, rng)
-    y = _affine(x.data, w, b)
+    y = _affine(x, w, b)
     keep = _keep_mask(y.shape, rate, rng)
     if keep is not None:
         y *= keep
-    y += h.data                     # s = h + dropout(x @ w + b)
-    # sum / width is mean's own arithmetic, without its Python wrapper
+    y += h                          # s = h + dropout(x @ w + b)
+    # sum / width: mean's arithmetic, without its wrapper
     y -= y.sum(axis=1, keepdims=True) / width
     inv = 1.0 / np.sqrt((y * y).sum(axis=1, keepdims=True) / width + NORM_EPS)
     y *= inv                        # s standardized: y
-    out = y * gain.data
-    out += bias.data
+
+    def out():
+        o = y * gain.data
+        o += bias.data
+        return o
 
     def bwd(g, pending):
         _acc(pending, bias, g.sum(axis=0))
@@ -400,10 +402,56 @@ def residual_norm(h: Tensor, x: Tensor, w: Tensor, b: Tensor, gain: Tensor,
         gm = gy.sum(axis=1, keepdims=True) / width
         gyy = (gy * y).sum(axis=1, keepdims=True) / width
         gs = inv * (gy - gm - y * gyy)
-        _acc(pending, h, gs)
-        _affine_grads(pending, x, w, b, gs if keep is None else gs * keep)
+        return gs, gs if keep is None else gs * keep
 
-    return _record(Tensor(out), (h, x, w, b, gain, bias), bwd)
+    return out, bwd
+
+
+def encoder_block(h: Tensor, w_q, b_q, w_k, w_v, b_v, w_o, b_o, ln1_gain,
+                  ln1_bias, w_ff1, b_ff1, w_ff2, b_ff2, ln2_gain, ln2_bias,
+                  key_real, n_heads, rate=0.0, attn_rate=0.0,
+                  rng=None) -> Tensor:
+    """A post-norm encoder block as one node, built from its halves:
+    h1 = layer_norm(h + dropout(attention(h) @ w_o + b_o)), then
+    layer_norm(h1 + dropout(relu(h1 @ w_ff1 + b_ff1) @ w_ff2 + b_ff2)),
+    attention's weights dropped at attn_rate, masks drawn in that order.
+    Keeps the attention weights, both norms' y, the relu output and the
+    masks.  Backward rebuilds h1 as the forward did, and V once, for P V
+    (w_o's gradient reads it) and the weight gradient."""
+    mix, attend = _self_attention(h, w_q, b_q, w_k, w_v, b_v, key_real,
+                                  n_heads, attn_rate, rng)
+    mixed, grad = mix()[0], _grad_enabled()
+    if not grad:    # no backward: free as separate ops would
+        mix = attend = None
+    h1_of, norm1 = _residual_norm(h.data, mixed, w_o, b_o, ln1_gain,
+                                  ln1_bias, rate, rng)
+    h1 = h1_of()
+    if not grad:
+        norm1 = h1_of = None
+    _check_affine("encoder_block", h1, (w_ff1,), (b_ff1,))
+    a = _affine(h1, w_ff1, b_ff1)
+    np.maximum(a, 0.0, out=a)
+    out, norm2 = _residual_norm(h1, a, w_ff2, b_ff2, ln2_gain, ln2_bias,
+                                rate, rng)
+
+    def bwd(g, pending):
+        gh1, gz = norm2(g, pending)
+        ga = _affine_grads(pending, a, w_ff2, b_ff2, gz)
+        del gz
+        ga *= a > 0.0
+        gh1 += _affine_grads(pending, h1_of(), w_ff1, b_ff1, ga)
+        del ga
+        gh, gz = norm1(gh1, pending)
+        _acc(pending, h, gh)
+        del gh1, gh
+        held = mix()
+        held[0] = _affine_grads(pending, held[0], w_o, b_o, gz)
+        del gz
+        attend(held, pending)
+
+    inputs = (h, w_q, b_q, w_k, w_v, b_v, w_o, b_o, ln1_gain, ln1_bias,
+              w_ff1, b_ff1, w_ff2, b_ff2, ln2_gain, ln2_bias)
+    return _record(Tensor(out()), inputs, bwd)
 
 
 def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
@@ -412,21 +460,19 @@ def depth_attention(states: Sequence[Tensor], w_k, b_k, w_a: Tensor,
                     rng: np.random.Generator | None = None):
     """Multi-head multi-layer attention over L states [n x h] up to the
     class logits, as one node.  Layer l's keys relu(states[l] @ w_k[l]
-    + b_k[l]) hold J heads' dk columns side by side, J = len(b_a) / L.
-    One product with w_a [L*J*dk x 1] laid out block-diagonally, plus
-    b_a, scores every (layer, head) pair; a softmax over layers weighs
-    each head's columns of the values states[l] @ w_v[l] + b_v[l]; one
-    product with w_out stacked L times sums them over layers: logits.
+    + b_k[l]) hold J = len(b_a) / L heads' dk columns side by side; one
+    product with w_a [L*J*dk x 1] laid out block-diagonally, plus b_a,
+    scores each (layer, head); a softmax over layers weighs each head's
+    columns of the values states[l] @ w_v[l] + b_v[l]; a product with
+    w_out stacked L times sums them over layers: logits.
 
-    With rate > 0, dropout draws a mask for every state, then for every
-    layer's keys; with attn_rate > 0, one for the weights.  Returns
-    (logits, weights [n, L, J] as used).  Only the weights and the
-    masks are kept: backward rebuilds from the states, with the same
-    masks, each layer's values and mix a layer at a time, then all
-    layers' keys, and hands out gradients in the order separate nodes
-    would: w_out's L slices in layer order, and each state its value
-    gradient plus its key gradient, times its mask.  A dropped state is
-    a plain array, built where it is read.
+    Dropout at rate draws a mask for every state, then every layer's
+    keys; attn_rate one for the weights.  Returns (logits, weights [n,
+    L, J] as used).  Keeps only the weights and masks: backward rebuilds
+    each layer's values and mix a layer at a time, then all layers'
+    keys, and hands w_out its L slices in layer order and each state
+    its value plus key gradient, times its mask.  A dropped state is a
+    plain array, built where it is read.
     """
     L, lens = len(states), [len(p) for p in (w_k, b_k, w_v, b_v)]
     if not L or len({s.shape for s in states}) > 1 or lens != [L] * 4:
@@ -611,10 +657,8 @@ def sum_all(x: Tensor) -> Tensor:
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean over rows of -ln p[target], p the row softmax of logits
-    (max-subtracted) clamped at PROB_CLAMP, as one node.
-
-    Backward runs the clamp-aware gradient dp in p, times g, back
-    through the softmax: p * (dp - the row sum of dp * p)."""
+    (max-subtracted) clamped at PROB_CLAMP, as one node.  Backward takes
+    the clamp-aware gradient dp in p, times g, through the softmax."""
     _need_2d(logits, "cross_entropy")
     n, c = logits.shape
     if n == 0:
@@ -659,11 +703,10 @@ def finite_diff_check(
 
     f is nullary, returns a scalar Tensor and must be deterministic
     (two calls up front catch live dropout or an unseeded rng).  Every
-    component of every parameter is perturbed by +-eps, so keep this at
-    desk scale.  The relative error per component is |analytic -
-    numeric| / max(|analytic|, |numeric|, 1e-8).  Two estimates below
-    FD_ZERO_TOL agree: on a direction a softmax cancels, both measure
-    only rounding.  A non-finite estimate is an error of inf, a
+    parameter component is perturbed by +-eps: keep it at desk scale.
+    Relative error: |analytic - numeric| / max(|analytic|, |numeric|,
+    1e-8); two estimates below FD_ZERO_TOL agree (a direction a softmax
+    cancels measures only rounding); a non-finite one is inf, a
     failure.  eps and tol must be finite and > 0.
     """
     for name, value in (("eps", eps), ("tol", tol)):

@@ -557,6 +557,26 @@ class TestTrainEval:
         assert not out.exists()
         assert "bad_dev.tsv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "attn", "label"])
+    def test_missing_output_directory_fails_before_the_work(
+            self, workdir, trained, tmp_path, capsys, caplog, command):
+        # train used to run every epoch, eval and attn every forward and
+        # label the whole alignment before the write failed
+        corpus = ("--corpus", str(workdir / "corpus.tsv"))
+        model = ("--checkpoint", str(trained), "--vocab", f"{trained}.vocab",
+                 *corpus)
+        argv = {"train": (*corpus, "--seed", "3", "--epochs", "1"),
+                "eval": model, "attn": model,
+                "label": ("--pairs", str(workdir / "pairs.tsv"))}[command]
+        missing = tmp_path / "no" / "such"
+        capsys.readouterr()
+        caplog.clear()
+        assert run(command, *argv, "--out", str(missing / "out")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output directory {missing} does not exist"]
+        assert not caplog.records      # no epoch line, no line of work
+        assert not any(tmp_path.iterdir())
+
     def test_dropped_words_close_the_token_count(self, workdir, trained,
                                                  tmp_path):
         # three dev sentences per line overrun the 32-piece max_len

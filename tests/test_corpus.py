@@ -714,11 +714,13 @@ class TestRecordMemory:
     # filled by __dict__.update, which makes each one a full dict
     # instead of a shared-key one); 1422 with slots but a str per word
     # line and copied word and label lists; 717 with one str per
-    # distinct word and a whole sentence's lists shared.  read_pair_file
-    # held 1192 with a str per token and holds 351 with one per
-    # distinct token.
+    # distinct word and a whole sentence's lists shared, and 614 with
+    # those lists and sub_ids and first_sub_index at their exact size,
+    # not grown by appends.  read_pair_file held 1192 with a str per
+    # token and holds 351 with one per distinct token.
     RECORDS_WITH_DICT = 1459
     SHARED_RECORDS = 900
+    EXACT_RECORDS = 650
     SHARED_PAIRS = 500
     N = 3000
 
@@ -761,6 +763,17 @@ class TestRecordMemory:
             path)
         assert corpus.n_sentences == self.N
         assert held / self.N <= self.SHARED_RECORDS, held / self.N
+
+    def test_read_and_built_records_hold_exact_size_lists(self, tmp_path,
+                                                          pairs):
+        path = tmp_path / "corpus.tsv"
+        write_corpus(pairs_to_labeled(pairs), path)
+        corpus, held = self.held_by(
+            lambda p: build_corpus(read_corpus_sentences(p), max_len=32),
+            path)
+        assert all(t.words is s.words and t.labels is s.labels
+                   for s, t in zip(corpus.sentences, corpus.tokenized))
+        assert held / self.N <= self.EXACT_RECORDS, held / self.N
 
     def test_read_pairs_share_their_tokens(self, tmp_path, pairs):
         path = tmp_path / "pairs.tsv"

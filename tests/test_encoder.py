@@ -1,16 +1,18 @@
 """Encoder: config validation, shapes, masking, pad invariance, and a
 finite-difference pass over one block."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from gedlab.corpus import PAD_ID
 from gedlab.encoder import (
-    INIT_STD, ModelConfig, _block, draw_encoder_params, encode_batch,
+    INIT_STD, ModelConfig, draw_encoder_params, encode_batch,
 )
 from gedlab.model import alloc_model
 from gedlab.tensor import (
-    Tensor, add, backward, cross_entropy, finite_diff_check, gather_rows,
-    linear, no_grad, reset_graph,
+    Tensor, add, backward, cross_entropy, encoder_block, finite_diff_check,
+    gather_rows, linear, no_grad, reset_graph,
 )
 
 
@@ -109,8 +111,10 @@ class TestEmbed:
         first = encode_batch([ids], params, cfg)[0][0]
         tok = params.token_embedding.data
         pos = params.position_embedding.data
-        expect = _block(Tensor(tok[ids] + pos[:3]), params.layers[0], cfg,
-                        np.ones((1, 3), dtype=bool), None)
+        lp = params.layers[0]
+        expect = encoder_block(Tensor(tok[ids] + pos[:3]),
+                               *(getattr(lp, f.name) for f in fields(lp)),
+                               np.ones((1, 3), dtype=bool), cfg.self_attn_heads)
         assert np.array_equal(first.data, expect.data)
 
     def test_rejects_long_input(self, rng):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from gedlab.tensor import (
-    PROB_CLAMP, GradCheckReport, Tensor, active_graph, add, backward,
-    cross_entropy, depth_attention, dropout, embed, finite_diff_check,
-    gather_rows, linear, linear_relu, no_grad, reset_graph, residual_norm,
-    scale, self_attention, sum_all,
+    PROB_CLAMP, GradCheckReport, Tensor, _acc, _affine_grads, _record,
+    _residual_norm, _self_attention, active_graph, add, backward,
+    cross_entropy, depth_attention, dropout, embed, encoder_block,
+    finite_diff_check, gather_rows, linear, linear_relu, no_grad,
+    reset_graph, scale, sum_all,
 )
 from oracles import (
     cross_entropy_reference, depth_attention_reference,
@@ -31,6 +32,29 @@ def clean_tape():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+def self_attention(h, w_q, b_q, w_k, w_v, b_v, key_real, n_heads,
+                   rate=0.0, rng=None) -> Tensor:
+    """encoder_block's attention half as a node of its own: P V, whose
+    backward rebuilds V and hands it on as the block's does."""
+    mix, bwd = _self_attention(h, w_q, b_q, w_k, w_v, b_v, key_real,
+                               n_heads, rate, rng)
+    return _record(Tensor(mix()[0]), (h, w_q, b_q, w_k, w_v, b_v),
+                   lambda g, pending: bwd([g, mix()[1]], pending))
+
+
+def residual_norm(h, x, w, b, gain, bias, rate=0.0, rng=None) -> Tensor:
+    """encoder_block's residual-norm half as a node of its own, handing
+    h, then x @ w + b their gradients as the block does."""
+    out, norm = _residual_norm(h.data, x.data, w, b, gain, bias, rate, rng)
+
+    def bwd(g, pending):
+        gh, gz = norm(g, pending)
+        _acc(pending, h, gh)
+        _acc(pending, x, _affine_grads(pending, x.data, w, b, gz))
+
+    return _record(Tensor(out()), (h, x, w, b, gain, bias), bwd)
 
 
 def bare_relu(x: Tensor) -> Tensor:
@@ -570,50 +594,48 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     def test_block_matches_unfused_reference(self, rng, rate):
-        # the encoder's block: h feeds the attention sublayer's residual
-        # and its q, k and v maps, and the result h1 the FFN's residual
-        # and first map, so each sums its gradients in the unfused
-        # reverse-tape order: the residual first, then v, k and q (h),
-        # or the FFN (h1)
+        # encoder_block against the unfused ops it replaced: h feeds the
+        # attention sublayer's residual and its q, k and v maps, and h1
+        # the FFN's residual and first map, so each sums its gradients
+        # in the unfused reverse-tape order: the residual first, then v,
+        # k and q (h), or the FFN (h1)
         b, t = KEY_REAL.shape
-        hid, ffn, n_heads = 4, 6, 2
+        hid, ffn = 4, 6
         shapes = [(b * t, hid), (hid, hid), (hid,), (hid, hid), (hid, hid),
                   (hid,), (hid, hid), (hid,), (hid,), (hid,), (hid, ffn),
                   (ffn,), (ffn, hid), (hid,), (hid,), (hid,)]
-        arrays = [rng.normal(size=s) for s in shapes]
-        upstream = rng.normal(size=(b * t, hid))
-        (h, w_q, b_q, w_k, w_v, b_v, w_o, b_o, g1, c1, w_1, b_1, w_2, b_2,
-         g2, c2) = tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        drop = np.random.default_rng(9)
-        mixed = self_attention(h, w_q, b_q, w_k, w_v, b_v, KEY_REAL,
-                               n_heads, rate, drop)
-        h1 = residual_norm(h, mixed, w_o, b_o, g1, c1, rate, drop)
-        out = residual_norm(h1, linear_relu(h1, w_1, b_1), w_2, b_2, g2, c2,
-                            rate, drop)
-        backward(weighted_sum(out, upstream))
+        for n_heads in (1, 2):
+            arrays = [rng.normal(size=s) for s in shapes]
+            upstream = rng.normal(size=(b * t, hid))
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            out = encoder_block(*tensors, KEY_REAL, n_heads, rate, rate,
+                                np.random.default_rng(9))
+            backward(weighted_sum(out, upstream))
 
-        keeps = _keeps(9, rate, (b, n_heads, t, t), (b * t, hid),
-                       (b * t, hid))
-        (ha, wq, bq, wk, wv, bv, wo, bo, ga1, ca1, w1, b1, w2, b2, ga2,
-         ca2) = arrays
-        zero = np.zeros_like(upstream)
-        mix = self_attention_reference(ha, wq, bq, wk, wv, bv, KEY_REAL,
-                                       n_heads, keeps[0], zero)[0]
-        r1 = residual_norm_reference(ha, mix, wo, bo, ga1, ca1, keeps[1],
-                                     zero)[0]
-        act = linear_relu_reference(r1, w1, b1, np.zeros((b * t, ffn)))[0]
-        ref_out, d_r1, d_act, dw2, db2, dg2, dc2 = residual_norm_reference(
-            r1, act, w2, b2, ga2, ca2, keeps[2], upstream)
-        _, d_r1_ffn, dw1, db1 = linear_relu_reference(r1, w1, b1, d_act)
-        _, dh, d_mix, dwo, dbo, dg1, dc1 = residual_norm_reference(
-            ha, mix, wo, bo, ga1, ca1, keeps[1], d_r1 + d_r1_ffn)
-        _, dh, dwq, dbq, dwk, dwv, dbv = self_attention_reference(
-            ha, wq, bq, wk, wv, bv, KEY_REAL, n_heads, keeps[0], d_mix, dh)
-        assert np.array_equal(out.data, ref_out)
-        want = [dh, dwq, dbq, dwk, dwv, dbv, dwo, dbo, dg1, dc1, dw1, db1,
-                dw2, db2, dg2, dc2]
-        for i, (got, w) in enumerate(zip(tensors, want)):
-            assert np.array_equal(got.grad, w), shapes[i]
+            keeps = _keeps(9, rate, (b, n_heads, t, t), (b * t, hid),
+                           (b * t, hid))
+            (ha, wq, bq, wk, wv, bv, wo, bo, ga1, ca1, w1, b1, w2, b2, ga2,
+             ca2) = arrays
+            zero = np.zeros_like(upstream)
+            mix = self_attention_reference(ha, wq, bq, wk, wv, bv, KEY_REAL,
+                                           n_heads, keeps[0], zero)[0]
+            r1 = residual_norm_reference(ha, mix, wo, bo, ga1, ca1, keeps[1],
+                                         zero)[0]
+            act = linear_relu_reference(r1, w1, b1, np.zeros((b * t, ffn)))[0]
+            ref_out, d_r1, d_act, dw2, db2, dg2, dc2 = residual_norm_reference(
+                r1, act, w2, b2, ga2, ca2, keeps[2], upstream)
+            _, d_r1_ffn, dw1, db1 = linear_relu_reference(r1, w1, b1, d_act)
+            _, dh, d_mix, dwo, dbo, dg1, dc1 = residual_norm_reference(
+                ha, mix, wo, bo, ga1, ca1, keeps[1], d_r1 + d_r1_ffn)
+            _, dh, dwq, dbq, dwk, dwv, dbv = self_attention_reference(
+                ha, wq, bq, wk, wv, bv, KEY_REAL, n_heads, keeps[0], d_mix,
+                dh)
+            assert np.array_equal(out.data, ref_out)
+            want = [dh, dwq, dbq, dwk, dwv, dbv, dwo, dbo, dg1, dc1, dw1, db1,
+                    dw2, db2, dg2, dc2]
+            for i, (got, w) in enumerate(zip(tensors, want, strict=True)):
+                assert np.array_equal(got.grad, w), (n_heads, shapes[i])
+            reset_graph()
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_depth_attention_matches_unfused_reference(self, rng, rate):
@@ -645,14 +667,15 @@ class TestFusedOps:
                   [4, 0, 4], [0, 1, 2])
         h = linear(x, ones, zeros)
         r = linear_relu(h, ones, zeros)
-        mixed = self_attention(r, ones, zeros, ones, ones, zeros,
-                               np.ones((1, 3), dtype=bool), 2)
-        out = residual_norm(r, mixed, ones, zeros, Tensor(np.ones(4)), zeros)
+        gain = Tensor(np.ones(4))
+        out = encoder_block(r, ones, zeros, ones, ones, zeros, ones, zeros,
+                            gain, zeros, ones, zeros, ones, zeros, gain,
+                            zeros, np.ones((1, 3), dtype=bool), 2)
         # two layers of two heads with 2 key columns each
-        depth_attention([mixed, out], [ones] * 2, [zeros] * 2,
+        depth_attention([r, out], [ones] * 2, [zeros] * 2,
                         Tensor(np.ones((8, 1))), zeros, [ones] * 2,
                         [zeros] * 2, ones, zeros)
-        assert len(active_graph().nodes) == 6
+        assert len(active_graph().nodes) == 5
 
     @pytest.mark.parametrize("shapes, message", [
         pytest.param(dict(states=[(5, 4)] * 3),
@@ -745,6 +768,19 @@ class TestFusedOps:
                 f"b_q and b_v [m], got {h}, {w_q}, {w_k}, {w_v}, {b_q} and "
                 f"{b_v}")):
             self_attention(*(Tensor(np.ones(s)) for s in shapes), KEY_REAL, 2)
+
+
+    @pytest.mark.parametrize("w_ff1, b_ff1", [
+        pytest.param((5, 6), (6,), id="w_ff1_rows"),
+        pytest.param((4, 6), (5,), id="b_ff1_not_w_cols"),
+    ])
+    def test_block_rejects_bad_ffn_shapes(self, w_ff1, b_ff1):
+        shapes = [(12, 4), (4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4), (4,),
+                  (4,), (4,), w_ff1, b_ff1, (6, 4), (4,), (4,), (4,)]
+        with pytest.raises(ValueError, match=re.escape(
+                "encoder_block needs x [n x k], w [k x m] and b [m], got "
+                f"(12, 4), {w_ff1} and {b_ff1}")):
+            encoder_block(*(Tensor(np.ones(s)) for s in shapes), KEY_REAL, 2)
 
 
 class TestElementwise:
@@ -920,10 +956,7 @@ class TestFusedFiniteDifferences:
 
         def f():
             drop = np.random.default_rng(11)
-            mixed = self_attention(*p[:6], KEY_REAL, 2, rate, drop)
-            h1 = residual_norm(p[0], mixed, *p[6:10], rate, drop)
-            out = residual_norm(h1, linear_relu(h1, *p[10:12]), *p[12:],
-                                rate, drop)
-            return weighted_sum(out, w)
+            return weighted_sum(
+                encoder_block(*p, KEY_REAL, 2, rate, rate, drop), w)
 
         _fd_on(f, p)
